@@ -278,6 +278,14 @@ def cmd_gen(args):
     return 2
 
 
+def positive_int(text):
+    """argparse type: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="tracelin",
@@ -324,14 +332,14 @@ def build_parser():
     p.add_argument("--suite", default="all",
                    choices=sorted(harness.SUITES) + ["all"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=None)
+    p.add_argument("--cases", type=positive_int, default=None)
     p.add_argument("--artifacts", default="tracelin-failures")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("gen", help="generate a seeded category or diagram")
     p.add_argument("--family", required=True, help="hofin|chain")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-objects", type=int, default=5)
+    p.add_argument("--max-objects", type=positive_int, default=5)
     p.add_argument("--max-edges", type=int, default=8)
     p.set_defaults(fn=cmd_gen)
     return ap

@@ -97,8 +97,9 @@ class Mat:
         return Mat(out, self.rows, other.cols, coerce=False)
 
     def transpose(self):
-        return Mat([[self.data[i][j] for i in range(self.rows)]
-                    for j in range(self.cols)], self.cols, self.rows, coerce=False)
+        data = ([list(col) for col in zip(*self.data)] if self.rows
+                else [[] for _ in range(self.cols)])
+        return Mat(data, self.cols, self.rows, coerce=False)
 
     def is_zero(self):
         return all(not x for row in self.data for x in row)
@@ -165,15 +166,6 @@ def vstack(mats):
     return Mat(data, sum(m.rows for m in mats), cols, coerce=False)
 
 
-def swap_tensor(dim1, dim2):
-    """Permutation matrix V (x) W -> W (x) V for the kron index layout."""
-    out = [[ZERO] * (dim1 * dim2) for _ in range(dim1 * dim2)]
-    for i in range(dim1):
-        for j in range(dim2):
-            out[j * dim1 + i][i * dim2 + j] = ONE
-    return Mat(out, dim1 * dim2, dim1 * dim2, coerce=False)
-
-
 def vec(m):
     """Flatten a matrix into the column vector of V (x) W^* coordinates.
 
@@ -204,12 +196,7 @@ def _int_rows(m):
 
 
 def _reduce_row(row):
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return row
+    g = gcd(*row)
     if g > 1:
         return [x // g for x in row]
     return row
@@ -239,12 +226,12 @@ def _echelon_int(rows, ncols, pivot_limit=None):
             rows[r], rows[pr] = rows[pr], rows[r]
         prow = rows[r]
         p = prow[c]
+        ptail = prow[c:]
         for i in range(r + 1, nrows):
-            q = rows[i][c]
+            ri = rows[i]
+            q = ri[c]
             if q:
-                ri = rows[i]
-                for j in range(c, ncols):
-                    ri[j] = ri[j] * p - prow[j] * q
+                ri[c:] = [x * p - y * q for x, y in zip(ri[c:], ptail)]
                 rows[i] = _reduce_row(ri)
         pivots.append(c)
         r += 1
@@ -258,27 +245,68 @@ def rank(m):
     return len(_echelon_int(rows, m.cols))
 
 
-def kernel_basis(m):
-    """Matrix whose columns form a basis of {v : m v = 0}."""
+def _back_substitute(tails, pivots, num, rhs):
+    """Solve echelon rows for their pivot unknowns, in integers.
+
+    Row i has its pivot entry ``pivots[i]`` = (column, value) and its
+    other nonzero unknown coefficients in ``tails[i]`` as (column,
+    value) pairs; it reads row . x = rhs[i].  ``num`` presets the
+    unknowns that are not pivots.  Rescaling the integer vector instead
+    of dividing keeps the work out of Fraction arithmetic; the solution
+    num / den comes back as Fractions.
+    """
+    den = 1
+    for i in range(len(pivots) - 1, -1, -1):
+        pc, p = pivots[i]
+        t = rhs[i] * den
+        for j, a in tails[i]:
+            x = num[j]
+            if x:
+                t -= a * x
+        if t:
+            g = gcd(t, p)
+            q = p // g
+            t //= g
+            if q < 0:
+                q, t = -q, -t
+            if q != 1:
+                num = [x * q for x in num]
+                den *= q
+            num[pc] = t
+    if den == 1:
+        return [F(x) if x else ZERO for x in num]
+    return [F(x, den) if x else ZERO for x in num]
+
+
+def _echelon_system(rows, pivots, n):
+    """(tails, pivots) of echelon rows for ``_back_substitute``: the
+    nonzero coefficients right of each pivot among the first n columns."""
+    tails = [[(j, row[j]) for j in range(pc + 1, n) if row[j]]
+             for row, pc in zip(rows, pivots)]
+    return tails, [(pc, row[pc]) for row, pc in zip(rows, pivots)]
+
+
+def _kernel_vectors(m):
+    """Echelon basis of {v : m v = 0}: one vector per free column."""
     n = m.cols
     rows = _int_rows(m)
     pivots = _echelon_int(rows, n)
     pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
+    tails, pivs = _echelon_system(rows, pivots, n)
+    zero = [0] * len(pivots)
     basis = []
-    for fc in free:
-        v = [ZERO] * n
-        v[fc] = ONE
-        for i in range(len(pivots) - 1, -1, -1):
-            pc = pivots[i]
-            row = rows[i]
-            s = ZERO
-            for j in range(pc + 1, n):
-                if row[j] and v[j]:
-                    s += row[j] * v[j]
-            v[pc] = -s / row[pc]
-        basis.append(v)
-    return Mat.from_cols(basis, n) if basis else Mat.zeros(n, 0)
+    for fc in range(n):
+        if fc not in pivset:
+            num = [0] * n
+            num[fc] = 1
+            basis.append(_back_substitute(tails, pivs, num, zero))
+    return basis
+
+
+def kernel_basis(m):
+    """Matrix whose columns form a basis of {v : m v = 0}."""
+    basis = _kernel_vectors(m)
+    return Mat.from_cols(basis, m.cols) if basis else Mat.zeros(m.cols, 0)
 
 
 def image_basis(m):
@@ -299,9 +327,8 @@ def cokernel(m):
     The projection is a surjective (dim x W) matrix with proj @ m = 0; its
     rows span the left null space of m.
     """
-    left = kernel_basis(m.transpose())
-    proj = left.transpose()
-    return proj.rows, proj
+    left = _kernel_vectors(m.transpose())
+    return len(left), Mat(left, len(left), m.rows, coerce=False)
 
 
 class SolveResult:
@@ -328,18 +355,10 @@ def solve_linear(a, b):
     for r in nz[len(pivots):]:
         if any(r[n:]):
             return None
-    sols = []
-    for bc in range(b.cols):
-        v = [ZERO] * n
-        for i in range(len(pivots) - 1, -1, -1):
-            pc = pivots[i]
-            row = rows[i]
-            s = F(row[n + bc])
-            for j in range(pc + 1, n):
-                if row[j] and v[j]:
-                    s -= row[j] * v[j]
-            v[pc] = s / row[pc]
-        sols.append(v)
+    tails, pivs = _echelon_system(rows, pivots, n)
+    sols = [_back_substitute(tails, pivs, [0] * n,
+                             [rows[i][n + bc] for i in range(len(pivots))])
+            for bc in range(b.cols)]
     return SolveResult(Mat.from_cols(sols, n), unique=(len(pivots) == n))
 
 

@@ -36,6 +36,7 @@ class FinCat:
             if a not in self._ids:
                 self._out[self.src[a]].append(a)
         self._gens = None
+        self._unit_shadow = None    # filled by profcalc.unit_shadow
 
     def __repr__(self):
         return "FinCat(%s: %d objects, %d arrows)" % (
@@ -82,29 +83,37 @@ class FinCat:
     def generating_arrows(self):
         """A small set of nonidentity arrows whose composites give all arrows.
 
-        Greedy: walk arrows in stored order, keep any not yet in the
-        composition closure of the kept ones.
+        Every indecomposable arrow (no composite of two nonidentity
+        arrows) is kept.  Then greedy: walk the other arrows in stored
+        order, keep any not yet in the composition closure of the kept
+        ones.  The result is in stored order.
         """
         if self._gens is not None:
             return self._gens
-        gens = []
-        closure = set(self._ids)
+        ids = self._ids
+        composites = {h for (f, g), h in self.compose.items()
+                      if f not in ids and g not in ids}
+        gens = [a for a in self.arrows if a not in ids and a not in composites]
+        closure = set(ids)
+        self._close(closure, gens)
         for a in self.arrows:
-            if a in closure:
-                continue
-            gens.append(a)
-            closure.add(a)
-            grew = True
-            while grew:
-                grew = False
-                for f in list(closure):
-                    for g in list(closure):
-                        c = self.compose.get((f, g))
-                        if c is not None and c not in closure:
-                            closure.add(c)
-                            grew = True
-        self._gens = tuple(gens)
+            if a not in closure:
+                gens.append(a)
+                self._close(closure, [a])
+        self._gens = tuple(sorted(gens, key=self.arrow_index.__getitem__))
         return self._gens
+
+    def _close(self, closure, new):
+        """Add new arrows to closure and close it under composition."""
+        todo = [a for a in new if a not in closure]
+        closure.update(todo)
+        while todo:
+            f = todo.pop()
+            for g in list(closure):
+                for c in (self.compose.get((f, g)), self.compose.get((g, f))):
+                    if c is not None and c not in closure:
+                        closure.add(c)
+                        todo.append(c)
 
 
 def validate(cat):

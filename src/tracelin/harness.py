@@ -12,7 +12,7 @@ import random
 from . import coeffs, diagrams, fincat, profcalc
 from .exactalg import (
     F, ONE, ZERO, ChainComplex, ChainMap, Mat, block_diag, cone_endo,
-    identity_chain_map, kron, lefschetz, solve_linear, trace,
+    identity_chain_map, inverse, kron, lefschetz, rank, solve_linear, trace,
 )
 
 
@@ -449,13 +449,14 @@ def random_vect_diagram(rng, cat, max_dim=4):
     if name == "idem" and rng.random() < 0.5:
         d = rng.randint(1, max_dim)
         r = rng.randint(0, d)
-        p = Mat.identity(d)
-        for _ in range(2):
-            i = rng.randrange(d)
-            j = rng.randrange(d)
-            if i != j:
-                p.data[i][j] = F(rng.randint(-1, 1))
-        from .exactalg import inverse
+        p = None
+        while p is None or rank(p) < d:    # redraw a singular p
+            p = Mat.identity(d)
+            for _ in range(2):
+                i = rng.randrange(d)
+                j = rng.randrange(d)
+                if i != j:
+                    p.data[i][j] = F(rng.randint(-1, 1))
         e = p @ block_diag([Mat.identity(r), Mat.zeros(d - r, d - r)]) \
             @ inverse(p)
         return diagrams.VectDiagram(cat, {"x": d},

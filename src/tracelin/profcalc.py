@@ -4,16 +4,20 @@ A profunctor from S to T assigns a space to each (t, s) pair, with a
 covariant S-action and a contravariant T-action that commute.  Composites
 and shadows are coends, always presented as explicit cokernels with their
 projections retained, so every structural map in a trace computation is a
-literal matrix.  Duality witnesses carry coevaluation and evaluation
-component matrices; traces run through the genuine quotient spaces rather
-than through any shortcut formula, so they can serve as an independent
-oracle against direct trace computations.
+literal matrix.  One builder writes the coend relations straight from the
+nonzero entries of the action matrices; maps of the form id (x) m, m (x) id
+and the swap of tensor factors are applied as index maps on the columns of
+the projections, so no Kronecker or permutation matrix is built for them.
+Duality witnesses carry coevaluation and evaluation component matrices;
+traces run through the genuine quotient spaces rather than through any
+shortcut formula, so they can serve as an independent oracle against
+direct trace computations.
 """
 
 from . import fincat
 from .exactalg import (
-    F, ONE, ZERO, Mat, block_diag, cokernel, factor_through, hstack,
-    idempotent_image, inverse, kron, swap_tensor, trace, vec,
+    ONE, ZERO, Mat, block_diag, cokernel, factor_through, hstack,
+    idempotent_image, inverse, kron, vec,
 )
 
 
@@ -168,47 +172,111 @@ class ShadowSpace:
         self.to_class = to_class
 
     def include(self, obj, vec_):
-        off, d = self.offsets[obj]
-        col = [ZERO] * self.proj.cols
-        for i in range(d):
-            col[off + i] = vec_.data[i][0]
-        return self.proj @ Mat([[v] for v in col], self.proj.cols, 1,
-                               coerce=False)
+        return _block_cols(self.proj, self.offsets[obj]) @ vec_
 
 
-def _coend_blocks(objs, dim_of):
+def _reshape(flat, rows, cols):
+    """The rows x cols matrix whose row-major entries are flat; the
+    inverse of ``vec`` on kron-layout coordinates."""
+    return Mat([flat[i * cols:(i + 1) * cols] for i in range(rows)],
+               rows, cols, coerce=False)
+
+
+def _block_cols(p, block):
+    """Columns of p that one (offset, dim) block of its source occupies."""
+    off, d = block
+    return Mat([row[off:off + d] for row in p.data], p.rows, d, coerce=False)
+
+
+def _route_cols(route):
+    """Sparse columns of I_left (x) m (x) I_right for route (m, left, right).
+
+    Each column is a list of (row, value) pairs over the nonzero entries
+    of m, with integral values as ints, so no Kronecker product is built
+    and zeros cost no arithmetic.
+    """
+    m, left, right = route
+    nz = [[(i, row[j].numerator if row[j].denominator == 1 else row[j])
+           for i, row in enumerate(m.data) if row[j]]
+          for j in range(m.cols)]
+    return [[((p * m.rows + i) * right + q, v) for i, v in nz[j]]
+            for p in range(left) for j in range(m.cols) for q in range(right)]
+
+
+def _coend(objs, dim_of, rels):
+    """(offsets, projection) of the coend over objs of a two-sided module.
+
+    The coend is the direct sum of the blocks ``dim_of(o)``, laid out in
+    the order of objs, modulo one relation per column of the mixed space
+    of each generating arrow.  ``rels`` lists (a, route_a, b, route_b):
+    the two routes (see ``_route_cols``) map the mixed space into the
+    blocks of a and of b, and each relation is route_a minus route_b.
+    The relation matrix goes to ``cokernel`` with plain-int zeros.
+    """
     offsets = {}
     total = 0
     for o in objs:
         offsets[o] = (total, dim_of(o))
         total += dim_of(o)
-    return offsets, total
-
-
-def _coend_proj(offsets, total, rel_cols):
-    rel = (Mat.from_cols(rel_cols, total) if rel_cols
-           else Mat.zeros(total, 0))
-    _dim, proj = cokernel(rel)
-    return proj
-
-
-def _rel_columns(offsets, total, gens, mixed_dim, route_to_src, route_to_dst,
-                 src_of, dst_of):
     cols = []
-    for g in gens:
-        a, b = src_of(g), dst_of(g)
-        m1 = route_to_src(g)
-        m2 = route_to_dst(g)
-        for j in range(mixed_dim(g)):
-            col = [ZERO] * total
-            off_a = offsets[a][0]
-            for i in range(m1.rows):
-                col[off_a + i] += m1.data[i][j]
-            off_b = offsets[b][0]
-            for i in range(m2.rows):
-                col[off_b + i] -= m2.data[i][j]
-            cols.append(col)
-    return cols
+    for a, route_a, b, route_b in rels:
+        off_a, off_b = offsets[a][0], offsets[b][0]
+        to_a, to_b = _route_cols(route_a), _route_cols(route_b)
+        assert len(to_a) == len(to_b)
+        for col_a, col_b in zip(to_a, to_b):
+            cols.append([(off_a + i, v) for i, v in col_a]
+                        + [(off_b + i, -v) for i, v in col_b])
+    rel = [[0] * len(cols) for _ in range(total)]
+    for j, col in enumerate(cols):
+        for i, v in col:
+            rel[i][j] += v
+    _dim, proj = cokernel(Mat(rel, total, len(cols), coerce=False))
+    return offsets, proj
+
+
+def _tensor_rels(cat, du, u, dw, w, u_covariant):
+    """Coend relations of U (x) W over cat, U first in the kron layout.
+
+    One factor is covariant, the other contravariant: ``u(g)`` and
+    ``w(g)`` are their action matrices at a generating arrow g: a -> b.
+    The mixed space is U(a) (x) W(b) when U is covariant, U(b) (x) W(a)
+    when it is contravariant.
+    """
+    rels = []
+    for g in cat.generating_arrows():
+        a, b = cat.src[g], cat.dst[g]
+        if u_covariant:
+            rels.append((a, (w(g), du[a], 1), b, (u(g), 1, dw[b])))
+        else:
+            rels.append((a, (u(g), 1, dw[a]), b, (w(g), du[b], 1)))
+    return rels
+
+
+def _times_blocks(p, routes):
+    """p @ block_diag([I_left (x) m (x) I_right for each route]), by index.
+
+    The blocks are consecutive; block k of the result has the width of
+    the source of route k, and the Kronecker products are never built.
+    """
+    plan = []
+    off = 0
+    for route in routes:
+        plan.extend([(off + i, v) for i, v in col] for col in _route_cols(route))
+        m, left, right = route
+        off += left * m.rows * right
+    assert off == p.cols
+    out = []
+    for row in p.data:
+        new = []
+        for terms in plan:
+            s = ZERO
+            for k, v in terms:
+                x = row[k]
+                if x:
+                    s += x * v
+            new.append(s)
+        out.append(new)
+    return Mat(out, p.rows, len(plan), coerce=False)
 
 
 def shadow(h):
@@ -216,21 +284,21 @@ def shadow(h):
     cat = h.src
     if h.tgt is not cat and h.tgt.objects != cat.objects:
         raise ValueError("shadow needs an endo-profunctor")
-    offsets, total = _coend_blocks(cat.objects, lambda a: h.dim(a, a))
-    gens = cat.generating_arrows()
-    cols = _rel_columns(
-        offsets, total, gens,
-        mixed_dim=lambda g: h.dim(cat.dst[g], cat.src[g]),
-        route_to_src=lambda g: h.tact(g, cat.src[g]),
-        route_to_dst=lambda g: h.sact(cat.dst[g], g),
-        src_of=lambda g: cat.src[g],
-        dst_of=lambda g: cat.dst[g])
-    proj = _coend_proj(offsets, total, cols)
+    rels = [(cat.src[g], (h.tact(g, cat.src[g]), 1, 1),
+             cat.dst[g], (h.sact(cat.dst[g], g), 1, 1))
+            for g in cat.generating_arrows()]
+    offsets, proj = _coend(cat.objects, lambda a: h.dim(a, a), rels)
     return ShadowSpace(cat, offsets, proj)
 
 
 def unit_shadow(cat):
-    """Shadow of the identity profunctor, with its conjugacy-class basis."""
+    """Shadow of the identity profunctor, with its conjugacy-class basis.
+
+    Computed once per category and kept on it, as the generating arrows
+    are.
+    """
+    if cat._unit_shadow is not None:
+        return cat._unit_shadow
     sh = shadow(unit_prof(cat))
     classes = fincat.conjugacy_classes(cat)
     if sh.dim != len(classes):
@@ -243,11 +311,12 @@ def unit_shadow(cat):
         basis = cat.hom(a, a)
         v = Mat.zeros(len(basis), 1)
         v.data[basis.index(rep)][0] = ONE
-        cols.append([sh.include(a, v).data[i][0] for i in range(sh.dim)])
+        cols.append(sh.include(a, v).col(0))
     class_matrix = Mat.from_cols(cols, sh.dim)
     to_class = inverse(class_matrix)
-    return ShadowSpace(cat, sh.offsets, sh.proj, classes, class_matrix,
-                       to_class)
+    cat._unit_shadow = ShadowSpace(cat, sh.offsets, sh.proj, classes,
+                                   class_matrix, to_class)
+    return cat._unit_shadow
 
 
 class CompositeProf(Profunctor):
@@ -275,18 +344,11 @@ def compose_prof(h, k):
     dims = {}
     for c in C.objects:
         for a in A.objects:
-            offs, total = _coend_blocks(
-                B.objects, lambda b: h.dim(b, a) * k.dim(c, b))
-            cols = _rel_columns(
-                offs, total, B.generating_arrows(),
-                mixed_dim=lambda g: h.dim(B.dst[g], a) * k.dim(c, B.src[g]),
-                route_to_src=lambda g: kron(h.tact(g, a),
-                                            Mat.identity(k.dim(c, B.src[g]))),
-                route_to_dst=lambda g: kron(Mat.identity(h.dim(B.dst[g], a)),
-                                            k.sact(c, g)),
-                src_of=lambda g: B.src[g],
-                dst_of=lambda g: B.dst[g])
-            proj = _coend_proj(offs, total, cols)
+            hd = {b: h.dim(b, a) for b in B.objects}
+            kd = {b: k.dim(c, b) for b in B.objects}
+            rels = _tensor_rels(B, hd, lambda g: h.tact(g, a),
+                                kd, lambda g: k.sact(c, g), False)
+            offs, proj = _coend(B.objects, lambda b: hd[b] * kd[b], rels)
             projs[(c, a)] = proj
             offsets[(c, a)] = offs
             dims[(c, a)] = proj.rows
@@ -294,19 +356,18 @@ def compose_prof(h, k):
     for beta in C.arrows:
         c1, c2 = C.src[beta], C.dst[beta]
         for a in A.objects:
-            pre = block_diag([kron(Mat.identity(h.dim(b, a)), k.tact(beta, b))
-                              for b in B.objects])
-            tacts[(beta, a)] = factor_through(projs[(c2, a)],
-                                              projs[(c1, a)] @ pre)
+            pre = _times_blocks(projs[(c1, a)],
+                                [(k.tact(beta, b), h.dim(b, a), 1)
+                                 for b in B.objects])
+            tacts[(beta, a)] = factor_through(projs[(c2, a)], pre)
     sacts = {}
     for alpha in A.arrows:
         a1, a2 = A.src[alpha], A.dst[alpha]
         for c in C.objects:
-            pre = block_diag([kron(h.sact(b, alpha),
-                                   Mat.identity(k.dim(c, b)))
-                              for b in B.objects])
-            sacts[(c, alpha)] = factor_through(projs[(c, a1)],
-                                               projs[(c, a2)] @ pre)
+            pre = _times_blocks(projs[(c, a2)],
+                                [(h.sact(b, alpha), 1, k.dim(c, b))
+                                 for b in B.objects])
+            sacts[(c, alpha)] = factor_through(projs[(c, a1)], pre)
     return CompositeProf(A, C, dims, tacts, sacts, projs, offsets)
 
 
@@ -426,7 +487,12 @@ def verify_witness(w):
 
 
 def _triangle_one(w, b, a):
-    """x(b,a) -> x(b,a) through coevaluation then evaluation."""
+    """x(b,a) -> x(b,a) through coevaluation then evaluation.
+
+    With the coevaluation block at bp reshaped to E (x(bp,a) x y(a,bp))
+    and the evaluation row of u to R (y(a,bp) x x(b,a)), the map
+    (id (x) ev_u)(eta (x) id) is the product E R.
+    """
     x, y = w.x, w.y
     B = x.tgt
     dx = x.dim(b, a)
@@ -436,18 +502,19 @@ def _triangle_one(w, b, a):
         dyp = y.dim(a, bp)
         if dxp * dyp == 0:
             continue
-        start = kron(w.eta_block(a, bp), Mat.identity(dx))
+        eta = _reshape(w.eta_block(a, bp).col(0), dxp, dyp)
         ev = w.eps[(a, b, bp)]
-        for u in B.hom(b, bp):
-            row = Mat([[ONE if v == u else ZERO for v in B.hom(b, bp)]],
-                      1, len(B.hom(b, bp)), coerce=False)
-            mid = kron(Mat.identity(dxp), row @ ev)
-            total = total + x.tact(u, a) @ mid @ start
+        for k, u in enumerate(B.hom(b, bp)):
+            total = total + x.tact(u, a) @ (eta @ _reshape(ev.data[k], dyp, dx))
     return total
 
 
 def _triangle_two(w, a, b):
-    """y(a,b) -> y(a,b) through coevaluation then evaluation."""
+    """y(a,b) -> y(a,b) through coevaluation then evaluation.
+
+    With the evaluation row of u reshaped to R (y(a,b) x x(bp,a)), the map
+    (ev_u (x) id)(id (x) eta) is the transpose of R E.
+    """
     x, y = w.x, w.y
     B = x.tgt
     dy = y.dim(a, b)
@@ -457,13 +524,11 @@ def _triangle_two(w, a, b):
         dyp = y.dim(a, bp)
         if dxp * dyp == 0:
             continue
-        start = kron(Mat.identity(dy), w.eta_block(a, bp))
+        eta = _reshape(w.eta_block(a, bp).col(0), dxp, dyp)
         ev = w.eps[(a, bp, b)]
-        for u in B.hom(bp, b):
-            row = Mat([[ONE if v == u else ZERO for v in B.hom(bp, b)]],
-                      1, len(B.hom(bp, b)), coerce=False)
-            mid = kron(row @ ev, Mat.identity(dyp))
-            total = total + y.sact(a, u) @ mid @ start
+        for k, u in enumerate(B.hom(bp, b)):
+            mid = (_reshape(ev.data[k], dy, dxp) @ eta).transpose()
+            total = total + y.sact(a, u) @ mid
     return total
 
 
@@ -475,10 +540,10 @@ def _check_eps_descends(w):
         a1, a2 = A.src[g], A.dst[g]
         for bp in B.objects:
             for b in B.objects:
-                lhs = w.eps[(a1, bp, b)] @ kron(y.tact(g, b),
-                                                Mat.identity(x.dim(bp, a1)))
-                rhs = w.eps[(a2, bp, b)] @ kron(Mat.identity(y.dim(a2, b)),
-                                                x.sact(bp, g))
+                lhs = _times_blocks(w.eps[(a1, bp, b)],
+                                    [(y.tact(g, b), 1, x.dim(bp, a1))])
+                rhs = _times_blocks(w.eps[(a2, bp, b)],
+                                    [(x.sact(bp, g), y.dim(a2, b), 1)])
                 if lhs != rhs:
                     raise AssertionError(
                         "evaluation does not kill the coend relation at %r" % (g,))
@@ -495,15 +560,15 @@ def _check_eps_natural(w):
             for b in B.objects:
                 # contravariant slot: precompose with g on x and on homs
                 lhs = unit.tacts[(g, b)] @ w.eps[(a, b2, b)]
-                rhs = w.eps[(a, b1, b)] @ kron(Mat.identity(y.dim(a, b)),
-                                               x.tact(g, a))
+                rhs = _times_blocks(w.eps[(a, b1, b)],
+                                    [(x.tact(g, a), y.dim(a, b), 1)])
                 if lhs != rhs:
                     raise AssertionError(
                         "evaluation not natural (contravariant) at %r" % (g,))
                 # covariant slot: postcompose with g on y and on homs
                 lhs = unit.sacts[(b, g)] @ w.eps[(a, b, b1)]
-                rhs = w.eps[(a, b, b2)] @ kron(y.sact(a, g),
-                                               Mat.identity(x.dim(b, a)))
+                rhs = _times_blocks(w.eps[(a, b, b2)],
+                                    [(y.sact(a, g), 1, x.dim(b, a))])
                 if lhs != rhs:
                     raise AssertionError(
                         "evaluation not natural (covariant) at %r" % (g,))
@@ -710,14 +775,40 @@ def _mate_of_weight_endo(w, e):
 # ---------------------------------------------------------------------------
 # traces through the genuine quotient pipeline
 
+def _paired_coend(cat, d1, act1, d2, act2, first_covariant):
+    """The coends over cat of M1 (x) M2 and of M2 (x) M1, and the swap.
+
+    One module is covariant, the other contravariant; ``act1(g)`` and
+    ``act2(g)`` are their action matrices at a generating arrow g, and
+    ``d1``, ``d2`` their dimensions per object.  Returns (offsets, p1,
+    p2, swap): both coends have the same block offsets, and swap is the
+    map on coends induced by M1 (x) M2 -> M2 (x) M1, found by factoring
+    p2, its columns permuted into the M1 (x) M2 layout, through p1.
+    """
+    objs = cat.objects
+    offsets, p1 = _coend(objs, lambda a: d1[a] * d2[a],
+                         _tensor_rels(cat, d1, act1, d2, act2, first_covariant))
+    _offsets, p2 = _coend(objs, lambda a: d2[a] * d1[a],
+                          _tensor_rels(cat, d2, act2, d1, act1,
+                                       not first_covariant))
+    perm = [offsets[a][0] + j * d1[a] + i
+            for a in objs for i in range(d1[a]) for j in range(d2[a])]
+    swapped = Mat([[row[k] for k in perm] for row in p2.data],
+                  p2.rows, len(perm), coerce=False)
+    return offsets, p1, p2, factor_through(p1, swapped)
+
+
 def bicat_trace(w, f):
     """Trace of an endomorphism of a dualizable diagram-shaped profunctor.
 
     The composite runs coevaluation into the coend of x (x) dual, applies
     the endomorphism, transposes the tensor factors, and evaluates, all
     through the actual cokernel presentations; the result is expressed in
-    the conjugacy-class basis of the unit shadow.  The component at a
-    class equals the direct trace of (endo at a) o (value of the class
+    the conjugacy-class basis of the unit shadow.  The maps f (x) id and
+    the factor swap are applied as index maps on the columns of the coend
+    projections (a block-stride product and a column permutation), never
+    as Kronecker or permutation matrices.  The component at a class
+    equals the direct trace of (endo at a) o (value of the class
     representative); that equality is the point of the construction and
     is asserted by callers, not assumed here.
     """
@@ -727,53 +818,31 @@ def bicat_trace(w, f):
         raise ValueError("trace pipeline expects a diagram-shaped profunctor")
     _check_endo_natural(x, f)
     su = unit_shadow(A)
-    gens = A.generating_arrows()
 
     dx = {a: x.dim("*", a) for a in A.objects}
     dy = {a: y.dim(a, "*") for a in A.objects}
+    off, p1, p2, h3 = _paired_coend(A, dx, lambda g: x.sact("*", g),
+                                    dy, lambda g: y.tact(g, "*"), True)
 
-    off1, tot1 = _coend_blocks(A.objects, lambda a: dx[a] * dy[a])
-    cols1 = _rel_columns(
-        off1, tot1, gens,
-        mixed_dim=lambda g: dx[A.src[g]] * dy[A.dst[g]],
-        route_to_src=lambda g: kron(Mat.identity(dx[A.src[g]]),
-                                    y.tact(g, "*")),
-        route_to_dst=lambda g: kron(x.sact("*", g),
-                                    Mat.identity(dy[A.dst[g]])),
-        src_of=lambda g: A.src[g], dst_of=lambda g: A.dst[g])
-    p1 = _coend_proj(off1, tot1, cols1)
-
-    off2, tot2 = _coend_blocks(A.objects, lambda a: dy[a] * dx[a])
-    cols2 = _rel_columns(
-        off2, tot2, gens,
-        mixed_dim=lambda g: dy[A.dst[g]] * dx[A.src[g]],
-        route_to_src=lambda g: kron(y.tact(g, "*"),
-                                    Mat.identity(dx[A.src[g]])),
-        route_to_dst=lambda g: kron(Mat.identity(dy[A.dst[g]]),
-                                    x.sact("*", g)),
-        src_of=lambda g: A.src[g], dst_of=lambda g: A.dst[g])
-    p2 = _coend_proj(off2, tot2, cols2)
-
-    # shadow of the coevaluation, checked on both naturality routes
+    # shadow of the coevaluation, checked on both naturality routes:
+    # (x(alpha) (x) id) eta and (id (x) y(alpha)) eta, as vec(S E) and
+    # vec(E T^t) for eta = vec(E), seen through the block of p1 at a
     pre_cols = []
     for a in A.objects:
+        block = _block_cols(p1, off[a])
+        eta = _reshape(w.eta[a].col(0), dx[a], dy[a])
         for alpha in A.endos(a):
-            r1 = kron(x.sact("*", alpha), Mat.identity(dy[a])) @ w.eta[a]
-            r2 = kron(Mat.identity(dx[a]), y.tact(alpha, "*")) @ w.eta[a]
-            v1 = _include(off1, tot1, a, r1)
-            v2 = _include(off1, tot1, a, r2)
-            if p1 @ v1 != p1 @ v2:
+            v1 = block @ vec(x.sact("*", alpha) @ eta)
+            v2 = block @ vec(eta @ y.tact(alpha, "*").transpose())
+            if v1 != v2:
                 raise AssertionError(
                     "coevaluation is not natural at endomorphism %r" % (alpha,))
-            pre_cols.append((p1 @ v1).col(0))
+            pre_cols.append(v1.col(0))
     pre = Mat.from_cols(pre_cols, p1.rows) if pre_cols else Mat.zeros(p1.rows, 0)
     h1 = factor_through(su.proj, pre)
 
-    big_f = block_diag([kron(f[a], Mat.identity(dy[a])) for a in A.objects])
-    h2 = factor_through(p1, p1 @ big_f)
-
-    big_swap = block_diag([swap_tensor(dx[a], dy[a]) for a in A.objects])
-    h3 = factor_through(p1, p2 @ big_swap)
+    h2 = factor_through(p1, _times_blocks(p1, [(f[a], 1, dy[a])
+                                               for a in A.objects]))
 
     ev = hstack([w.eps[(a, "*", "*")] for a in A.objects]) \
         if A.objects else Mat.zeros(1, 0)
@@ -781,14 +850,6 @@ def bicat_trace(w, f):
 
     row = h4 @ h3 @ h2 @ h1 @ su.class_matrix
     return {rep: row.data[0][i] for i, rep in enumerate(su.classes.reps)}
-
-
-def _include(offsets, total, obj, col):
-    out = [ZERO] * total
-    off = offsets[obj][0]
-    for i in range(col.rows):
-        out[off + i] = col.data[i][0]
-    return Mat([[v] for v in out], total, 1, coerce=False)
 
 
 def _check_endo_natural(x, f):
@@ -804,45 +865,24 @@ def coeff_vector_direct(w, endo=None):
 
     With the default identity endomorphism this is the coefficient vector
     of the weight: one exact rational per conjugacy class of the shape.
+    The endomorphism and the factor swap act by index on the coend
+    projections, as in ``bicat_trace``.
     """
     x, y = w.x, w.y
     A = x.tgt
     if x.src.objects != ("*",):
         raise ValueError("coefficient pipeline expects a weight-shaped profunctor")
     su = unit_shadow(A)
-    gens = A.generating_arrows()
     dx = {a: x.dim(a, "*") for a in A.objects}
     dy = {a: y.dim("*", a) for a in A.objects}
     if endo is None:
         endo = {a: Mat.identity(dx[a]) for a in A.objects}
-
-    off1, tot1 = _coend_blocks(A.objects, lambda a: dx[a] * dy[a])
-    cols1 = _rel_columns(
-        off1, tot1, gens,
-        mixed_dim=lambda g: dx[A.dst[g]] * dy[A.src[g]],
-        route_to_src=lambda g: kron(x.tact(g, "*"),
-                                    Mat.identity(dy[A.src[g]])),
-        route_to_dst=lambda g: kron(Mat.identity(dx[A.dst[g]]),
-                                    y.sact("*", g)),
-        src_of=lambda g: A.src[g], dst_of=lambda g: A.dst[g])
-    p1 = _coend_proj(off1, tot1, cols1)
-
-    off2, tot2 = _coend_blocks(A.objects, lambda a: dy[a] * dx[a])
-    cols2 = _rel_columns(
-        off2, tot2, gens,
-        mixed_dim=lambda g: dy[A.src[g]] * dx[A.dst[g]],
-        route_to_src=lambda g: kron(Mat.identity(dy[A.src[g]]),
-                                    x.tact(g, "*")),
-        route_to_dst=lambda g: kron(y.sact("*", g),
-                                    Mat.identity(dx[A.dst[g]])),
-        src_of=lambda g: A.src[g], dst_of=lambda g: A.dst[g])
-    p2 = _coend_proj(off2, tot2, cols2)
+    _off, p1, p2, u2 = _paired_coend(A, dx, lambda g: x.tact(g, "*"),
+                                     dy, lambda g: y.sact("*", g), False)
 
     u1 = p1 @ w.eta["*"]
-    big_e = block_diag([kron(endo[a], Mat.identity(dy[a])) for a in A.objects])
-    u1 = factor_through(p1, p1 @ big_e) @ u1
-    big_swap = block_diag([swap_tensor(dx[a], dy[a]) for a in A.objects])
-    u2 = factor_through(p1, p2 @ big_swap)
+    u1 = factor_through(p1, _times_blocks(p1, [(endo[a], 1, dy[a])
+                                               for a in A.objects])) @ u1
     diag_eps = []
     for a in A.objects:
         pre = Mat.zeros(len(A.endos(a)), dy[a] * dx[a])

@@ -37,10 +37,25 @@ def mat_from_json(rows, nrows=None, ncols=None):
     return Mat(data, nrows, ncols)
 
 
-def _reject_unknown(obj, allowed, what):
-    extra = set(obj) - set(allowed)
+def _check_fields(obj, required, what, optional=()):
+    """Raise ValueError unless obj is a JSON object with every required
+    field and no field outside required and optional."""
+    if not isinstance(obj, dict):
+        raise ValueError("%s must be a JSON object" % what)
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ValueError("missing fields in %s: %s" % (what, missing))
+    extra = set(obj) - set(required) - set(optional)
     if extra:
         raise ValueError("unknown fields in %s: %s" % (what, sorted(extra)))
+
+
+def _entry(obj, field, key):
+    """obj[field][str(key)] of a diagram, or a ValueError naming it."""
+    table = obj.get(field, {})
+    if not isinstance(table, dict) or str(key) not in table:
+        raise ValueError("diagram %s has no entry for %r" % (field, key))
+    return table[str(key)]
 
 
 def cat_to_json(cat):
@@ -56,15 +71,15 @@ def cat_to_json(cat):
 
 
 def cat_from_json(obj, name=None):
-    _reject_unknown(obj, ["objects", "arrows", "identities", "compose"],
-                    "category")
+    _check_fields(obj, ["objects", "arrows", "identities", "compose"],
+                  "category")
     arrows = []
     for a in obj["arrows"]:
-        _reject_unknown(a, ["id", "src", "dst"], "arrow")
+        _check_fields(a, ["id", "src", "dst"], "arrow")
         arrows.append((a["id"], a["src"], a["dst"]))
     compose = {}
     for c in obj["compose"]:
-        _reject_unknown(c, ["f", "g", "gf"], "compose entry")
+        _check_fields(c, ["f", "g", "gf"], "compose entry")
         compose[(c["f"], c["g"])] = c["gf"]
     return fincat.FinCat(obj["objects"], arrows, obj["identities"], compose,
                          name=name)
@@ -92,7 +107,7 @@ def complex_to_json(c):
 
 
 def complex_from_json(obj):
-    _reject_unknown(obj, ["degrees", "d"], "complex")
+    _check_fields(obj, ["degrees"], "complex", optional=["d"])
     dims = {int(n): int(d) for n, d in obj["degrees"].items()}
     d = {}
     for n, rows in obj.get("d", {}).items():
@@ -135,13 +150,14 @@ def diagram_from_json(obj, resolve_category):
     Integer object values mean a space concentrated in degree zero, and
     plain matrix arrays mean degree-zero maps.
     """
-    _reject_unknown(obj, ["category", "objects", "arrows", "endo"], "diagram")
+    _check_fields(obj, ["category", "objects"], "diagram",
+                  optional=["arrows", "endo"])
     spec = obj["category"]
     cat = resolve_category(spec) if isinstance(spec, str) \
         else cat_from_json(spec)
     complexes = {}
     for o in cat.objects:
-        val = obj["objects"][str(o)]
+        val = _entry(obj, "objects", o)
         if isinstance(val, int):
             complexes[o] = ChainComplex({0: val} if val else {}, {})
         else:
@@ -152,7 +168,7 @@ def diagram_from_json(obj, resolve_category):
         if cat.is_id(a):
             arrow_maps[a] = identity_chain_map(complexes[cat.src[a]])
             continue
-        val = obj["arrows"][str(a)]
+        val = _entry(obj, "arrows", a)
         src, dst = complexes[cat.src[a]], complexes[cat.dst[a]]
         if isinstance(val, list):
             arrow_maps[a] = ChainMap(src, dst,
@@ -165,7 +181,7 @@ def diagram_from_json(obj, resolve_category):
     if "endo" in obj:
         comps = {}
         for o in cat.objects:
-            val = obj["endo"][str(o)]
+            val = _entry(obj, "endo", o)
             c = complexes[o]
             if isinstance(val, list):
                 comps[o] = ChainMap(c, c, {0: mat_from_json(val, c.dim(0),

@@ -184,3 +184,54 @@ def test_cli_table_rejects_wrong_shape(capsys):
     code, _, err = run_cli(capsys, "coeffs", "--method", "table:cofiber",
                            "pushout")
     assert code == 2
+
+
+@pytest.mark.parametrize("key", ["objects", "arrows", "identities",
+                                 "compose"])
+def test_cli_category_missing_field_is_input_error(tmp_path, capsys, key):
+    obj = serialize.cat_to_json(harness.span_category())
+    del obj[key]
+    with pytest.raises(ValueError, match="missing fields in category"):
+        serialize.cat_from_json(obj)
+    path = tmp_path / "nokey.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "classes", str(path))
+    assert code == 2
+    assert err.strip() == "error: missing fields in category: ['%s']" % key
+
+
+def test_cli_arrow_missing_field_is_input_error():
+    obj = serialize.cat_to_json(harness.span_category())
+    del obj["arrows"][0]["dst"]
+    with pytest.raises(ValueError, match="missing fields in arrow"):
+        serialize.cat_from_json(obj)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "sets", "--cases", "0"],
+    ["verify", "--suite", "sets", "--cases", "-3"],
+    ["gen", "--family", "hofin", "--max-objects", "0"],
+])
+def test_cli_rejects_counts_below_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_verify_component_redraws_singular_matrix(capsys):
+    # this seed draws a singular change of basis over the idempotent shape
+    code, out, _ = run_cli(capsys, "verify", "--suite", "component",
+                           "--seed", "100524")
+    assert code == 0
+    assert "all-pass" in out
+
+
+def test_cli_diagram_missing_entry_is_input_error(tmp_path, capsys):
+    obj = serialize.load_json(cli.data_dir() / "pushout_span.json")
+    del obj["arrows"][sorted(obj["arrows"])[0]]
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "trace", "pushout", str(path))
+    assert code == 2
+    assert err.startswith("error: diagram arrows has no entry for")

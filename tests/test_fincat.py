@@ -318,9 +318,23 @@ def test_orbit_category_validates_and_is_ei():
     assert len(aut_group(cat, 2)) == 1
 
 
+def test_generating_arrows_are_the_indecomposables_on_delta_prime():
+    for n, (gens, arrows) in {3: (9, 22), 4: (14, 52), 5: (20, 114)}.items():
+        cat = delta_prime_op(n)
+        ids = set(cat.identities.values())
+        composites = {h for (f, g), h in cat.compose.items()
+                      if f not in ids and g not in ids}
+        indecomposable = [a for a in cat.nonidentity() if a not in composites]
+        assert list(cat.generating_arrows()) == indecomposable
+        assert (len(indecomposable), len(cat.nonidentity())) == (gens, arrows)
+
+
 def test_generating_arrows_generate():
     for cat in [span(), bg_category(symmetric_group(3)), idem_cat(),
-                delta_prime_op(2)]:
+                delta_prime_op(2), delta_prime_op(4),
+                orbit_category(cyclic_group(4),
+                               [subgroup(cyclic_group(4), [0]),
+                                subgroup(cyclic_group(4), [0, 2])])]:
         gens = set(cat.generating_arrows())
         closure = set(cat.identities.values()) | gens
         changed = True

@@ -58,16 +58,12 @@ def test_shadow_relations_full_vs_generating_arrows():
     cat = bg_category(symmetric_group(3))
     h = unit_prof(cat)
     sh = shadow(h)
-    from tracelin.exactalg import cokernel, Mat as M
-    from tracelin.profcalc import _coend_blocks, _rel_columns, _coend_proj
-    offsets, total = _coend_blocks(cat.objects, lambda a: h.dim(a, a))
-    cols = _rel_columns(
-        offsets, total, cat.nonidentity(),
-        mixed_dim=lambda g: h.dim(cat.dst[g], cat.src[g]),
-        route_to_src=lambda g: h.tact(g, cat.src[g]),
-        route_to_dst=lambda g: h.sact(cat.dst[g], g),
-        src_of=lambda g: cat.src[g], dst_of=lambda g: cat.dst[g])
-    proj = _coend_proj(offsets, total, cols)
+    from tracelin.profcalc import _coend
+    rels = [(cat.src[g], (h.tact(g, cat.src[g]), 1, 1),
+             cat.dst[g], (h.sact(cat.dst[g], g), 1, 1))
+            for g in cat.nonidentity()]
+    assert len(rels) > len(cat.generating_arrows())
+    _offsets, proj = _coend(cat.objects, lambda a: h.dim(a, a), rels)
     assert proj.rows == sh.dim
 
 
@@ -249,6 +245,50 @@ def test_bicat_trace_idempotent_pair():
     assert got == {"x": trace(f), "e": trace(f @ e)}
 
 
+def test_bicat_trace_non_integral_idempotent():
+    # entries with denominators reach the coend relations and the
+    # endomorphism: a conjugated idempotent with a rational endomorphism
+    cat = idem_cat()
+    p = Mat([[1, F(1, 2), 0], [0, 1, F(1, 2)], [F(1, 2), 0, 1]])
+    pinv = inverse(p)
+    e = p @ Mat([[1, 0, 0], [0, 1, 0], [0, 0, 0]]) @ pinv
+    f = p @ Mat([[F(1, 3), 2, 0], [-1, F(5, 2), 0], [0, 0, F(7, 4)]]) @ pinv
+    assert any(v.denominator != 1 for row in e.data for v in row)
+    assert any(v.denominator != 1 for row in f.data for v in row)
+    x = VectDiagram(cat, {"x": 3}, {"x": Mat.identity(3), "e": e})
+    w = dual_of_pointwise(prof_from_diagram(x))
+    got = bicat_trace(w, {"x": f})
+    assert got == {"x": trace(f), "e": trace(f @ e)}
+    assert got["e"].denominator != 1
+
+
+def test_bicat_trace_rationally_conjugated_sweep():
+    # conjugating every value of a diagram and its endomorphism by a
+    # rational change of basis leaves the componentwise traces fixed
+    rng = random.Random(29)
+    corp = harness.corpus()
+    for name in ["pushout", "BC3", "idem", "delta2op"]:
+        cat = corp[name]["cat"]
+        for _ in range(2):
+            dia = harness.random_vect_diagram(rng, cat, max_dim=3)
+            endo = harness.random_vect_endo(rng, dia)
+            conj = {}
+            for a in cat.objects:
+                d = dia.dim(a)
+                conj[a] = Mat([[F(rng.randint(1, 3), rng.randint(2, 4))
+                                if i < j else (F(1) if i == j else F(0))
+                                for j in range(d)] for i in range(d)])
+            inv = {a: inverse(conj[a]) for a in cat.objects}
+            mats = {g: conj[cat.dst[g]] @ dia.mat(g) @ inv[cat.src[g]]
+                    for g in cat.arrows}
+            x = VectDiagram(cat, {a: dia.dim(a) for a in cat.objects}, mats)
+            f = {a: conj[a] @ endo.at(a) @ inv[a] for a in cat.objects}
+            w = dual_of_pointwise(prof_from_diagram(x))
+            got = bicat_trace(w, f)
+            for rep, v in got.items():
+                assert v == trace(endo.at(cat.src[rep]) @ dia.mat(rep))
+
+
 def test_bicat_trace_rejects_non_natural_endo():
     cat = idem_cat()
     x = VectDiagram(cat, {"x": 2},
@@ -384,3 +424,125 @@ def test_coefficient_pairing_matches_evaluation_weight():
     comp = bicat_trace(wd, {a: endo.at(a) for a in cat.objects})
     paired = sum((phi[rep] * comp[rep] for rep in comp), F(0))
     assert paired == trace(endo.at("b"))
+
+
+# ---------------------------------------------------------------------------
+# index maps against the Kronecker products they stand for
+
+def _rand_mat(rng, rows, cols):
+    return Mat([[F(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.6
+                 else F(0) for _ in range(cols)] for _ in range(rows)],
+               rows, cols)
+
+
+def test_times_blocks_matches_kron():
+    from tracelin.exactalg import block_diag, kron
+    from tracelin.profcalc import _times_blocks
+    rng = random.Random(5)
+    for _ in range(20):
+        routes = [(_rand_mat(rng, rng.randint(0, 3), rng.randint(0, 3)),
+                   rng.randint(1, 3), rng.randint(1, 3)) for _ in range(3)]
+        dense = block_diag([kron(kron(Mat.identity(l), m), Mat.identity(r))
+                            for m, l, r in routes])
+        p = _rand_mat(rng, rng.randint(1, 4), dense.rows)
+        assert _times_blocks(p, routes) == p @ dense
+
+
+def test_coend_matches_dense_kron_relations():
+    # relations written by index give the projection that dense columns
+    # of the Kronecker routes give
+    from tracelin.exactalg import cokernel, kron
+    from tracelin.profcalc import _coend, _tensor_rels
+    rng = random.Random(11)
+    for name in ["idem", "pushout", "BC3", "delta2op"]:
+        cat = harness.corpus()[name]["cat"]
+        cov = harness.random_vect_diagram(rng, cat, max_dim=3)
+        other = harness.random_vect_diagram(rng, cat, max_dim=4)
+        dc = {a: cov.dim(a) for a in cat.objects}
+        dw = {a: other.dim(a) for a in cat.objects}
+        # transposed actions make a contravariant module of other sizes
+        contra = {g: other.mat(g).transpose() for g in cat.arrows}
+        for rels in (_tensor_rels(cat, dc, cov.mat, dw, contra.get, True),
+                     _tensor_rels(cat, dw, contra.get, dc, cov.mat, False)):
+            offsets, proj = _coend(cat.objects, lambda a: dc[a] * dw[a], rels)
+            total = sum(dc[a] * dw[a] for a in cat.objects)
+            cols = []
+            for a, (m1, l1, r1), b, (m2, l2, r2) in rels:
+                k1 = kron(kron(Mat.identity(l1), m1), Mat.identity(r1))
+                k2 = kron(kron(Mat.identity(l2), m2), Mat.identity(r2))
+                assert k1.cols == k2.cols
+                for j in range(k1.cols):
+                    col = [F(0)] * total
+                    for i in range(k1.rows):
+                        col[offsets[a][0] + i] += k1.data[i][j]
+                    for i in range(k2.rows):
+                        col[offsets[b][0] + i] -= k2.data[i][j]
+                    cols.append(col)
+            rel = Mat.from_cols(cols, total) if cols else Mat.zeros(total, 0)
+            assert proj == cokernel(rel)[1]
+
+
+def test_triangles_match_kron_formula():
+    from tracelin.exactalg import kron
+    from tracelin.profcalc import (
+        DualityWitness, _triangle_one, _triangle_two,
+    )
+
+    def unit_row(n, k):
+        return Mat([[F(1) if j == k else F(0) for j in range(n)]], 1, n)
+
+    def one(w, b, a):
+        x, y, B = w.x, w.y, w.x.tgt
+        total = Mat.zeros(x.dim(b, a), x.dim(b, a))
+        for bp in B.objects:
+            if x.dim(bp, a) * y.dim(a, bp) == 0:
+                continue
+            start = kron(w.eta_block(a, bp), Mat.identity(x.dim(b, a)))
+            for k, u in enumerate(B.hom(b, bp)):
+                row = unit_row(len(B.hom(b, bp)), k) @ w.eps[(a, b, bp)]
+                mid = kron(Mat.identity(x.dim(bp, a)), row)
+                total = total + x.tact(u, a) @ mid @ start
+        return total
+
+    def two(w, a, b):
+        x, y, B = w.x, w.y, w.x.tgt
+        total = Mat.zeros(y.dim(a, b), y.dim(a, b))
+        for bp in B.objects:
+            if x.dim(bp, a) * y.dim(a, bp) == 0:
+                continue
+            start = kron(Mat.identity(y.dim(a, b)), w.eta_block(a, bp))
+            for k, u in enumerate(B.hom(bp, b)):
+                row = unit_row(len(B.hom(bp, b)), k) @ w.eps[(a, bp, b)]
+                mid = kron(row, Mat.identity(y.dim(a, bp)))
+                total = total + y.sact(a, u) @ mid @ start
+        return total
+
+    rng = random.Random(3)
+    witnesses = [representable(object_functor(cat, cat.objects[0]))[2]
+                 for cat in [span(), idem_cat(), bg_category(cyclic_group(3))]]
+    for name in ["pushout", "idem", "BC3"]:
+        cat = harness.corpus()[name]["cat"]
+        dia = harness.random_vect_diagram(rng, cat, max_dim=3)
+        witnesses.append(dual_of_pointwise(prof_from_diagram(dia)))
+    for w in witnesses:
+        # a scaled coevaluation leaves the witness, so the triangles are
+        # compared off the identity too
+        for s in (1, 3):
+            bad = DualityWitness(w.x, w.y,
+                                 {a: v.smul(s) for a, v in w.eta.items()},
+                                 w.eps, check=False)
+            A, B = w.x.src, w.x.tgt
+            for a in A.objects:
+                for b in B.objects:
+                    assert _triangle_one(bad, b, a) == one(bad, b, a)
+                    assert _triangle_two(bad, a, b) == two(bad, a, b)
+
+
+def test_witness_with_scaled_coevaluation_is_rejected():
+    from tracelin.profcalc import DualityWitness
+    dia = harness.random_vect_diagram(random.Random(7),
+                                      harness.corpus()["pushout"]["cat"], 3)
+    w = dual_of_pointwise(prof_from_diagram(dia))
+    with pytest.raises(AssertionError, match="triangle identity fails"):
+        DualityWitness(w.x, w.y, {a: v.smul(2) for a, v in w.eta.items()},
+                       w.eps)
