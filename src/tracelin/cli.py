@@ -220,13 +220,12 @@ def cmd_verify(args):
     t0 = time.time()
     reports = []
     for name in names:
-        t1 = time.time()
         report = harness.run_suite(name, seed=args.seed, cases=args.cases)
         reports.append(report)
         status = "pass" if report.all_pass else "FAIL"
         if args.format == "text":
             print("suite %-10s %4d cases  %s  (%.1fs)"
-                  % (name, len(report.cases), status, time.time() - t1))
+                  % (name, len(report.cases), status, report.elapsed))
             for c in report.failures():
                 print("  FAIL %s: %s != %s" % (c.case_id, c.lhs, c.rhs))
         all_ok = all_ok and report.all_pass
@@ -278,12 +277,22 @@ def cmd_gen(args):
     return 2
 
 
+def _int_at_least(lo, text):
+    n = int(text)
+    if n < lo:
+        raise argparse.ArgumentTypeError("must be at least %d, got %d"
+                                         % (lo, n))
+    return n
+
+
 def positive_int(text):
     """argparse type: an integer of at least 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
-    return n
+    return _int_at_least(1, text)
+
+
+def nonnegative_int(text):
+    """argparse type: an integer of at least 0."""
+    return _int_at_least(0, text)
 
 
 def build_parser():
@@ -340,7 +349,7 @@ def build_parser():
     p.add_argument("--family", required=True, help="hofin|chain")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-objects", type=positive_int, default=5)
-    p.add_argument("--max-edges", type=int, default=8)
+    p.add_argument("--max-edges", type=nonnegative_int, default=8)
     p.set_defaults(fn=cmd_gen)
     return ap
 

@@ -161,13 +161,6 @@ class NatEndo:
         return out
 
 
-def diagram_lefschetz_against(diag, endo, arrow, obj):
-    """lefschetz(f_obj after X_arrow) for a chain diagram, exact."""
-    comp = endo.at(obj).compose(diag.map(arrow))
-    from .exactalg import lefschetz
-    return lefschetz(comp)
-
-
 # ---------------------------------------------------------------------------
 # linearization of set diagrams
 
@@ -309,162 +302,107 @@ def _same_objects_opposite(wcat, cat):
 # ---------------------------------------------------------------------------
 # natural endomorphism solution spaces
 
-def nat_endo_basis(x):
-    """Basis of all natural endomorphisms, by exact linear solving.
+def _exact(v):
+    """An entry as an int when it is integral, else the Fraction."""
+    return v.numerator if v.denominator == 1 else v
 
-    For vector-space diagrams the unknowns are the entries of the
-    per-object matrices; for chain diagrams they are the entries in every
-    degree, with chain-map constraints added.  Naturality is imposed on a
-    generating set of arrows (composites follow).
+
+def _commuting_solutions(blocks, eqs):
+    """Basis of the unknown matrices X with A X_p - X_q B = 0 for all eqs.
+
+    ``blocks`` lists the unknowns as (key, rows, cols), each laid out
+    row-major in that order; ``eqs`` lists (A, p, q, B).  A side whose
+    key is not a block drops out.  Each entry (i, j) of A X_p - X_q B is
+    one row of vec(A X - X B) = (I (x) A - B^T (x) I) vec(X), over the
+    row-major unknowns: it is written from the nonzero entries of A and
+    B, with integral values as ints, and skipped when it is zero.
+    Returns one {key: Mat} per vector of the echelon kernel basis, which
+    depends only on the row space and on the order of the blocks.
     """
-    if isinstance(x, VectDiagram):
-        return _nat_endo_basis_vect(x)
-    return _nat_endo_basis_chain(x)
-
-
-def _nat_endo_basis_vect(x):
-    cat = x.base
     offsets = {}
     total = 0
-    for o in cat.objects:
-        offsets[o] = total
-        total += x.dim(o) ** 2
-
-    def entry(o, i, j):
-        return offsets[o] + i * x.dim(o) + j
-
+    for key, r, c in blocks:
+        offsets[key] = (total, c)
+        total += r * c
     rows = []
-    for a in cat.generating_arrows():
-        s, t = cat.src[a], cat.dst[a]
-        m = x.mat(a)
-        # X_a f_s - f_t X_a = 0, entrywise
-        for i in range(x.dim(t)):
-            for j in range(x.dim(s)):
-                row = [ZERO] * total
-                for k in range(x.dim(s)):
-                    row[entry(s, k, j)] += m.data[i][k]
-                for k in range(x.dim(t)):
-                    row[entry(t, i, k)] -= m.data[k][j]
-                rows.append(row)
-    mat = Mat(rows, len(rows), total, coerce=False) if rows else Mat.zeros(0, total)
-    basis = kernel_basis(mat)
+    for a, p, q, b in eqs:
+        # entry (i, j): sum_k A[i][k] X_p[k][j] - sum_k X_q[i][k] B[k][j]
+        left = [[]] * a.rows
+        if p in offsets:
+            off, cols = offsets[p]
+            left = [[(off + k * cols, _exact(v))
+                     for k, v in enumerate(row) if v] for row in a.data]
+        right, stride = [[]] * b.cols, 0
+        if q in offsets:
+            off, stride = offsets[q]
+            right = [[(off + k, -_exact(v)) for k, v in enumerate(col) if v]
+                     for col in b.transpose().data]
+        for i, lterms in enumerate(left):
+            for j, rterms in enumerate(right):
+                terms = {c + j: v for c, v in lterms}
+                for c, v in rterms:
+                    c += i * stride
+                    terms[c] = terms.get(c, 0) + v
+                if any(terms.values()):
+                    row = [0] * total
+                    for c, v in terms.items():
+                        row[c] = v
+                    rows.append(row)
+    basis = kernel_basis(Mat(rows, len(rows), total, coerce=False))
     out = []
-    for bcol in range(basis.cols):
-        comps = {}
-        for o in cat.objects:
-            d = x.dim(o)
-            comps[o] = Mat([[basis.data[entry(o, i, j)][bcol] for j in range(d)]
-                            for i in range(d)], d, d, coerce=False)
-        out.append(NatEndo(x, comps, check=False))
+    for vec in basis.transpose().data:
+        sol = {}
+        for key, r, c in blocks:
+            off = offsets[key][0]
+            sol[key] = Mat([vec[off + i * c:off + (i + 1) * c]
+                            for i in range(r)], r, c, coerce=False)
+        out.append(sol)
     return out
 
 
-def _nat_endo_basis_chain(x):
+def nat_endo_basis(x):
+    """Basis of all natural endomorphisms, by exact linear solving.
+
+    The unknowns are the per-object matrices of a vector-space diagram,
+    or the per-object, per-degree matrices of a chain diagram (its
+    degree-0 case is the vector one).  Each condition has the form
+    A X - X B = 0: X_a f_s - f_t X_a = 0 on a generating set of arrows
+    (composites follow) and, for chains, d f_n - f_(n-1) d = 0 on every
+    object.  One sparse builder, ``_commuting_solutions``, writes and
+    solves them all.
+    """
     cat = x.base
-    offsets = {}
-    total = 0
-    for o in cat.objects:
-        cxo = x.cx(o)
-        for n in cxo.dims:
-            offsets[(o, n)] = total
-            total += cxo.dim(n) ** 2
-
-    def entry(o, n, i, j):
-        return offsets[(o, n)] + i * x.cx(o).dim(n) + j
-
-    rows = []
-    # chain-map condition per object: d f - f d = 0
-    for o in cat.objects:
-        cxo = x.cx(o)
-        for n in cxo.dims:
-            d_n = cxo.diff(n)
-            if not d_n.rows:
-                continue
-            # d_n f_n - f_{n-1} d_n = 0
-            for i in range(cxo.dim(n - 1)):
-                for j in range(cxo.dim(n)):
-                    row = [ZERO] * total
-                    for k in range(cxo.dim(n)):
-                        row[entry(o, n, k, j)] += d_n.data[i][k]
-                    if (o, n - 1) in offsets:
-                        for k in range(cxo.dim(n - 1)):
-                            row[entry(o, n - 1, i, k)] -= d_n.data[k][j]
-                    rows.append(row)
-    # naturality per generating arrow per degree
-    for a in cat.generating_arrows():
+    arrows = cat.generating_arrows()
+    if isinstance(x, VectDiagram):
+        blocks = [(o, x.dim(o), x.dim(o)) for o in cat.objects]
+        eqs = [(x.mat(a), cat.src[a], cat.dst[a], x.mat(a)) for a in arrows]
+        return [NatEndo(x, sol, check=False)
+                for sol in _commuting_solutions(blocks, eqs)]
+    cx = {o: x.cx(o) for o in cat.objects}
+    blocks = [((o, n), cx[o].dim(n), cx[o].dim(n))
+              for o in cat.objects for n in cx[o].dims]
+    eqs = [(cx[o].diff(n), (o, n), (o, n - 1), cx[o].diff(n))
+           for o in cat.objects for n in cx[o].dims]
+    for a in arrows:
         s, t = cat.src[a], cat.dst[a]
-        cxs, cxt = x.cx(s), x.cx(t)
-        for n in set(cxs.dims) | set(cxt.dims):
-            m = x.map(a).mat(n)
-            for i in range(cxt.dim(n)):
-                for j in range(cxs.dim(n)):
-                    row = [ZERO] * total
-                    if (s, n) in offsets:
-                        for k in range(cxs.dim(n)):
-                            row[entry(s, n, k, j)] += m.data[i][k]
-                    if (t, n) in offsets:
-                        for k in range(cxt.dim(n)):
-                            row[entry(t, n, i, k)] -= m.data[k][j]
-                    if any(row):
-                        rows.append(row)
-    mat = Mat(rows, len(rows), total, coerce=False) if rows else Mat.zeros(0, total)
-    basis = kernel_basis(mat)
+        eqs += [(x.map(a).mat(n), (s, n), (t, n), x.map(a).mat(n))
+                for n in cx[s].dims]
     out = []
-    for bcol in range(basis.cols):
-        comps = {}
-        for o in cat.objects:
-            cxo = x.cx(o)
-            mats = {}
-            for n in cxo.dims:
-                d = cxo.dim(n)
-                mats[n] = Mat([[basis.data[entry(o, n, i, j)][bcol]
-                                for j in range(d)] for i in range(d)],
-                              d, d, coerce=False)
-            comps[o] = ChainMap(cxo, cxo, mats, check=False)
+    for sol in _commuting_solutions(blocks, eqs):
+        comps = {o: ChainMap(cx[o], cx[o], {n: sol[(o, n)] for n in cx[o].dims},
+                             check=False)
+                 for o in cat.objects}
         out.append(NatEndo(x, comps, check=False))
     return out
 
 
 def chain_map_space(src, dst):
     """Basis of all chain maps src -> dst, by exact linear solving."""
-    offsets = {}
-    total = 0
-    degs = sorted(set(src.dims) & set(dst.dims))
-    for n in degs:
-        offsets[n] = total
-        total += dst.dim(n) * src.dim(n)
-
-    def entry(n, i, j):
-        return offsets[n] + i * src.dim(n) + j
-
-    rows = []
-    for n in sorted(set(src.dims) | set(dst.dims)):
-        # d_dst f_n - f_{n-1} d_src = 0 as maps src_n -> dst_{n-1}
-        ddst = dst.diff(n)
-        dsrc = src.diff(n)
-        for i in range(dst.dim(n - 1)):
-            for j in range(src.dim(n)):
-                row = [ZERO] * total
-                if n in offsets:
-                    for k in range(dst.dim(n)):
-                        row[entry(n, k, j)] += ddst.data[i][k]
-                if (n - 1) in offsets:
-                    for k in range(src.dim(n - 1)):
-                        row[entry(n - 1, i, k)] -= dsrc.data[k][j]
-                if any(row):
-                    rows.append(row)
-    mat = Mat(rows, len(rows), total, coerce=False) if rows else Mat.zeros(0, total)
-    basis = kernel_basis(mat)
-    out = []
-    for bcol in range(basis.cols):
-        mats = {}
-        for n in degs:
-            mats[n] = Mat([[basis.data[entry(n, i, j)][bcol]
-                            for j in range(src.dim(n))]
-                           for i in range(dst.dim(n))],
-                          dst.dim(n), src.dim(n), coerce=False)
-        out.append(ChainMap(src, dst, mats, check=False))
-    return out
+    blocks = [(n, dst.dim(n), src.dim(n))
+              for n in sorted(set(src.dims) & set(dst.dims))]
+    eqs = [(dst.diff(n), n, n - 1, src.diff(n)) for n in src.dims]
+    return [ChainMap(src, dst, sol, check=False)
+            for sol in _commuting_solutions(blocks, eqs)]
 
 
 # ---------------------------------------------------------------------------

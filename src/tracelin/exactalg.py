@@ -461,10 +461,6 @@ class ChainComplex:
         return "ChainComplex(%r)" % (self.dims,)
 
 
-def zero_complex():
-    return ChainComplex({}, {})
-
-
 class ChainMap:
     """Degreewise matrices between two complexes, commuting with d."""
 
@@ -528,10 +524,6 @@ class ChainMap:
 
 def identity_chain_map(c):
     return ChainMap(c, c, {n: Mat.identity(c.dim(n)) for n in c.dims}, check=False)
-
-
-def zero_chain_map(src, dst):
-    return ChainMap(src, dst, {}, check=False)
 
 
 def lefschetz(f):

@@ -634,13 +634,6 @@ def symmetric_group(n):
     return FinGroup(els, mul, ident, name="S%d" % n)
 
 
-def direct_product_group(g1, g2):
-    els = [(a, b) for a in g1.elements for b in g2.elements]
-    mul = {((a1, b1), (a2, b2)): (g1.mul(a1, a2), g2.mul(b1, b2))
-           for (a1, b1) in els for (a2, b2) in els}
-    return FinGroup(els, mul, (g1.identity, g2.identity))
-
-
 def subgroup(group, elements):
     els = list(elements)
     mul = {(a, b): group.mul(a, b) for a in els for b in els}

@@ -638,20 +638,6 @@ def verify_linearity_groupoid(seed, case_no, name):
                  lhs, rhs, witness=_witness_payload(dia, endo))
 
 
-def verify_linearity(method, seed, case_no, name=None):
-    """One linearity case: a coefficient method against its matching
-    homotopy colimit pipeline.  Methods: hofin, group, groupoid, ei."""
-    if method == "hofin":
-        return verify_linearity_hofin(seed, case_no)
-    if method == "group":
-        return verify_linearity_group(seed, case_no, name or "C2")
-    if method == "groupoid":
-        return verify_linearity_groupoid(seed, case_no, name or "gpd_conn_C2")
-    if method == "ei":
-        return verify_linearity_ei(seed, case_no, name or "hom_C2_C2_id")
-    raise ValueError("no linearity pipeline named %r" % (method,))
-
-
 def verify_linearity_ei(seed, case_no, name):
     corp = corpus()
     cat = corp[name]["cat"]

@@ -28,13 +28,19 @@ def mat_to_json(m):
     return [[frac_str(x) for x in row] for row in m.data]
 
 
-def mat_from_json(rows, nrows=None, ncols=None):
-    data = [[frac_from(x) for x in row] for row in rows]
-    if nrows is None:
-        nrows = len(data)
-    if ncols is None:
-        ncols = len(data[0]) if data else 0
-    return Mat(data, nrows, ncols)
+def mat_from_json(rows, nrows, ncols):
+    """Matrix from row-major JSON; a ValueError unless it is nrows x ncols."""
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) for row in rows)):
+        raise ValueError("matrix must be a list of rows")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("matrix rows have lengths %s, expected %d x %d"
+                         % ([len(row) for row in rows], nrows, ncols))
+    shape = (len(rows), len(rows[0]) if rows else ncols)
+    if shape != (nrows, ncols):
+        raise ValueError("matrix is %d x %d, expected %d x %d"
+                         % (shape + (nrows, ncols)))
+    return Mat([[frac_from(x) for x in row] for row in rows], nrows, ncols)
 
 
 def _check_fields(obj, required, what, optional=()):
@@ -121,6 +127,8 @@ def chain_map_to_json(f):
 
 
 def chain_map_from_json(obj, src, dst):
+    if not isinstance(obj, dict):
+        raise ValueError("chain map must be a JSON object")
     mats = {}
     for n, rows in obj.items():
         n = int(n)
@@ -194,10 +202,6 @@ def diagram_from_json(obj, resolve_category):
 
 def coeffs_to_json(cv):
     return {str(rep): frac_str(v) for rep, v in cv.items()}
-
-
-def report_to_json(report):
-    return json.dumps(report.to_json(), indent=2, sort_keys=True)
 
 
 def load_json(path):

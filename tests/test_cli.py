@@ -219,6 +219,17 @@ def test_cli_rejects_counts_below_one(capsys, argv):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+def test_cli_gen_rejects_negative_max_edges(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen", "--family", "hofin", "--max-edges", "-1"])
+    assert exc.value.code == 2
+    assert "must be at least 0" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "gen", "--family", "hofin",
+                           "--max-edges", "0")
+    assert code == 0
+    assert fincat.validate(serialize.cat_from_json(json.loads(out))) == []
+
+
 def test_cli_verify_component_redraws_singular_matrix(capsys):
     # this seed draws a singular change of basis over the idempotent shape
     code, out, _ = run_cli(capsys, "verify", "--suite", "component",
@@ -235,3 +246,24 @@ def test_cli_diagram_missing_entry_is_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "trace", "pushout", str(path))
     assert code == 2
     assert err.startswith("error: diagram arrows has no entry for")
+
+
+@pytest.mark.parametrize("field, key, value, message", [
+    ("arrows", "e", [["0", "0"]], "matrix is 1 x 2, expected 2 x 2"),
+    ("arrows", "e", [["0", "0"], ["1"]],
+     "matrix rows have lengths [2, 1], expected 2 x 2"),
+    ("endo", "x", {"0": [["1", "0", "0"], ["2", "3", "0"]]},
+     "matrix is 2 x 3, expected 2 x 2"),
+    ("arrows", "e", ["00", "11"], "matrix must be a list of rows"),
+    ("arrows", "e", "0", "chain map must be a JSON object"),
+])
+@pytest.mark.parametrize("command", ["trace", "hocolim", "bicat-trace"])
+def test_cli_matrix_of_wrong_shape_is_input_error(tmp_path, capsys, command,
+                                                  field, key, value, message):
+    obj = serialize.load_json(cli.data_dir() / "idem_diagram.json")
+    obj[field][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, command, "idem", str(path))
+    assert code == 2
+    assert err.strip() == "error: " + message

@@ -12,8 +12,8 @@ from tracelin.diagrams import (
     vect_to_chain, weighted_colim_vect, weighted_colim_endo,
 )
 from tracelin.exactalg import (
-    ChainComplex, ChainMap, Mat, cone, cone_endo, homology_dims,
-    identity_chain_map, lefschetz, rank, trace,
+    ChainComplex, ChainMap, Mat, cone, cone_endo, hstack, homology_dims,
+    identity_chain_map, inverse, kron, lefschetz, rank, trace,
 )
 from tracelin.fincat import bg_category, cyclic_group, opposite
 
@@ -184,6 +184,90 @@ def test_nat_endo_basis_members_are_natural():
     cat = harness.gen_hofin_category(3)
     dia, endo = harness.gen_chain_diagram(3, cat)
     assert NatEndo(dia, endo.components).violations() == []
+
+
+def _kron_nullity(blocks, eqs):
+    """Dimension of {X : A X_p - X_q B = 0 for all eqs}, from the dense
+    system (I (x) A - B^T (x) I) vec(X), vec stacking columns."""
+    rows = []
+    for a, p, q, b in eqs:
+        parts = []
+        for key, r, c in blocks:
+            m = Mat.zeros(a.rows * b.cols, r * c)
+            if key == p:
+                m = m + kron(Mat.identity(c), a)
+            if key == q:
+                m = m - kron(b.transpose(), Mat.identity(r))
+            parts.append(m)
+        rows.extend(hstack(parts).data)
+    total = sum(r * c for _, r, c in blocks)
+    return total - rank(Mat(rows, len(rows), total))
+
+
+def _vect_nullity(x):
+    cat = x.base
+    return _kron_nullity([(o, x.dim(o), x.dim(o)) for o in cat.objects],
+                         [(x.mat(a), cat.src[a], cat.dst[a], x.mat(a))
+                          for a in cat.arrows])
+
+
+def _rational_vect_diagrams():
+    # a conjugated idempotent with entries 1/2, and corpus diagrams
+    # conjugated by rational changes of basis
+    p = Mat([[1, F(1, 2), 0], [0, 1, F(1, 2)], [F(1, 2), 0, 1]])
+    e = p @ Mat([[1, 0, 0], [0, 1, 0], [0, 0, 0]]) @ inverse(p)
+    yield VectDiagram(idem_cat(), {"x": 3}, {"x": Mat.identity(3), "e": e})
+    rng = random.Random(31)
+    corp = harness.corpus()
+    for name in ["pushout", "delta2op", "hom_C2_C2_id", "BC3"]:
+        cat = corp[name]["cat"]
+        dia = harness.random_vect_diagram(rng, cat, max_dim=4)
+        conj = {a: Mat([[F(rng.randint(1, 3), rng.randint(2, 4)) if i < j
+                         else F(int(i == j)) for j in range(dia.dim(a))]
+                        for i in range(dia.dim(a))]) for a in cat.objects}
+        yield VectDiagram(cat, dia.dims,
+                          {g: conj[cat.dst[g]] @ dia.mat(g)
+                           @ inverse(conj[cat.src[g]]) for g in cat.arrows})
+
+
+def test_nat_endo_basis_rational_entries_against_kron_system():
+    for x in _rational_vect_diagrams():
+        basis = nat_endo_basis(x)
+        for b in basis:
+            assert NatEndo(x, b.components).violations() == []
+        assert len(basis) == _vect_nullity(x)
+        vecs = [[v for o in x.base.objects for row in b.at(o).data
+                 for v in row] for b in basis]
+        assert not basis or rank(Mat(vecs)) == len(basis)
+
+
+def test_nat_endo_basis_vector_case_is_chain_case_in_degree_zero():
+    rng = random.Random(37)
+    corp = harness.corpus()
+    diagrams_ = list(_rational_vect_diagrams())
+    for name in sorted(corp):
+        diagrams_.append(harness.random_vect_diagram(rng, corp[name]["cat"]))
+    for x in diagrams_:
+        vect = nat_endo_basis(x)
+        chain = nat_endo_basis(vect_to_chain(x))
+        assert len(vect) == len(chain)
+        for bv, bc in zip(vect, chain):
+            for o in x.base.objects:
+                assert bv.at(o) == bc.at(o).mat(0)
+
+
+def test_chain_map_space_against_kron_system():
+    for seed in range(24):
+        rng = random.Random(seed)
+        src = harness.random_complex(rng, 3, -1, 2)
+        dst = harness.random_complex(rng, 3, 0, 3)
+        basis = chain_map_space(src, dst)
+        for f in basis:
+            assert f.violations() == []
+        degs = sorted(set(src.dims) | set(dst.dims))
+        blocks = [(n, dst.dim(n), src.dim(n)) for n in degs]
+        eqs = [(dst.diff(n), n, n - 1, src.diff(n)) for n in degs]
+        assert len(basis) == _kron_nullity(blocks, eqs)
 
 
 # ---------------------------------------------------------------------------

@@ -93,12 +93,12 @@ def test_case_results_serialize():
                for c in payload["cases"])
 
 
-def test_verify_linearity_dispatcher_covers_all_pipelines():
-    assert harness.verify_linearity("hofin", 1, 0).equal
-    assert harness.verify_linearity("group", 1, 0, "C3").equal
-    assert harness.verify_linearity("groupoid", 1, 0, "gpd_conn_C2").equal
-    assert harness.verify_linearity("groupoid", 1, 0, "gpd_C2_C3").equal
-    assert harness.verify_linearity("ei", 1, 0, "orbit_C4").equal
+def test_verify_linearity_covers_all_pipelines():
+    assert harness.verify_linearity_hofin(1, 0).equal
+    assert harness.verify_linearity_group(1, 0, "C3").equal
+    assert harness.verify_linearity_groupoid(1, 0, "gpd_conn_C2").equal
+    assert harness.verify_linearity_groupoid(1, 0, "gpd_C2_C3").equal
+    assert harness.verify_linearity_ei(1, 0, "orbit_C4").equal
 
 
 def test_named_case_verifiers():
