@@ -3,8 +3,8 @@
 Loads categories and diagrams from JSON files (bare names resolve against
 the bundled corpus, overridable with TRACELIN_DATA_DIR), runs the
 computations, and emits text or JSON.  Exit codes: 0 on success or an
-all-pass verification, 1 on a verification failure (witness files are
-written), 2 on input errors.
+all-pass verification, 1 on a verification failure or an exception
+inside a suite (witness files are written), 2 on input errors.
 """
 
 import argparse
@@ -228,6 +228,8 @@ def cmd_verify(args):
                   % (name, len(report.cases), status, report.elapsed))
             for c in report.failures():
                 print("  FAIL %s: %s != %s" % (c.case_id, c.lhs, c.rhs))
+                if c.note:
+                    print("    %s" % c.note)
         all_ok = all_ok and report.all_pass
     if args.format == "json":
         print(json.dumps({"reports": [r.to_json() for r in reports],

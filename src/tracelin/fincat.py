@@ -249,40 +249,48 @@ def lambda_cat(cat):
 
     Objects are pairs (f: a->b, g: b->a); a morphism (x, z): (f, g) ->
     (f', g') is a pair x: a->a', z: b'->b with f = x then f' then z and
-    g' = z then g then x.  Returns the category together with the map
-    from objects to connected-component indices; the number of components
+    g' = z then g then x.  Composition is (x, z) then (x', z') =
+    (x then x', z' then z), but the composition table is not built: the
+    returned category has an empty ``compose``.  Returns the category
+    together with the map from objects to connected-component indices,
+    found by union-find over its morphisms; the number of components
     equals the number of conjugacy classes.
+
+    The morphisms out of (f, g) are found by solving: each x out of a and
+    z into b fix g', and only the f' in hom(a', b') are tested.  They are
+    listed by target, then x, then z, each in stored order.
     """
+    table = cat.compose
     objs = []
     for f in cat.arrows:
         for g in cat.hom(cat.dst[f], cat.src[f]):
             objs.append((f, g))
+    obj_index = {o: i for i, o in enumerate(objs)}
+    out_of = {o: [] for o in cat.objects}
+    into = {o: [] for o in cat.objects}
+    for i, h in enumerate(cat.arrows):
+        out_of[cat.src[h]].append((i, h))
+        into[cat.dst[h]].append((i, h))
     arrows = []
+    uf = UnionFind(objs)
     for (f, g) in objs:
-        a, b = cat.src[f], cat.dst[f]
-        for (f2, g2) in objs:
-            a2, b2 = cat.src[f2], cat.dst[f2]
-            for x in cat.hom(a, a2):
-                for z in cat.hom(b2, b):
-                    if (cat.then_seq([x, f2, z]) == f
-                            and cat.then_seq([z, g, x]) == g2):
-                        arrows.append((((f, g), (f2, g2), x, z), (f, g), (f2, g2)))
+        zs = [(zi, z, cat.src[z], table[(z, g)]) for zi, z in into[cat.dst[f]]]
+        found = []
+        for xi, x in out_of[cat.src[f]]:
+            a2 = cat.dst[x]
+            for zi, z, b2, zg in zs:
+                g2 = table[(zg, x)]
+                for f2 in cat.hom(a2, b2):
+                    if table[(table[(x, f2)], z)] == f:
+                        found.append((obj_index[(f2, g2)], xi, zi, x, z))
+        found.sort()
+        for t, _xi, _zi, x, z in found:
+            arrows.append((((f, g), objs[t], x, z), (f, g), objs[t]))
+            uf.union((f, g), objs[t])
     identities = {(f, g): ((f, g), (f, g), cat.idarr(cat.src[f]),
                            cat.idarr(cat.dst[f])) for (f, g) in objs}
-    by_src = {}
-    for (m, s, t) in arrows:
-        by_src.setdefault(s, []).append(m)
-    compose = {}
-    for (m1, s1, t1) in arrows:
-        (_, _, x1, z1) = m1
-        for m2 in by_src.get(t1, []):
-            (_, t2, x2, z2) = m2
-            compose[(m1, m2)] = (s1, t2, cat.then(x1, x2), cat.then(z2, z1))
-    lcat = FinCat(objs, arrows, identities, compose,
+    lcat = FinCat(objs, arrows, identities, {},
                   name=("lambda(%s)" % cat.name) if cat.name else None)
-    uf = UnionFind(objs)
-    for (m, s, t) in arrows:
-        uf.union(s, t)
     comp_index = {}
     comps = {}
     for o in objs:

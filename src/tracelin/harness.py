@@ -1055,12 +1055,21 @@ SUITES = {
 
 
 def run_suite(name, seed=0, cases=None):
+    """Run one suite.  An exception raised inside it becomes a failed
+    report with the single case ``<suite>:error``, whose note gives the
+    exception type and message, so it is never taken for bad input."""
     import time
     fn = SUITES[name]
     kwargs = {"seed": seed}
     if cases is not None and name not in ("ei",):
         kwargs["cases"] = cases
     t0 = time.time()
-    report = fn(**kwargs)
+    try:
+        report = fn(**kwargs)
+    except Exception as exc:
+        kind = type(exc).__name__
+        report = SuiteReport(name, seed, [CaseResult(
+            "%s:error" % name, kind, "no exception", False,
+            note="%s: %s" % (kind, exc))])
     report.elapsed = time.time() - t0
     return report

@@ -238,6 +238,24 @@ def test_cli_verify_component_redraws_singular_matrix(capsys):
     assert "all-pass" in out
 
 
+@pytest.mark.parametrize("exc", [
+    ValueError("map does not factor through the projection"),
+    ZeroDivisionError("division by zero")])
+def test_cli_verify_suite_error_is_failure(tmp_path, capsys, monkeypatch, exc):
+    def broken_suite(**_kwargs):
+        raise exc
+    monkeypatch.setitem(harness.SUITES, "sets", broken_suite)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "sets",
+                           "--seed", "3", "--artifacts", str(tmp_path))
+    assert code == 1
+    note = "%s: %s" % (type(exc).__name__, exc)
+    assert "FAIL sets:error" in out and note in out
+    payload = serialize.load_json(tmp_path / "failures-seed3.json")
+    assert payload["seed"] == 3
+    assert [(c["id"], c["note"], c["equal"]) for c in payload["failures"]] \
+        == [("sets:error", note, False)]
+
+
 def test_cli_diagram_missing_entry_is_input_error(tmp_path, capsys):
     obj = serialize.load_json(cli.data_dir() / "pushout_span.json")
     del obj["arrows"][sorted(obj["arrows"])[0]]

@@ -1,6 +1,6 @@
 import pytest
 
-from tracelin import fincat
+from tracelin import fincat, harness
 from tracelin.fincat import (
     FinCat, Functor, aut_group, bg_category, category_from_group_hom,
     conjugacy_classes, connected_groupoid, count_strings, cyclic_group,
@@ -114,6 +114,72 @@ def test_lambda_component_map_respects_composite_classes():
         by_comp.setdefault(comp[(f, g)], set()).add(
             cc.class_of[cat.then(f, g)])
     assert all(len(v) == 1 for v in by_comp.values())
+
+
+def _lambda_brute_force(cat):
+    """Morphisms and components of the pair category, by testing every
+    (x, z) between every pair of objects against both equations."""
+    objs = [(f, g) for f in cat.arrows
+            for g in cat.hom(cat.dst[f], cat.src[f])]
+    arrows = []
+    for (f, g) in objs:
+        a, b = cat.src[f], cat.dst[f]
+        for (f2, g2) in objs:
+            a2, b2 = cat.src[f2], cat.dst[f2]
+            for x in cat.hom(a, a2):
+                for z in cat.hom(b2, b):
+                    if (cat.then_seq([x, f2, z]) == f
+                            and cat.then_seq([z, g, x]) == g2):
+                        arrows.append(((f, g), (f2, g2), x, z))
+    uf = fincat.UnionFind(objs)
+    for (s, t, _x, _z) in arrows:
+        uf.union(s, t)
+    roots = {}
+    comp = {o: roots.setdefault(uf.find(o), len(roots)) for o in objs}
+    return arrows, comp
+
+
+def _klein_four():
+    els = [(a, b) for a in range(2) for b in range(2)]
+    mul = {(p, q): (p[0] ^ q[0], p[1] ^ q[1]) for p in els for q in els}
+    return fincat.FinGroup(els, mul, (0, 0), name="C2xC2")
+
+
+def _lambda_reference_cases():
+    cases = [pytest.param(entry["cat"], id=name)
+             for name, entry in harness.corpus().items()]
+    groups = [cyclic_group(n) for n in range(1, 7)]
+    groups += [symmetric_group(3), _klein_four()]
+    cases += [pytest.param(bg_category(g), id="B" + g.name) for g in groups]
+    cases.append(pytest.param(delta_prime_op(3), id="delta3op"))
+    return cases
+
+
+@pytest.mark.parametrize("cat", _lambda_reference_cases())
+def test_lambda_cat_matches_brute_force(cat):
+    lcat, comp = lambda_cat(cat)
+    arrows, ref_comp = _lambda_brute_force(cat)
+    assert list(lcat.arrows) == arrows
+    assert all((lcat.src[m], lcat.dst[m]) == m[:2] for m in lcat.arrows)
+    assert comp == ref_comp
+    assert lcat.compose == {}
+
+
+@pytest.mark.parametrize("cat", [bg_category(symmetric_group(3)),
+                                 delta_prime_op(3), idem_cat()],
+                         ids=["BS3", "delta3op", "idem"])
+def test_lambda_cat_morphisms_form_a_category(cat):
+    """Identities are morphisms, and (x, z) then (x', z') =
+    (x;x', z';z) is again one."""
+    lcat, _comp = lambda_cat(cat)
+    morphisms = set(lcat.arrows)
+    assert set(lcat.identities.values()) <= morphisms
+    by_src = {}
+    for m in lcat.arrows:
+        by_src.setdefault(m[0], []).append(m)
+    for (s, t, x1, z1) in lcat.arrows:
+        for (_t, u, x2, z2) in by_src[t]:
+            assert (s, u, cat.then(x1, x2), cat.then(z2, z1)) in morphisms
 
 
 def test_twisted_arrow_of_terminal():

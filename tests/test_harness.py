@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from tracelin import diagrams, fincat, harness
@@ -75,6 +76,38 @@ def test_reports_are_seed_deterministic():
     c = harness.run_suite("sets", seed=6, cases=6)
     assert json.dumps(a.to_json(), sort_keys=True) \
         != json.dumps(c.to_json(), sort_keys=True)
+
+
+# SHA-256 of json.dumps(report.to_json(), sort_keys=True) for each suite
+# at seed 0 and its default case count.  A change to any of these means a
+# change to the report bytes, which a refactor or speed-up must not make.
+SEED0_REPORT_SHA256 = {
+    "linearity":
+        "a953c4c38c991e1cca55e53dd9088af00571cd529c6fcb2cd5f778a716dc40ef",
+    "component":
+        "20077f10844a6a8f8b4420a68141a333bd2596de06ed6a76c5527628ee0bf41a",
+    "burnside":
+        "2b7a07443a725ba4fea3f2c223bcf8e5de534ebb328e2cc2297e5e8afdd4b457",
+    "ei": "a7cafe62e04b0a499fee07973e7773ec306fdb0173bf083de6b4e6a0175d65e6",
+    "realiz":
+        "aeabd4e9261c40ce3a2f88c6ca2631f08589ed94711b4ba936d673ef3088a103",
+    "sets":
+        "4c5b1a693f9c7d11cb145878d9893a43836193f68232b183ef3b6d7970ec1af7",
+    "leinster":
+        "0ea12738605a4099d7b4e80d247eb035c988befd4bf116e3f7cac18bbc057340",
+}
+
+
+def test_seed0_report_bytes_are_pinned():
+    assert sorted(SEED0_REPORT_SHA256) == sorted(harness.SUITES)
+    changed = []
+    for name in harness.SUITES:
+        report = harness.run_suite(name, seed=0)
+        text = json.dumps(report.to_json(), sort_keys=True)
+        if hashlib.sha256(text.encode()).hexdigest() \
+                != SEED0_REPORT_SHA256[name]:
+            changed.append(name)
+    assert not changed, "report bytes changed for suites: %s" % changed
 
 
 def test_small_suite_passes():
