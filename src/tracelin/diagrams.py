@@ -10,8 +10,8 @@ a finite EI shape to a strictly homotopy finite one.
 
 from . import fincat
 from .exactalg import (
-    F, ZERO, ONE, Mat, ChainComplex, ChainMap, block_diag, cokernel,
-    factor_through, idempotent_image, kernel_basis, kron,
+    F, ZERO, ONE, Mat, SparseMat, ChainComplex, ChainMap, block_diag, cokernel,
+    dd_violations, factor_through, idempotent_image, kernel_basis, kron,
 )
 
 
@@ -302,11 +302,6 @@ def _same_objects_opposite(wcat, cat):
 # ---------------------------------------------------------------------------
 # natural endomorphism solution spaces
 
-def _exact(v):
-    """An entry as an int when it is integral, else the Fraction."""
-    return v.numerator if v.denominator == 1 else v
-
-
 def _commuting_solutions(blocks, eqs):
     """Basis of the unknown matrices X with A X_p - X_q B = 0 for all eqs.
 
@@ -327,28 +322,29 @@ def _commuting_solutions(blocks, eqs):
     rows = []
     for a, p, q, b in eqs:
         # entry (i, j): sum_k A[i][k] X_p[k][j] - sum_k X_q[i][k] B[k][j]
-        left = [[]] * a.rows
+        left = [{}] * a.rows
         if p in offsets:
             off, cols = offsets[p]
-            left = [[(off + k * cols, _exact(v))
-                     for k, v in enumerate(row) if v] for row in a.data]
-        right, stride = [[]] * b.cols, 0
+            left = [{off + k * cols: v for k, v in row.items()}
+                    for row in SparseMat.from_mat(a).terms]
+        right, stride = [{}] * b.cols, 0
         if q in offsets:
             off, stride = offsets[q]
-            right = [[(off + k, -_exact(v)) for k, v in enumerate(col) if v]
-                     for col in b.transpose().data]
+            right = [{off + k: -v for k, v in col.items()}
+                     for col in SparseMat.from_mat(b.transpose()).terms]
         for i, lterms in enumerate(left):
             for j, rterms in enumerate(right):
-                terms = {c + j: v for c, v in lterms}
-                for c, v in rterms:
+                terms = {c + j: v for c, v in lterms.items()}
+                for c, v in rterms.items():
                     c += i * stride
-                    terms[c] = terms.get(c, 0) + v
-                if any(terms.values()):
-                    row = [0] * total
-                    for c, v in terms.items():
-                        row[c] = v
-                    rows.append(row)
-    basis = kernel_basis(Mat(rows, len(rows), total, coerce=False))
+                    w = terms.get(c, 0) + v
+                    if w:
+                        terms[c] = w
+                    else:
+                        del terms[c]
+                if terms:
+                    rows.append(terms)
+    basis = kernel_basis(SparseMat(rows, len(rows), total))
     out = []
     for vec in basis.transpose().data:
         sol = {}
@@ -445,7 +441,9 @@ def hocolim_hofin(x, check=True):
     length-k strings of nonidentity arrows; the level differential
     alternates face maps (apply the first arrow / compose adjacent
     arrows / drop the last), and the total differential adds the internal
-    one with sign (-1)^k.
+    one with sign (-1)^k.  The differential is written as sparse rows, the
+    identity faces as diagonals; with ``check`` its d o d = 0 is tested on
+    those rows before the dense matrices of the complex are built.
     """
     cat = x.base
     if not fincat.is_strictly_homotopy_finite(cat):
@@ -462,19 +460,29 @@ def hocolim_hofin(x, check=True):
                 index[(s, m)] = (n, off)
                 dims[n] = off + cx0.dim(m)
     dims = {n: d for n, d in dims.items() if d}
-    diff = {n: [[ZERO] * dims.get(n, 0) for _ in range(dims.get(n - 1, 0))]
-            for n in dims}
+    # d[n] as sparse rows; a block lands in d[n] only when its target
+    # summand sits in degree n - 1, so dims[n - 1] > 0
+    diff = {n: [{} for _ in range(dims[n - 1])] for n in dims if n - 1 in dims}
+    blocks = {}    # (tag, object or arrow, degree) -> sparse rows
 
-    def add_block(n, roff, coff, m, sign):
-        tgt = diff.get(n)
-        if tgt is None:
-            return
-        for i in range(m.rows):
+    def sparse(key, m):
+        if key not in blocks:
+            blocks[key] = SparseMat.from_mat(m).terms
+        return blocks[key]
+
+    def add_block(n, roff, coff, terms, sign):
+        tgt = diff[n]
+        for i, row in enumerate(terms):
             trow = tgt[roff + i]
-            for j in range(m.cols):
-                v = m.data[i][j]
-                if v:
-                    trow[coff + j] += v if sign > 0 else -v
+            for j, v in row.items():
+                j += coff
+                trow[j] = trow.get(j, 0) + (v if sign > 0 else -v)
+
+    def add_diagonal(n, roff, coff, size, sign):
+        tgt = diff[n]
+        for i in range(size):
+            trow = tgt[roff + i]
+            trow[coff + i] = trow.get(coff + i, 0) + sign
 
     for (s, m), (n, off) in index.items():
         start, arrs = s
@@ -483,32 +491,37 @@ def hocolim_hofin(x, check=True):
         # internal differential with sign (-1)^k
         dm = cx0.diff(m)
         if dm.rows and (s, m - 1) in index:
-            add_block(n, index[(s, m - 1)][1], off, dm, 1 if k % 2 == 0 else -1)
-        # face maps with sign (-1)^i
-        for i in range(k + 1):
+            add_block(n, index[(s, m - 1)][1], off,
+                      sparse(("d", start, m), dm), 1 if k % 2 == 0 else -1)
+        # face maps with sign (-1)^i: apply the first arrow, then identities
+        # that compose adjacent arrows or drop the last
+        faces = []
+        if k:
+            faces = ([(cat.dst[arrs[0]], arrs[1:])]
+                     + [(start, arrs[:i - 1]
+                         + (cat.then(arrs[i - 1], arrs[i]),) + arrs[i + 1:])
+                        for i in range(1, k)]
+                     + [(start, arrs[:k - 1])])
+        for i, tgt_s in enumerate(faces):
+            if (tgt_s, m) not in index:
+                continue
+            roff = index[(tgt_s, m)][1]
+            sign = 1 if i % 2 == 0 else -1
             if i == 0:
-                tgt_s = (cat.dst[arrs[0]], arrs[1:]) if k else None
-                if tgt_s is None:
-                    continue
-                comp = x.map(arrs[0]).mat(m)
-            elif i < k:
-                tgt_s = (start, arrs[:i - 1] + (cat.then(arrs[i - 1], arrs[i]),)
-                         + arrs[i + 1:])
-                comp = Mat.identity(cx0.dim(m))
+                fm = sparse(("f", arrs[0], m), x.map(arrs[0]).mat(m))
+                add_block(n, roff, off, fm, sign)
             else:
-                if k == 0:
-                    continue
-                tgt_s = (start, arrs[:k - 1])
-                comp = Mat.identity(cx0.dim(m))
-            if (tgt_s, m) in index:
-                add_block(n, index[(tgt_s, m)][1], off, comp,
-                          1 if i % 2 == 0 else -1)
+                add_diagonal(n, roff, off, cx0.dim(m), sign)
 
-    total = ChainComplex(dims, {n: Mat(rows, dims.get(n - 1, 0), dims.get(n, 0),
-                                       coerce=False)
-                                for n, rows in diff.items()
-                                if dims.get(n - 1, 0)},
-                         check=check)
+    d = {n: SparseMat([{j: v for j, v in row.items() if v} for row in rows],
+                      dims[n - 1], dims[n])
+         for n, rows in diff.items()}
+    if check:
+        bad = dd_violations(dims, d)
+        if bad:
+            raise ValueError("; ".join(bad))
+    total = ChainComplex(dims, {n: m.to_mat() for n, m in d.items()},
+                         check=False)
     strings = [s for level in levels for s in level]
     return HocolimResult(total, index, strings, x)
 

@@ -1,12 +1,17 @@
 """Exact rational matrices and bounded chain complexes.
 
-Everything here is dense and exact: entries are ``fractions.Fraction``,
-eliminations run fraction-free on integer-rescaled rows, and no floating
-point appears anywhere.  Matrices act on column vectors, so a map V -> W
-is a (dim W x dim V) matrix.
+Everything here is exact: ``Mat`` is dense with ``fractions.Fraction``
+entries, and no floating point appears anywhere.  Kernels, images,
+cokernels, ranks and solutions all come from one elimination core on
+sparse integer rows ({column: int}, each row rescaled by the lcm of its
+denominators).  ``SparseMat`` holds the nonzero entries of each row; its
+product is the d o d = 0 check of chain complexes.  Matrices act on
+column vectors, so a map V -> W is a (dim W x dim V) matrix.
 """
 
+from bisect import bisect
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 F = Fraction
@@ -16,6 +21,11 @@ ONE = Fraction(1)
 
 def _coerce(x):
     return x if type(x) is Fraction else Fraction(x)
+
+
+def _exact(v):
+    """An entry as an int when it is integral, else the Fraction."""
+    return v.numerator if v.denominator == 1 else v
 
 
 class Mat:
@@ -85,15 +95,18 @@ class Mat:
     def __matmul__(self, other):
         assert self.cols == other.rows, (self.cols, other.rows)
         od = other.data
+        bterms = [None] * other.rows   # nonzero (j, value) pairs, read once
         out = [[ZERO] * other.cols for _ in range(self.rows)]
         for i, arow in enumerate(self.data):
             orow = out[i]
             for k, aik in enumerate(arow):
                 if aik:
-                    brow = od[k]
-                    for j, bkj in enumerate(brow):
-                        if bkj:
-                            orow[j] += aik * bkj
+                    bk = bterms[k]
+                    if bk is None:
+                        bk = bterms[k] = [(j, b) for j, b in enumerate(od[k])
+                                          if b]
+                    for j, bkj in bk:
+                        orow[j] += aik * bkj
         return Mat(out, self.rows, other.cols, coerce=False)
 
     def transpose(self):
@@ -177,90 +190,144 @@ def vec(m):
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination core
+# sparse matrices and the integer elimination core
+
+class SparseMat:
+    """Row-sparse exact matrix.  Treat instances as immutable.
+
+    ``terms[i]`` maps column -> entry for the nonzero entries of row i,
+    each an int or a Fraction; ``from_mat`` stores integral entries as
+    ints, so that products of integral matrices run in integers.
+    """
+
+    __slots__ = ("rows", "cols", "terms")
+
+    def __init__(self, terms, rows, cols):
+        self.rows = rows
+        self.cols = cols
+        self.terms = terms
+
+    @staticmethod
+    def from_mat(m):
+        return SparseMat([{j: _exact(v) for j, v in enumerate(row) if v}
+                          for row in m.data], m.rows, m.cols)
+
+    def to_mat(self):
+        data = [[ZERO] * self.cols for _ in range(self.rows)]
+        for row, terms in zip(data, self.terms):
+            for j, v in terms.items():
+                row[j] = F(v)
+        return Mat(data, self.rows, self.cols, coerce=False)
+
+    def __matmul__(self, other):
+        assert self.cols == other.rows, (self.cols, other.rows)
+        bt = other.terms
+        out = []
+        for arow in self.terms:
+            acc = {}
+            for k, a in arow.items():
+                for j, b in bt[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: v for j, v in acc.items() if v})
+        return SparseMat(out, self.rows, other.cols)
+
+    def is_zero(self):
+        return not any(self.terms)
+
+
+def _integral(terms):
+    """A sparse row rescaled by the lcm of its denominators: {column: int}."""
+    l = 1
+    for v in terms.values():
+        d = v.denominator
+        if d != 1:
+            l = l // gcd(l, d) * d
+    if l == 1:
+        return {j: v.numerator for j, v in terms.items()}
+    return {j: v.numerator * (l // v.denominator) for j, v in terms.items()}
+
 
 def _int_rows(m):
-    """Rescale each row by the lcm of denominators; returns int rows."""
-    out = []
-    for row in m.data:
-        l = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                l = l // gcd(l, d) * d
-        if l == 1:
-            out.append([x.numerator for x in row])
-        else:
-            out.append([int(x * l) for x in row])
-    return out
+    """Sparse integer rows of a Mat or SparseMat."""
+    if type(m) is SparseMat:
+        return [_integral(t) for t in m.terms]
+    return [_integral({j: v for j, v in enumerate(row) if v})
+            for row in m.data]
 
 
-def _reduce_row(row):
-    g = gcd(*row)
-    if g > 1:
-        return [x // g for x in row]
-    return row
+def _eliminate(rows, limit):
+    """Forward elimination on sparse integer rows.
 
-
-def _echelon_int(rows, ncols, pivot_limit=None):
-    """In-place forward elimination over the integers.
-
-    Pivots are searched only in columns < pivot_limit (defaults to all).
-    Returns the list of pivot column indices; ``rows`` is left in echelon
-    form with its nonzero rows first.
+    Columns < ``limit`` are taken left to right.  The live rows whose
+    leading column is c are the rows with a nonzero there; the sparsest
+    of them becomes the pivot row of c and is subtracted from the others,
+    as in structured Gaussian elimination (LaMacchia-Odlyzko 1990).  The
+    pivot columns depend only on the row space and the column order, not
+    on which row is chosen.  Returns (echelon rows as (pivot column, row)
+    in column order, the nonzero rows left with no pivot below ``limit``).
     """
-    if pivot_limit is None:
-        pivot_limit = ncols
-    r = 0
-    pivots = []
-    nrows = len(rows)
-    for c in range(pivot_limit):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
+    buckets = {}
+    for row in rows:
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+    leads = list(buckets)
+    heapify(leads)
+    echelon = []
+    while leads and leads[0] < limit:
+        c = heappop(leads)
+        bucket = buckets.pop(c)
+        prow = min(bucket, key=len)
         p = prow[c]
-        ptail = prow[c:]
-        for i in range(r + 1, nrows):
-            ri = rows[i]
-            q = ri[c]
-            if q:
-                ri[c:] = [x * p - y * q for x, y in zip(ri[c:], ptail)]
-                rows[i] = _reduce_row(ri)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+        for row in bucket:
+            if row is prow:
+                continue
+            q = row[c]
+            g = gcd(p, q)
+            sp, sq = p // g, q // g
+            new = {j: v * sp for j, v in row.items() if j != c}
+            for j, v in prow.items():
+                if j != c:
+                    w = new.get(j, 0) - v * sq
+                    if w:
+                        new[j] = w
+                    else:
+                        del new[j]
+            if new:
+                g = gcd(*new.values())
+                if g > 1:
+                    new = {j: v // g for j, v in new.items()}
+                lead = min(new)
+                if lead in buckets:
+                    buckets[lead].append(new)
+                else:
+                    buckets[lead] = [new]
+                    heappush(leads, lead)
+        echelon.append((c, prow))
+    return echelon, [row for b in buckets.values() for row in b]
 
 
-def rank(m):
-    rows = _int_rows(m)
-    return len(_echelon_int(rows, m.cols))
+def _echelon_system(echelon, n):
+    """(pivot column, pivot entry, tail) per echelon row, the tail being
+    the row's other nonzero (column, value) pairs among the first n."""
+    return [(pc, row[pc], [(j, a) for j, a in row.items() if pc < j < n])
+            for pc, row in echelon]
 
 
-def _back_substitute(tails, pivots, num, rhs):
+def _back_substitute(system, num, rhs=None):
     """Solve echelon rows for their pivot unknowns, in integers.
 
-    Row i has its pivot entry ``pivots[i]`` = (column, value) and its
-    other nonzero unknown coefficients in ``tails[i]`` as (column,
-    value) pairs; it reads row . x = rhs[i].  ``num`` presets the
-    unknowns that are not pivots.  Rescaling the integer vector instead
-    of dividing keeps the work out of Fraction arithmetic; the solution
-    num / den comes back as Fractions.
+    Row i of ``system`` reads p * x[pc] + tail . x = rhs[i] (rhs 0 when
+    ``rhs`` is None).  ``num`` presets the unknowns that are not pivots,
+    as a {column: int} dict.  Rescaling the integer vector instead of
+    dividing keeps the work out of Fraction arithmetic; the solution is
+    num / den, returned as (num, den).
     """
     den = 1
-    for i in range(len(pivots) - 1, -1, -1):
-        pc, p = pivots[i]
-        t = rhs[i] * den
-        for j, a in tails[i]:
-            x = num[j]
+    for i in range(len(system) - 1, -1, -1):
+        pc, p, tail = system[i]
+        t = rhs[i] * den if rhs else 0
+        for j, a in tail:
+            x = num.get(j)
             if x:
                 t -= a * x
         if t:
@@ -270,41 +337,42 @@ def _back_substitute(tails, pivots, num, rhs):
             if q < 0:
                 q, t = -q, -t
             if q != 1:
-                num = [x * q for x in num]
+                num = {j: x * q for j, x in num.items()}
                 den *= q
             num[pc] = t
-    if den == 1:
-        return [F(x) if x else ZERO for x in num]
-    return [F(x, den) if x else ZERO for x in num]
+    return num, den
 
 
-def _echelon_system(rows, pivots, n):
-    """(tails, pivots) of echelon rows for ``_back_substitute``: the
-    nonzero coefficients right of each pivot among the first n columns."""
-    tails = [[(j, row[j]) for j in range(pc + 1, n) if row[j]]
-             for row, pc in zip(rows, pivots)]
-    return tails, [(pc, row[pc]) for row, pc in zip(rows, pivots)]
+def _dense(num, den, n):
+    """The vector num / den as a list of n Fractions."""
+    vec = [ZERO] * n
+    for j, x in num.items():
+        if x:
+            vec[j] = F(x, den)
+    return vec
 
 
 def _kernel_vectors(m):
     """Echelon basis of {v : m v = 0}: one vector per free column."""
     n = m.cols
-    rows = _int_rows(m)
-    pivots = _echelon_int(rows, n)
-    pivset = set(pivots)
-    tails, pivs = _echelon_system(rows, pivots, n)
-    zero = [0] * len(pivots)
-    basis = []
-    for fc in range(n):
-        if fc not in pivset:
-            num = [0] * n
-            num[fc] = 1
-            basis.append(_back_substitute(tails, pivs, num, zero))
-    return basis
+    echelon, _ = _eliminate(_int_rows(m), n)
+    system = _echelon_system(echelon, n)
+    pivcols = [pc for pc, _ in echelon]
+    pivset = set(pivcols)
+    # the rows whose pivot lies right of the free column stay at zero
+    return [_dense(*_back_substitute(system[:bisect(pivcols, fc)], {fc: 1}), n)
+            for fc in range(n) if fc not in pivset]
+
+
+def rank(m):
+    return len(_eliminate(_int_rows(m), m.cols)[0])
 
 
 def kernel_basis(m):
-    """Matrix whose columns form a basis of {v : m v = 0}."""
+    """Matrix whose columns form a basis of {v : m v = 0}.
+
+    ``m`` is a Mat or a SparseMat.
+    """
     basis = _kernel_vectors(m)
     return Mat.from_cols(basis, m.cols) if basis else Mat.zeros(m.cols, 0)
 
@@ -315,8 +383,7 @@ def image_basis(m):
     Row reduction does not change column dependencies, so the pivot
     columns of the echelon form index a basis of the column space.
     """
-    rows = _int_rows(m)
-    pivots = _echelon_int(rows, m.cols)
+    pivots = [pc for pc, _ in _eliminate(_int_rows(m), m.cols)[0]]
     cols = [m.col(j) for j in pivots]
     return (Mat.from_cols(cols, m.rows) if cols else Mat.zeros(m.rows, 0)), pivots
 
@@ -348,18 +415,14 @@ def solve_linear(a, b):
     """
     assert a.rows == b.rows
     n = a.cols
-    aug = hstack([a, b])
-    rows = _int_rows(aug)
-    pivots = _echelon_int(rows, aug.cols, pivot_limit=n)
-    nz = [r for r in rows if any(r)]
-    for r in nz[len(pivots):]:
-        if any(r[n:]):
-            return None
-    tails, pivs = _echelon_system(rows, pivots, n)
-    sols = [_back_substitute(tails, pivs, [0] * n,
-                             [rows[i][n + bc] for i in range(len(pivots))])
+    echelon, rest = _eliminate(_int_rows(hstack([a, b])), n)
+    if rest:
+        return None
+    system = _echelon_system(echelon, n)
+    sols = [_dense(*_back_substitute(system, {}, [row.get(n + bc, 0)
+                                                 for _, row in echelon]), n)
             for bc in range(b.cols)]
-    return SolveResult(Mat.from_cols(sols, n), unique=(len(pivots) == n))
+    return SolveResult(Mat.from_cols(sols, n), unique=(len(echelon) == n))
 
 
 def inverse(m):
@@ -400,6 +463,21 @@ def idempotent_image(e):
 
 # ---------------------------------------------------------------------------
 # bounded chain complexes
+
+def dd_violations(dims, d):
+    """The message "d o d nonzero out of degree N" for each N - 1 in
+    ``dims`` whose d[N - 1] @ d[N] is nonzero, as a sparse product;
+    ``d`` maps degree -> SparseMat.  Pairs of the wrong shape are left
+    to the shape check."""
+    out = []
+    for n in dims:
+        a = d.get(n)
+        b = d.get(n + 1)
+        if (a is not None and b is not None and a.cols == b.rows
+                and not (a @ b).is_zero()):
+            out.append("d o d nonzero out of degree %d" % (n + 1,))
+    return out
+
 
 class ChainComplex:
     """Bounded complex of rational spaces; d[n] maps degree n to n-1."""
@@ -445,12 +523,8 @@ class ChainComplex:
             if m.rows != self.dim(n - 1) or m.cols != self.dim(n):
                 out.append("differential at degree %d has shape %dx%d, expected %dx%d"
                            % (n, m.rows, m.cols, self.dim(n - 1), self.dim(n)))
-        for n in list(self.dims):
-            a = self.diff(n)
-            b = self.diff(n + 1)
-            if a.cols == b.rows and not (a @ b).is_zero():
-                out.append("d o d nonzero out of degree %d" % (n + 1,))
-        return out
+        return out + dd_violations(
+            self.dims, {n: SparseMat.from_mat(m) for n, m in self.d.items()})
 
     def __eq__(self, other):
         return (isinstance(other, ChainComplex) and self.dims == other.dims

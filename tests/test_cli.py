@@ -285,3 +285,16 @@ def test_cli_matrix_of_wrong_shape_is_input_error(tmp_path, capsys, command,
     code, _, err = run_cli(capsys, command, "idem", str(path))
     assert code == 2
     assert err.strip() == "error: " + message
+
+
+@pytest.mark.parametrize("command", ["trace", "hocolim"])
+def test_cli_complex_with_nonzero_dd_is_input_error(tmp_path, capsys, command):
+    obj = serialize.load_json(cli.data_dir() / "pushout_span.json")
+    obj["objects"]["c"] = {"degrees": {"0": 1, "1": 1, "2": 1},
+                           "d": {"1": [["1"]], "2": [["1"]]}}
+    path = tmp_path / "dd.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, command, "pushout", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: d o d nonzero out of degree 2"

@@ -12,8 +12,8 @@ from tracelin.diagrams import (
     vect_to_chain, weighted_colim_vect, weighted_colim_endo,
 )
 from tracelin.exactalg import (
-    ChainComplex, ChainMap, Mat, cone, cone_endo, hstack, homology_dims,
-    identity_chain_map, inverse, kron, lefschetz, rank, trace,
+    ChainComplex, ChainMap, Mat, block_diag, cone, cone_endo, hstack,
+    homology_dims, identity_chain_map, inverse, kron, lefschetz, rank, trace,
 )
 from tracelin.fincat import bg_category, cyclic_group, opposite
 
@@ -347,6 +347,143 @@ def test_hocolim_total_dimension_counts_strings():
         for (start, _arrs) in level:
             total += dia.cx(start).total_dim()
     assert res.complex.total_dim() == total
+
+
+def dense_hocolim_hofin(x):
+    """Reference: the level construction on dense Fraction rows, checked
+    by ChainComplex's own d o d test.  Returns (complex, index)."""
+    cat = x.base
+    levels = fincat.enumerate_strings(cat)
+    index = {}
+    dims = {}
+    for k, level in enumerate(levels):
+        for s in level:
+            cx0 = x.cx(s[0])
+            for m in cx0.dims:
+                n = k + m
+                off = dims.get(n, 0)
+                index[(s, m)] = (n, off)
+                dims[n] = off + cx0.dim(m)
+    dims = {n: d for n, d in dims.items() if d}
+    diff = {n: [[F(0)] * dims.get(n, 0) for _ in range(dims.get(n - 1, 0))]
+            for n in dims}
+
+    def add_block(n, roff, coff, m, sign):
+        tgt = diff.get(n)
+        if tgt is None:
+            return
+        for i in range(m.rows):
+            trow = tgt[roff + i]
+            for j in range(m.cols):
+                v = m.data[i][j]
+                if v:
+                    trow[coff + j] += v if sign > 0 else -v
+
+    for (s, m), (n, off) in index.items():
+        start, arrs = s
+        k = len(arrs)
+        cx0 = x.cx(start)
+        dm = cx0.diff(m)
+        if dm.rows and (s, m - 1) in index:
+            add_block(n, index[(s, m - 1)][1], off, dm, 1 if k % 2 == 0 else -1)
+        for i in range(k + 1):
+            if i == 0:
+                tgt_s = (cat.dst[arrs[0]], arrs[1:]) if k else None
+                if tgt_s is None:
+                    continue
+                comp = x.map(arrs[0]).mat(m)
+            elif i < k:
+                tgt_s = (start, arrs[:i - 1] + (cat.then(arrs[i - 1], arrs[i]),)
+                         + arrs[i + 1:])
+                comp = Mat.identity(cx0.dim(m))
+            else:
+                if k == 0:
+                    continue
+                tgt_s = (start, arrs[:k - 1])
+                comp = Mat.identity(cx0.dim(m))
+            if (tgt_s, m) in index:
+                add_block(n, index[(tgt_s, m)][1], off, comp,
+                          1 if i % 2 == 0 else -1)
+
+    total = ChainComplex(dims, {n: Mat(rows, dims.get(n - 1, 0), dims.get(n, 0),
+                                       coerce=False)
+                                for n, rows in diff.items()
+                                if dims.get(n - 1, 0)})
+    return total, index
+
+
+def disk_sphere_diagram(cat, a0, a1, s=1, scale=None):
+    """Over each object o, the representables R = Q[hom(a0, o)] and
+    S = Q[hom(a1, o)]: R (+) S in degree 0, R in degree 1, d = (s, 0)^t.
+    With ``scale`` (object -> Fraction) every map of the diagram is
+    multiplied by scale[dst] / scale[src], which keeps it functorial and
+    makes its entries non-integral."""
+    r = linearize(harness.rep_set_diagram(cat, a0))
+    t = linearize(harness.rep_set_diagram(cat, a1))
+    complexes = {}
+    for o in cat.objects:
+        d1 = Mat([[F(s) if i == j else F(0) for j in range(r.dim(o))]
+                  for i in range(r.dim(o) + t.dim(o))], r.dim(o) + t.dim(o),
+                 r.dim(o))
+        complexes[o] = ChainComplex({0: r.dim(o) + t.dim(o), 1: r.dim(o)},
+                                    {1: d1})
+    maps = {}
+    for a in cat.arrows:
+        src, dst = cat.src[a], cat.dst[a]
+        k = scale[dst] / scale[src] if scale else 1
+        maps[a] = ChainMap(complexes[src], complexes[dst],
+                           {0: block_diag([r.mat(a), t.mat(a)]).smul(k),
+                            1: r.mat(a).smul(k)})
+    return ChainDiagram(cat, complexes, maps)
+
+
+def hocolim_case(name):
+    d3 = fincat.delta_prime_op(3)
+    if name == "delta3":
+        return disk_sphere_diagram(d3, "[3]", "[2]")
+    if name == "dag":
+        return harness.gen_chain_diagram(5, harness.gen_hofin_category(5))[0]
+    if name == "pushout_span":
+        return _span_chain_case(5)[0]
+    scale = {o: F(1, i + 2) for i, o in enumerate(d3.objects)}
+    return disk_sphere_diagram(d3, "[3]", "[1]", F(3, 2), scale)
+
+
+@pytest.mark.parametrize("name", ["delta3", "dag", "pushout_span", "rational"])
+def test_hocolim_matches_dense_reference(name):
+    dia = hocolim_case(name)
+    res = hocolim_hofin(dia)
+    ref, index = dense_hocolim_hofin(dia)
+    assert res.complex == ref
+    assert res.index == index
+    assert res.complex.dims == ref.dims and set(res.complex.d) == set(ref.d)
+    assert all(type(v) is F for m in res.complex.d.values()
+               for row in m.data for v in row)
+    if name == "rational":
+        assert any(v.denominator != 1 for m in res.complex.d.values()
+                   for row in m.data for v in row)
+
+
+def test_hocolim_dd_check_catches_a_broken_composite():
+    """A diagram whose map on a composite arrow is not the composite of
+    the maps gives a level construction with d o d != 0."""
+    dia = disk_sphere_diagram(fincat.delta_prime_op(3), "[3]", "[2]")
+    cat = dia.base
+    comp = next(a for a in cat.arrows
+                if not cat.is_id(a) and a not in cat.generating_arrows()
+                and not dia.map(a).mat(0).is_zero())
+    maps = {a: dia.map(a) for a in cat.arrows}
+    maps[comp] = dia.map(comp).smul(2)
+    broken = ChainDiagram(cat, {o: dia.cx(o) for o in cat.objects}, maps,
+                          check=False)
+    with pytest.raises(ValueError) as ours:
+        hocolim_hofin(broken)
+    with pytest.raises(ValueError) as ref:
+        dense_hocolim_hofin(broken)
+    assert str(ours.value) == str(ref.value)
+    assert str(ours.value).startswith("d o d nonzero out of degree ")
+    res = hocolim_hofin(broken, check=False)
+    assert res.complex.violations() == str(ref.value).split("; ")
 
 
 def test_hocolim_rejects_bad_base():

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
 from tracelin.exactalg import (
-    ChainComplex, ChainMap, Mat, cokernel, cone, cone_endo, direct_sum,
-    factor_through, homology_dims, homology_endo_traces, idempotent_image,
-    identity_chain_map, image_basis, inverse, kernel_basis, kron, lefschetz,
-    lefschetz_via_homology, rank, shift, shift_map, solve_linear, trace,
+    ChainComplex, ChainMap, Mat, SparseMat, cokernel, cone, cone_endo,
+    direct_sum, factor_through, hstack, homology_dims, homology_endo_traces,
+    idempotent_image, identity_chain_map, image_basis, inverse, kernel_basis,
+    kron, lefschetz, lefschetz_via_homology, rank, shift, shift_map,
+    solve_linear, trace,
 )
 
 
@@ -180,3 +182,259 @@ def test_homology_endo_traces_identity():
     assert tr == {n: F(d) for n, d in homology_dims(c).items()} \
         or all(tr.get(n, 0) == homology_dims(c).get(n, 0)
                for n in set(tr) | set(homology_dims(c)))
+
+
+# ---------------------------------------------------------------------------
+# the sparse elimination core against the dense one it replaced
+#
+# Reference: dense fraction-free elimination, columns left to right with
+# the first live row as pivot, and back-substitution in integers.
+
+def _int_rows(m):
+    """Rescale each row by the lcm of denominators; returns int rows."""
+    out = []
+    for row in m.data:
+        l = 1
+        for x in row:
+            d = x.denominator
+            if d != 1:
+                l = l // gcd(l, d) * d
+        if l == 1:
+            out.append([x.numerator for x in row])
+        else:
+            out.append([int(x * l) for x in row])
+    return out
+
+
+def _reduce_row(row):
+    g = gcd(*row)
+    if g > 1:
+        return [x // g for x in row]
+    return row
+
+
+def _echelon_int(rows, ncols, pivot_limit=None):
+    if pivot_limit is None:
+        pivot_limit = ncols
+    r = 0
+    pivots = []
+    nrows = len(rows)
+    for c in range(pivot_limit):
+        pr = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        ptail = prow[c:]
+        for i in range(r + 1, nrows):
+            ri = rows[i]
+            q = ri[c]
+            if q:
+                ri[c:] = [x * p - y * q for x, y in zip(ri[c:], ptail)]
+                rows[i] = _reduce_row(ri)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _back_substitute(tails, pivots, num, rhs):
+    den = 1
+    for i in range(len(pivots) - 1, -1, -1):
+        pc, p = pivots[i]
+        t = rhs[i] * den
+        for j, a in tails[i]:
+            x = num[j]
+            if x:
+                t -= a * x
+        if t:
+            g = gcd(t, p)
+            q = p // g
+            t //= g
+            if q < 0:
+                q, t = -q, -t
+            if q != 1:
+                num = [x * q for x in num]
+                den *= q
+            num[pc] = t
+    return [F(x, den) if x else F(0) for x in num]
+
+
+def _echelon_system(rows, pivots, n):
+    tails = [[(j, row[j]) for j in range(pc + 1, n) if row[j]]
+             for row, pc in zip(rows, pivots)]
+    return tails, [(pc, row[pc]) for row, pc in zip(rows, pivots)]
+
+
+def _kernel_vectors(m):
+    n = m.cols
+    rows = _int_rows(m)
+    pivots = _echelon_int(rows, n)
+    tails, pivs = _echelon_system(rows, pivots, n)
+    zero = [0] * len(pivots)
+    basis = []
+    for fc in range(n):
+        if fc not in pivots:
+            num = [0] * n
+            num[fc] = 1
+            basis.append(_back_substitute(tails, pivs, num, zero))
+    return basis
+
+
+def dense_rank(m):
+    return len(_echelon_int(_int_rows(m), m.cols))
+
+
+def dense_kernel(m):
+    basis = _kernel_vectors(m)
+    return Mat.from_cols(basis, m.cols) if basis else Mat.zeros(m.cols, 0)
+
+
+def dense_image(m):
+    pivots = _echelon_int(_int_rows(m), m.cols)
+    cols = [m.col(j) for j in pivots]
+    return (Mat.from_cols(cols, m.rows) if cols else Mat.zeros(m.rows, 0)), pivots
+
+
+def dense_cokernel(m):
+    left = _kernel_vectors(m.transpose())
+    return len(left), Mat(left, len(left), m.rows, coerce=False)
+
+
+def dense_solve(a, b):
+    n = a.cols
+    aug = hstack([a, b])
+    rows = _int_rows(aug)
+    pivots = _echelon_int(rows, aug.cols, pivot_limit=n)
+    nz = [r for r in rows if any(r)]
+    for r in nz[len(pivots):]:
+        if any(r[n:]):
+            return None
+    tails, pivs = _echelon_system(rows, pivots, n)
+    sols = [_back_substitute(tails, pivs, [0] * n,
+                             [rows[i][n + bc] for i in range(len(pivots))])
+            for bc in range(b.cols)]
+    return Mat.from_cols(sols, n), len(pivots) == n
+
+
+def _entry(rng, density):
+    if rng.random() >= density:
+        return 0
+    if rng.random() < 0.3:
+        return F(rng.randint(-5, 5), rng.randint(1, 4))
+    return rng.randint(-3, 3)
+
+
+def seeded_matrices(seed, count):
+    """Seeded matrices with int and Fraction entries: sparse and dense,
+    with zero rows and columns, 0 x n and n x 0, rank-deficient products
+    of thin factors, and full-rank ones."""
+    rng = random.Random(seed)
+    out = [Mat.zeros(0, 3), Mat.zeros(3, 0), Mat.zeros(0, 0), Mat.zeros(2, 3),
+           Mat.identity(4)]
+    for k in range(count):
+        r, c = rng.randint(1, 9), rng.randint(1, 9)
+        density = rng.choice((0.15, 0.4, 1.0))
+        m = Mat([[_entry(rng, density) for _ in range(c)] for _ in range(r)])
+        if k % 4 == 1:
+            # rank at most t
+            t = rng.randint(1, min(r, c))
+            left = Mat([[_entry(rng, 0.7) for _ in range(t)] for _ in range(r)])
+            right = Mat([[_entry(rng, 0.7) for _ in range(c)] for _ in range(t)])
+            m = left @ right
+        elif k % 4 == 2:
+            # full rank: a permuted triangle with nonzero diagonal
+            n = min(r, c)
+            m = Mat([[F(rng.randint(1, 3)) if i == j
+                      else (_entry(rng, density) if j > i else 0)
+                      for j in range(c)] for i in range(r)])
+            perm = list(range(r))
+            rng.shuffle(perm)
+            m = Mat([m.data[i] for i in perm])
+            assert dense_rank(m) == n
+        elif k % 4 == 3:
+            # a zero row and a zero column
+            data = [row[:] for row in m.data]
+            data[rng.randrange(r)] = [0] * c
+            j = rng.randrange(c)
+            for row in data:
+                row[j] = 0
+            m = Mat(data)
+        out.append(m)
+    return out
+
+
+def _all_fractions(m):
+    return all(type(x) is F for row in m.data for x in row)
+
+
+def test_sparse_core_matches_dense_reference():
+    for m in seeded_matrices(41, 160):
+        assert rank(m) == dense_rank(m)
+        k = kernel_basis(m)
+        assert k == dense_kernel(m) and _all_fractions(k)
+        assert kernel_basis(SparseMat.from_mat(m)) == k
+        assert image_basis(m) == dense_image(m)
+        dim, proj = cokernel(m)
+        ref_dim, ref_proj = dense_cokernel(m)
+        assert dim == ref_dim and proj == ref_proj and _all_fractions(proj)
+
+
+def test_sparse_solve_matches_dense_reference():
+    rng = random.Random(43)
+    inconsistent = 0
+    for a in seeded_matrices(47, 120):
+        x = Mat([[_entry(rng, 0.5) for _ in range(2)] for _ in range(a.cols)],
+                a.cols, 2)
+        consistent = a @ x
+        noise = Mat([[_entry(rng, 0.5) for _ in range(2)] for _ in range(a.rows)],
+                    a.rows, 2)
+        for b in (consistent, consistent + noise, Mat.zeros(a.rows, 0)):
+            res = solve_linear(a, b)
+            ref = dense_solve(a, b)
+            if ref is None:
+                inconsistent += 1
+                assert res is None
+                continue
+            assert (res.solution, res.unique) == ref
+            assert _all_fractions(res.solution)
+            assert a @ res.solution == b
+    assert inconsistent > 20
+
+
+def test_sparse_product_matches_dense():
+    for a in seeded_matrices(53, 40):
+        for b in seeded_matrices(59, 40):
+            if a.cols == b.rows:
+                prod = SparseMat.from_mat(a) @ SparseMat.from_mat(b)
+                assert prod.to_mat() == a @ b
+                assert prod.is_zero() == (a @ b).is_zero()
+
+
+def test_dd_check_fires_on_a_large_sparse_complex():
+    """Q^120 in degrees 0-3; the differentials are sparse diagonal
+    projections that alternate between the two halves, so d o d = 0.
+    One perturbed entry makes d o d nonzero, and the error names the
+    degree it comes out of."""
+    size, half = 120, 60
+
+    def diag(lo, hi):
+        return [[1 if i == j and lo <= i < hi else 0 for j in range(size)]
+                for i in range(size)]
+
+    dims = {n: size for n in range(4)}
+    d = {1: diag(0, half), 2: diag(half, size), 3: diag(0, half)}
+    assert ChainComplex(dims, {n: Mat(m) for n, m in d.items()}).violations() == []
+    for n, i, j, degree in ((2, 3, size - 1, 2), (3, half, 0, 3)):
+        bad = {k: [row[:] for row in m] for k, m in d.items()}
+        bad[n][i][j] = 5
+        with pytest.raises(ValueError,
+                           match=r"^d o d nonzero out of degree %d$" % degree):
+            ChainComplex(dims, {k: Mat(m) for k, m in bad.items()})
