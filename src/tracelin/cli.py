@@ -49,6 +49,21 @@ def load_diagram(spec):
     return serialize.diagram_from_json(obj, load_category)
 
 
+def _category_and_diagram(args):
+    """The category and the diagram of ``args``, the diagram's base
+    compared with the category by its table, since an inline category
+    has no name.  A mismatch is an input error."""
+    cat = load_category(args.category)
+    dia, endo = load_diagram(args.diagram)
+    base = dia.base
+    if (set(base.objects) != set(cat.objects) or base.src != cat.src
+            or base.dst != cat.dst or base.identities != cat.identities
+            or base.compose != cat.compose):
+        raise ValueError("diagram %r is not over category %r"
+                         % (args.diagram, args.category))
+    return cat, dia, endo
+
+
 def emit(args, payload, text_lines):
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -159,8 +174,7 @@ def _identity_endo(dia):
 
 
 def cmd_hocolim(args):
-    cat = load_category(args.category)
-    dia, endo = load_diagram(args.diagram)
+    cat, dia, endo = _category_and_diagram(args)
     total, _induced, method = _hocolim(cat, dia, endo, args.method)
     payload = {"method": method, "complex": serialize.complex_to_json(total)}
     emit(args, payload,
@@ -170,8 +184,7 @@ def cmd_hocolim(args):
 
 
 def cmd_trace(args):
-    cat = load_category(args.category)
-    dia, endo = load_diagram(args.diagram)
+    cat, dia, endo = _category_and_diagram(args)
     if endo is None:
         endo = _identity_endo(dia)
     _total, induced, method = _hocolim(cat, dia, endo, args.method)
@@ -182,8 +195,7 @@ def cmd_trace(args):
 
 
 def cmd_bicat_trace(args):
-    cat = load_category(args.category)
-    dia, endo = load_diagram(args.diagram)
+    cat, dia, endo = _category_and_diagram(args)
     vd = _degree_zero_vect(dia)
     if vd is None:
         print("bicat-trace needs a degree-zero diagram", file=sys.stderr)

@@ -5,8 +5,9 @@ entries, and no floating point appears anywhere.  Kernels, images,
 cokernels, ranks and solutions all come from one elimination core on
 sparse integer rows ({column: int}, each row rescaled by the lcm of its
 denominators).  ``SparseMat`` holds the nonzero entries of each row; its
-product is the d o d = 0 check of chain complexes.  Matrices act on
-column vectors, so a map V -> W is a (dim W x dim V) matrix.
+product is the d o d = 0 check of chain complexes, and kernels,
+cokernels and solutions take it wherever they take a ``Mat``.  Matrices
+act on column vectors, so a map V -> W is a (dim W x dim V) matrix.
 """
 
 from bisect import bisect
@@ -219,6 +220,19 @@ class SparseMat:
                 row[j] = F(v)
         return Mat(data, self.rows, self.cols, coerce=False)
 
+    def transpose(self):
+        out = [{} for _ in range(self.cols)]
+        for i, terms in enumerate(self.terms):
+            for j, v in terms.items():
+                out[j][i] = v
+        return SparseMat(out, self.cols, self.rows)
+
+    def __eq__(self, other):
+        return (isinstance(other, SparseMat) and self.rows == other.rows
+                and self.cols == other.cols and self.terms == other.terms)
+
+    __hash__ = None
+
     def __matmul__(self, other):
         assert self.cols == other.rows, (self.cols, other.rows)
         bt = other.terms
@@ -247,12 +261,16 @@ def _integral(terms):
     return {j: v.numerator * (l // v.denominator) for j, v in terms.items()}
 
 
+def _terms(m):
+    """The nonzero entries of each row of a Mat or SparseMat, as dicts."""
+    if type(m) is SparseMat:
+        return m.terms
+    return [{j: v for j, v in enumerate(row) if v} for row in m.data]
+
+
 def _int_rows(m):
     """Sparse integer rows of a Mat or SparseMat."""
-    if type(m) is SparseMat:
-        return [_integral(t) for t in m.terms]
-    return [_integral({j: v for j, v in enumerate(row) if v})
-            for row in m.data]
+    return [_integral(t) for t in _terms(m)]
 
 
 def _eliminate(rows, limit):
@@ -352,15 +370,23 @@ def _dense(num, den, n):
     return vec
 
 
+def _sparse(num, den):
+    """The vector num / den as {column: entry}, integral entries as ints."""
+    if den == 1:
+        return {j: x for j, x in num.items() if x}
+    return {j: _exact(F(x, den)) for j, x in num.items() if x}
+
+
 def _kernel_vectors(m):
-    """Echelon basis of {v : m v = 0}: one vector per free column."""
+    """Echelon basis of {v : m v = 0}, one (num, den) vector per free
+    column (see ``_back_substitute``)."""
     n = m.cols
     echelon, _ = _eliminate(_int_rows(m), n)
     system = _echelon_system(echelon, n)
     pivcols = [pc for pc, _ in echelon]
     pivset = set(pivcols)
     # the rows whose pivot lies right of the free column stay at zero
-    return [_dense(*_back_substitute(system[:bisect(pivcols, fc)], {fc: 1}), n)
+    return [_back_substitute(system[:bisect(pivcols, fc)], {fc: 1})
             for fc in range(n) if fc not in pivset]
 
 
@@ -373,7 +399,7 @@ def kernel_basis(m):
 
     ``m`` is a Mat or a SparseMat.
     """
-    basis = _kernel_vectors(m)
+    basis = [_dense(num, den, m.cols) for num, den in _kernel_vectors(m)]
     return Mat.from_cols(basis, m.cols) if basis else Mat.zeros(m.cols, 0)
 
 
@@ -392,10 +418,15 @@ def cokernel(m):
     """(dimension, projection) of W / image(m) for m : V -> W.
 
     The projection is a surjective (dim x W) matrix with proj @ m = 0; its
-    rows span the left null space of m.
+    rows span the left null space of m.  It is a SparseMat when m is one,
+    its rows taken straight from the back-substituted vectors.
     """
     left = _kernel_vectors(m.transpose())
-    return len(left), Mat(left, len(left), m.rows, coerce=False)
+    if type(m) is SparseMat:
+        return len(left), SparseMat([_sparse(num, den) for num, den in left],
+                                    len(left), m.rows)
+    return len(left), Mat([_dense(num, den, m.rows) for num, den in left],
+                          len(left), m.rows, coerce=False)
 
 
 class SolveResult:
@@ -409,13 +440,20 @@ class SolveResult:
 def solve_linear(a, b):
     """Solve a @ x = b exactly for a matrix of right-hand columns.
 
-    Returns None when inconsistent, otherwise a SolveResult whose
-    ``solution`` sets all free variables to zero and whose ``unique`` flag
-    reports whether the solution is the only one.
+    ``a`` and ``b`` are each a Mat or a SparseMat.  Returns None when
+    inconsistent, otherwise a SolveResult whose ``solution`` (a Mat) sets
+    all free variables to zero and whose ``unique`` flag reports whether
+    the solution is the only one.
     """
     assert a.rows == b.rows
     n = a.cols
-    echelon, rest = _eliminate(_int_rows(hstack([a, b])), n)
+    rows = []
+    for ta, tb in zip(_terms(a), _terms(b)):
+        row = dict(ta)
+        for j, v in tb.items():
+            row[n + j] = v
+        rows.append(_integral(row))
+    echelon, rest = _eliminate(rows, n)
     if rest:
         return None
     system = _echelon_system(echelon, n)
@@ -436,7 +474,8 @@ def inverse(m):
 def factor_through(p, m):
     """The unique n with n @ p = m, for surjective p.
 
-    Fails loudly when m does not kill the kernel of p, i.e. when no
+    ``p`` and ``m`` are each a Mat or a SparseMat; n is a Mat.  Fails
+    loudly when m does not kill the kernel of p, i.e. when no
     factorization exists.
     """
     res = solve_linear(p.transpose(), m.transpose())

@@ -4,10 +4,13 @@ A profunctor from S to T assigns a space to each (t, s) pair, with a
 covariant S-action and a contravariant T-action that commute.  Composites
 and shadows are coends, always presented as explicit cokernels with their
 projections retained, so every structural map in a trace computation is a
-literal matrix.  One builder writes the coend relations straight from the
-nonzero entries of the action matrices; maps of the form id (x) m, m (x) id
-and the swap of tensor factors are applied as index maps on the columns of
-the projections, so no Kronecker or permutation matrix is built for them.
+literal matrix.  One builder writes the coend relations as a sparse
+matrix straight from the nonzero entries of the action matrices, and the
+cokernel hands back a sparse projection; maps of the form id (x) m,
+m (x) id and the swap of tensor factors are applied as index maps on the
+nonzero entries of the projections, so no Kronecker or permutation matrix
+is built for them, and factoring through a projection runs on its
+nonzeros.
 Duality witnesses carry coevaluation and evaluation component matrices;
 traces run through the genuine quotient spaces rather than through any
 shortcut formula, so they can serve as an independent oracle against
@@ -16,7 +19,7 @@ direct trace computations.
 
 from . import fincat
 from .exactalg import (
-    ONE, ZERO, Mat, block_diag, cokernel, factor_through, hstack,
+    ONE, ZERO, Mat, SparseMat, block_diag, cokernel, factor_through, hstack,
     idempotent_image, inverse, kron, vec,
 )
 
@@ -155,24 +158,32 @@ def prof_from_weight(w):
 class ShadowSpace:
     """Cokernel presentation of the coend of an endo-profunctor.
 
-    ``proj`` maps the direct sum of diagonal values onto the shadow; for
-    unit profunctors, ``class_matrix`` collects the images of the class
-    representatives, forming a basis, and ``to_class`` converts shadow
-    coordinates into conjugacy-class coordinates.
+    ``sparse_proj`` maps the direct sum of diagonal values onto the
+    shadow, and ``proj`` is the same map as a Mat; for unit profunctors,
+    ``class_matrix`` collects the images of the class representatives,
+    forming a basis, and ``to_class`` converts shadow coordinates into
+    conjugacy-class coordinates.
     """
 
-    def __init__(self, cat, offsets, proj, classes=None, class_matrix=None,
-                 to_class=None):
+    def __init__(self, cat, offsets, sparse_proj, classes=None,
+                 class_matrix=None, to_class=None):
         self.cat = cat
         self.offsets = offsets
-        self.proj = proj
-        self.dim = proj.rows
+        self.sparse_proj = sparse_proj
+        self._proj = None
+        self.dim = sparse_proj.rows
         self.classes = classes
         self.class_matrix = class_matrix
         self.to_class = to_class
 
+    @property
+    def proj(self):
+        if self._proj is None:
+            self._proj = self.sparse_proj.to_mat()
+        return self._proj
+
     def include(self, obj, vec_):
-        return _block_cols(self.proj, self.offsets[obj]) @ vec_
+        return _block_apply(self.sparse_proj, self.offsets[obj], vec_)
 
 
 def _reshape(flat, rows, cols):
@@ -182,10 +193,20 @@ def _reshape(flat, rows, cols):
                rows, cols, coerce=False)
 
 
-def _block_cols(p, block):
-    """Columns of p that one (offset, dim) block of its source occupies."""
+def _block_apply(p, block, m):
+    """The columns of the SparseMat p that one (offset, dim) block of its
+    source occupies, applied to the Mat m; read off p's nonzeros."""
     off, d = block
-    return Mat([row[off:off + d] for row in p.data], p.rows, d, coerce=False)
+    out = []
+    for terms in p.terms:
+        acc = [ZERO] * m.cols
+        for k, v in terms.items():
+            if off <= k < off + d:
+                for c, x in enumerate(m.data[k - off]):
+                    if x:
+                        acc[c] += v * x
+        out.append(acc)
+    return Mat(out, p.rows, m.cols, coerce=False)
 
 
 def _route_cols(route):
@@ -211,26 +232,29 @@ def _coend(objs, dim_of, rels):
     of each generating arrow.  ``rels`` lists (a, route_a, b, route_b):
     the two routes (see ``_route_cols``) map the mixed space into the
     blocks of a and of b, and each relation is route_a minus route_b.
-    The relation matrix goes to ``cokernel`` with plain-int zeros.
+    The relation matrix is a SparseMat, repeated entries summed and zeros
+    dropped, and so is the projection ``cokernel`` returns for it.
     """
     offsets = {}
     total = 0
     for o in objs:
         offsets[o] = (total, dim_of(o))
         total += dim_of(o)
-    cols = []
+    rel = [{} for _ in range(total)]
+    j = 0
     for a, route_a, b, route_b in rels:
         off_a, off_b = offsets[a][0], offsets[b][0]
         to_a, to_b = _route_cols(route_a), _route_cols(route_b)
         assert len(to_a) == len(to_b)
         for col_a, col_b in zip(to_a, to_b):
-            cols.append([(off_a + i, v) for i, v in col_a]
-                        + [(off_b + i, -v) for i, v in col_b])
-    rel = [[0] * len(cols) for _ in range(total)]
-    for j, col in enumerate(cols):
-        for i, v in col:
-            rel[i][j] += v
-    _dim, proj = cokernel(Mat(rel, total, len(cols), coerce=False))
+            for i, v in col_a:
+                rel[off_a + i][j] = v
+            for i, v in col_b:
+                row = rel[off_b + i]
+                row[j] = row.get(j, 0) - v
+            j += 1
+    rel = [{c: v for c, v in row.items() if v} for row in rel]
+    _dim, proj = cokernel(SparseMat(rel, total, j))
     return offsets, proj
 
 
@@ -255,28 +279,30 @@ def _tensor_rels(cat, du, u, dw, w, u_covariant):
 def _times_blocks(p, routes):
     """p @ block_diag([I_left (x) m (x) I_right for each route]), by index.
 
-    The blocks are consecutive; block k of the result has the width of
-    the source of route k, and the Kronecker products are never built.
+    ``p`` is a SparseMat and so is the result.  The blocks are
+    consecutive; block k of the result has the width of the source of
+    route k, and the Kronecker products are never built: each column of
+    p lists the result columns it feeds, so only p's nonzeros are read.
     """
-    plan = []
-    off = 0
+    feeds = []      # per column of p: the (result column, value) pairs
+    ncols = 0
     for route in routes:
-        plan.extend([(off + i, v) for i, v in col] for col in _route_cols(route))
         m, left, right = route
-        off += left * m.rows * right
-    assert off == p.cols
+        base = len(feeds)
+        feeds.extend([] for _ in range(left * m.rows * right))
+        for col in _route_cols(route):
+            for i, v in col:
+                feeds[base + i].append((ncols, v))
+            ncols += 1
+    assert len(feeds) == p.cols
     out = []
-    for row in p.data:
-        new = []
-        for terms in plan:
-            s = ZERO
-            for k, v in terms:
-                x = row[k]
-                if x:
-                    s += x * v
-            new.append(s)
-        out.append(new)
-    return Mat(out, p.rows, len(plan), coerce=False)
+    for terms in p.terms:
+        acc = {}
+        for k, x in terms.items():
+            for j, v in feeds[k]:
+                acc[j] = acc.get(j, 0) + x * v
+        out.append({j: s for j, s in acc.items() if s})
+    return SparseMat(out, p.rows, ncols)
 
 
 def shadow(h):
@@ -314,19 +340,27 @@ def unit_shadow(cat):
         cols.append(sh.include(a, v).col(0))
     class_matrix = Mat.from_cols(cols, sh.dim)
     to_class = inverse(class_matrix)
-    cat._unit_shadow = ShadowSpace(cat, sh.offsets, sh.proj, classes,
+    cat._unit_shadow = ShadowSpace(cat, sh.offsets, sh.sparse_proj, classes,
                                    class_matrix, to_class)
     return cat._unit_shadow
 
 
 class CompositeProf(Profunctor):
-    """Composite profunctor with its coend projections retained."""
+    """Composite profunctor with its coend projections retained, as
+    SparseMats in ``sparse_projs`` and as Mats in ``projs``."""
 
-    def __init__(self, src, tgt, dims, tacts, sacts, projs, offsets,
+    def __init__(self, src, tgt, dims, tacts, sacts, sparse_projs, offsets,
                  check=False):
         super().__init__(src, tgt, dims, tacts, sacts, check=check)
-        self.projs = projs
+        self.sparse_projs = sparse_projs
+        self._projs = None
         self.block_offsets = offsets
+
+    @property
+    def projs(self):
+        if self._projs is None:
+            self._projs = {k: p.to_mat() for k, p in self.sparse_projs.items()}
+        return self._projs
 
 
 def compose_prof(h, k):
@@ -411,7 +445,7 @@ def restriction_comparison(fun, h):
                             m.data[r][iu * h.dim(d, b) + k] = act.data[r][k]
                 blocks.append(m)
             pre = hstack(blocks) if blocks else Mat.zeros(h.dim(d, fo[a]), 0)
-            m = factor_through(comp.projs[(d, a)], pre)
+            m = factor_through(comp.sparse_projs[(d, a)], pre)
             if m.rows != m.cols or inverse(m) is None:
                 raise AssertionError("comparison is not invertible at (%r, %r)"
                                      % (d, a))
@@ -536,13 +570,14 @@ def _check_eps_descends(w):
     """Evaluation must agree on the two routes of every coend relation."""
     x, y = w.x, w.y
     A, B = x.src, x.tgt
+    eps = {k: SparseMat.from_mat(m) for k, m in w.eps.items()}
     for g in A.generating_arrows():
         a1, a2 = A.src[g], A.dst[g]
         for bp in B.objects:
             for b in B.objects:
-                lhs = _times_blocks(w.eps[(a1, bp, b)],
+                lhs = _times_blocks(eps[(a1, bp, b)],
                                     [(y.tact(g, b), 1, x.dim(bp, a1))])
-                rhs = _times_blocks(w.eps[(a2, bp, b)],
+                rhs = _times_blocks(eps[(a2, bp, b)],
                                     [(x.sact(bp, g), y.dim(a2, b), 1)])
                 if lhs != rhs:
                     raise AssertionError(
@@ -554,20 +589,21 @@ def _check_eps_natural(w):
     x, y = w.x, w.y
     A, B = x.src, x.tgt
     unit = unit_prof(B)
+    eps = {k: SparseMat.from_mat(m) for k, m in w.eps.items()}
     for g in B.generating_arrows():
         b1, b2 = B.src[g], B.dst[g]
         for a in A.objects:
             for b in B.objects:
                 # contravariant slot: precompose with g on x and on homs
-                lhs = unit.tacts[(g, b)] @ w.eps[(a, b2, b)]
-                rhs = _times_blocks(w.eps[(a, b1, b)],
+                lhs = SparseMat.from_mat(unit.tacts[(g, b)] @ w.eps[(a, b2, b)])
+                rhs = _times_blocks(eps[(a, b1, b)],
                                     [(x.tact(g, a), y.dim(a, b), 1)])
                 if lhs != rhs:
                     raise AssertionError(
                         "evaluation not natural (contravariant) at %r" % (g,))
                 # covariant slot: postcompose with g on y and on homs
-                lhs = unit.sacts[(b, g)] @ w.eps[(a, b, b1)]
-                rhs = _times_blocks(w.eps[(a, b, b2)],
+                lhs = SparseMat.from_mat(unit.sacts[(b, g)] @ w.eps[(a, b, b1)])
+                rhs = _times_blocks(eps[(a, b, b2)],
                                     [(y.sact(a, g), 1, x.dim(b, a))])
                 if lhs != rhs:
                     raise AssertionError(
@@ -783,7 +819,8 @@ def _paired_coend(cat, d1, act1, d2, act2, first_covariant):
     ``d1``, ``d2`` their dimensions per object.  Returns (offsets, p1,
     p2, swap): both coends have the same block offsets, and swap is the
     map on coends induced by M1 (x) M2 -> M2 (x) M1, found by factoring
-    p2, its columns permuted into the M1 (x) M2 layout, through p1.
+    p2, its columns permuted into the M1 (x) M2 layout, through p1.  The
+    projections are SparseMats.
     """
     objs = cat.objects
     offsets, p1 = _coend(objs, lambda a: d1[a] * d2[a],
@@ -791,10 +828,11 @@ def _paired_coend(cat, d1, act1, d2, act2, first_covariant):
     _offsets, p2 = _coend(objs, lambda a: d2[a] * d1[a],
                           _tensor_rels(cat, d2, act2, d1, act1,
                                        not first_covariant))
-    perm = [offsets[a][0] + j * d1[a] + i
-            for a in objs for i in range(d1[a]) for j in range(d2[a])]
-    swapped = Mat([[row[k] for k in perm] for row in p2.data],
-                  p2.rows, len(perm), coerce=False)
+    # column k of p2 (M2 (x) M1 at (j, i)) lands in column to[k] (at (i, j))
+    to = [offsets[a][0] + i * d2[a] + j
+          for a in objs for j in range(d2[a]) for i in range(d1[a])]
+    swapped = SparseMat([{to[k]: v for k, v in terms.items()}
+                         for terms in p2.terms], p2.rows, p2.cols)
     return offsets, p1, p2, factor_through(p1, swapped)
 
 
@@ -829,17 +867,17 @@ def bicat_trace(w, f):
     # vec(E T^t) for eta = vec(E), seen through the block of p1 at a
     pre_cols = []
     for a in A.objects:
-        block = _block_cols(p1, off[a])
         eta = _reshape(w.eta[a].col(0), dx[a], dy[a])
         for alpha in A.endos(a):
-            v1 = block @ vec(x.sact("*", alpha) @ eta)
-            v2 = block @ vec(eta @ y.tact(alpha, "*").transpose())
+            v1 = _block_apply(p1, off[a], vec(x.sact("*", alpha) @ eta))
+            v2 = _block_apply(p1, off[a],
+                              vec(eta @ y.tact(alpha, "*").transpose()))
             if v1 != v2:
                 raise AssertionError(
                     "coevaluation is not natural at endomorphism %r" % (alpha,))
             pre_cols.append(v1.col(0))
     pre = Mat.from_cols(pre_cols, p1.rows) if pre_cols else Mat.zeros(p1.rows, 0)
-    h1 = factor_through(su.proj, pre)
+    h1 = factor_through(su.sparse_proj, pre)
 
     h2 = factor_through(p1, _times_blocks(p1, [(f[a], 1, dy[a])
                                                for a in A.objects]))
@@ -880,7 +918,7 @@ def coeff_vector_direct(w, endo=None):
     _off, p1, p2, u2 = _paired_coend(A, dx, lambda g: x.tact(g, "*"),
                                      dy, lambda g: y.sact("*", g), False)
 
-    u1 = p1 @ w.eta["*"]
+    u1 = _block_apply(p1, (0, p1.cols), w.eta["*"])
     u1 = factor_through(p1, _times_blocks(p1, [(endo[a], 1, dy[a])
                                                for a in A.objects])) @ u1
     diag_eps = []
@@ -894,6 +932,6 @@ def coeff_vector_direct(w, endo=None):
         diag_eps.append(pre)
     pre_map = block_diag(diag_eps)
     # reorder rows into the unit-shadow block layout (identical here)
-    u3 = factor_through(p2, su.proj @ pre_map)
+    u3 = factor_through(p2, su.sparse_proj @ SparseMat.from_mat(pre_map))
     vec_ = su.to_class @ (u3 @ u2 @ u1)
     return {rep: vec_.data[i][0] for i, rep in enumerate(su.classes.reps)}

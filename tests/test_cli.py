@@ -298,3 +298,38 @@ def test_cli_complex_with_nonzero_dd_is_input_error(tmp_path, capsys, command):
     assert code == 2
     assert out == ""
     assert err.strip() == "error: d o d nonzero out of degree 2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["hocolim", "delta2op", "pushout_span"],
+    ["bicat-trace", "BS3", "idem_diagram"],
+    ["trace", "BS3", "idem_diagram"],
+    ["bicat-trace", "idem", "pushout_span"],
+])
+def test_cli_diagram_over_another_category_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == ("error: diagram %r is not over category %r"
+                           % (argv[2], argv[1]))
+
+
+def test_cli_inline_category_is_compared_by_table(tmp_path, capsys):
+    # an inline copy of the corpus category passes; the same objects and
+    # arrows with e o e = x make B(C2), another category
+    obj = serialize.load_json(cli.data_dir() / "idem_diagram.json")
+    obj["category"] = serialize.load_json(cli.data_dir() / "idem.json")
+    path = tmp_path / "inline.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run_cli(capsys, "bicat-trace", "idem", str(path))
+    assert code == 0 and out
+    table = serialize.load_json(cli.data_dir() / "idem.json")
+    for c in table["compose"]:
+        if c["f"] == c["g"] == "e":
+            c["gf"] = "x"
+    cat_path = tmp_path / "bc2.json"
+    cat_path.write_text(json.dumps(table))
+    code, out, err = run_cli(capsys, "bicat-trace", str(cat_path), str(path))
+    assert code == 2 and out == ""
+    assert err.strip() == ("error: diagram %r is not over category %r"
+                           % (str(path), str(cat_path)))

@@ -385,6 +385,16 @@ def test_sparse_core_matches_dense_reference():
         dim, proj = cokernel(m)
         ref_dim, ref_proj = dense_cokernel(m)
         assert dim == ref_dim and proj == ref_proj and _all_fractions(proj)
+        sdim, sproj = cokernel(SparseMat.from_mat(m))
+        assert type(sproj) is SparseMat and sdim == dim
+        assert sproj.to_mat() == proj and _all_fractions(sproj.to_mat())
+        assert all(v for terms in sproj.terms for v in terms.values())
+
+
+def _operand_forms(a, b):
+    """(a, b) as Mat and SparseMat, in all four pairings."""
+    sa, sb = SparseMat.from_mat(a), SparseMat.from_mat(b)
+    return [(a, b), (sa, b), (a, sb), (sa, sb)]
 
 
 def test_sparse_solve_matches_dense_reference():
@@ -397,16 +407,51 @@ def test_sparse_solve_matches_dense_reference():
         noise = Mat([[_entry(rng, 0.5) for _ in range(2)] for _ in range(a.rows)],
                     a.rows, 2)
         for b in (consistent, consistent + noise, Mat.zeros(a.rows, 0)):
-            res = solve_linear(a, b)
             ref = dense_solve(a, b)
-            if ref is None:
-                inconsistent += 1
-                assert res is None
-                continue
-            assert (res.solution, res.unique) == ref
-            assert _all_fractions(res.solution)
-            assert a @ res.solution == b
+            inconsistent += ref is None
+            for a_, b_ in _operand_forms(a, b):
+                res = solve_linear(a_, b_)
+                if ref is None:
+                    assert res is None
+                    continue
+                assert (res.solution, res.unique) == ref
+                assert _all_fractions(res.solution)
+                assert a @ res.solution == b
     assert inconsistent > 20
+
+
+def test_sparse_factor_through_matches_dense():
+    rng = random.Random(61)
+    counts = {"unique": 0, "no factor": 0, "ambiguous": 0}
+    for m in seeded_matrices(67, 80):
+        _dim, p = cokernel(m)
+        n = Mat([[_entry(rng, 0.5) for _ in range(p.rows)] for _ in range(2)],
+                2, p.rows)
+        good = n @ p
+        bad = good + Mat([[_entry(rng, 0.5) for _ in range(p.cols)]
+                          for _ in range(2)], 2, p.cols)
+        if dense_solve(p.transpose(), bad.transpose()) is not None:
+            bad = None
+        for p_, good_ in _operand_forms(p, good):
+            got = factor_through(p_, good_)
+            assert got == n and _all_fractions(got)
+            counts["unique"] += 1
+        if bad is not None:
+            for p_, bad_ in _operand_forms(p, bad):
+                with pytest.raises(ValueError, match="^map does not factor "
+                                   "through the projection$"):
+                    factor_through(p_, bad_)
+                counts["no factor"] += 1
+        if p.rows:
+            # a repeated row leaves p's row space alone but makes the
+            # factorization ambiguous
+            twice = Mat(p.data + p.data[:1], p.rows + 1, p.cols)
+            for p_, good_ in _operand_forms(twice, good):
+                with pytest.raises(ValueError, match="^projection is not "
+                                   "surjective; factorization ambiguous$"):
+                    factor_through(p_, good_)
+                counts["ambiguous"] += 1
+    assert min(counts.values()) > 40
 
 
 def test_sparse_product_matches_dense():

@@ -65,6 +65,9 @@ def test_shadow_relations_full_vs_generating_arrows():
     assert len(rels) > len(cat.generating_arrows())
     _offsets, proj = _coend(cat.objects, lambda a: h.dim(a, a), rels)
     assert proj.rows == sh.dim
+    # the same quotient, so the same reduced echelon projection
+    assert sh.proj == proj.to_mat()
+    assert all(type(v) is F for row in sh.proj.data for v in row)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +96,9 @@ def test_compose_restriction_is_restriction():
     for c in cat.objects:
         for a in two.objects:
             assert comp.dims[(c, a)] == len(cat.hom(c, fun.obj_map[a]))
+            assert comp.projs[(c, a)].rows == comp.dims[(c, a)]
+            assert all(type(v) is F for row in comp.projs[(c, a)].data
+                       for v in row)
     # commuting comparison square on a generating arrow
     for beta in cat.generating_arrows():
         for a in two.objects:
@@ -436,7 +442,8 @@ def _rand_mat(rng, rows, cols):
 
 
 def test_times_blocks_matches_kron():
-    from tracelin.exactalg import block_diag, kron
+    # on random matrices and on sparse cokernel projections
+    from tracelin.exactalg import SparseMat, block_diag, cokernel, kron
     from tracelin.profcalc import _times_blocks
     rng = random.Random(5)
     for _ in range(20):
@@ -444,14 +451,19 @@ def test_times_blocks_matches_kron():
                    rng.randint(1, 3), rng.randint(1, 3)) for _ in range(3)]
         dense = block_diag([kron(kron(Mat.identity(l), m), Mat.identity(r))
                             for m, l, r in routes])
-        p = _rand_mat(rng, rng.randint(1, 4), dense.rows)
-        assert _times_blocks(p, routes) == p @ dense
+        rel = _rand_mat(rng, dense.rows, rng.randint(0, dense.rows))
+        for p in (SparseMat.from_mat(_rand_mat(rng, rng.randint(1, 4),
+                                                dense.rows)),
+                  cokernel(SparseMat.from_mat(rel))[1]):
+            got = _times_blocks(p, routes)
+            assert got.to_mat() == p.to_mat() @ dense
+            assert all(v for terms in got.terms for v in terms.values())
 
 
 def test_coend_matches_dense_kron_relations():
     # relations written by index give the projection that dense columns
     # of the Kronecker routes give
-    from tracelin.exactalg import cokernel, kron
+    from tracelin.exactalg import SparseMat, cokernel, kron
     from tracelin.profcalc import _coend, _tensor_rels
     rng = random.Random(11)
     for name in ["idem", "pushout", "BC3", "delta2op"]:
@@ -479,7 +491,8 @@ def test_coend_matches_dense_kron_relations():
                         col[offsets[b][0] + i] -= k2.data[i][j]
                     cols.append(col)
             rel = Mat.from_cols(cols, total) if cols else Mat.zeros(total, 0)
-            assert proj == cokernel(rel)[1]
+            assert proj.to_mat() == cokernel(rel)[1]
+            assert proj == cokernel(SparseMat.from_mat(rel))[1]
 
 
 def test_triangles_match_kron_formula():
@@ -546,3 +559,51 @@ def test_witness_with_scaled_coevaluation_is_rejected():
     with pytest.raises(AssertionError, match="triangle identity fails"):
         DualityWitness(w.x, w.y, {a: v.smul(2) for a, v in w.eta.items()},
                        w.eps)
+
+
+def _rejection_witnesses():
+    """Witnesses of a constant pushout diagram and of the standard
+    representation of S3, whose evaluations descend only to the coend,
+    not to the whole blockwise sum."""
+    pushout = harness.corpus()["pushout"]["cat"]
+    const = VectDiagram(pushout, {a: 1 for a in pushout.objects},
+                        {g: Mat.identity(1) for g in pushout.arrows})
+    bs3 = bg_category(symmetric_group(3))
+    rep = harness.rep_standard_perm(symmetric_group(3))
+    perm = VectDiagram(bs3, {"x": rep[bs3.arrows[0][1]].rows},
+                       {g: rep[g[1]] for g in bs3.arrows})
+    return [dual_of_pointwise(prof_from_diagram(d)) for d in (const, perm)]
+
+
+def test_bicat_trace_rejects_evaluation_that_does_not_descend():
+    from tracelin.profcalc import DualityWitness, _check_eps_descends
+    for w in _rejection_witnesses():
+        A = w.x.src
+        a = A.objects[0]
+        eps = dict(w.eps)
+        row = list(eps[(a, "*", "*")].data[0])
+        row[0] += 1
+        eps[(a, "*", "*")] = Mat([row])
+        bad = DualityWitness(w.x, w.y, w.eta, eps, check=False)
+        with pytest.raises(AssertionError,
+                           match="evaluation does not kill the coend relation"):
+            _check_eps_descends(bad)
+        f = {b: Mat.identity(w.x.dim("*", b)) for b in A.objects}
+        with pytest.raises(ValueError, match="^map does not factor through "
+                           "the projection$"):
+            bicat_trace(bad, f)
+        # the unperturbed witness gives the direct traces
+        assert all(v == trace(w.x.sact("*", rep))
+                   for rep, v in bicat_trace(w, f).items())
+
+
+def test_bicat_trace_rejects_endomorphism_that_is_not_natural():
+    for w in _rejection_witnesses():
+        A = w.x.src
+        f = {b: Mat.identity(w.x.dim("*", b)) for b in A.objects}
+        a = A.objects[-1]
+        d = w.x.dim("*", a)
+        f[a] = Mat([[F(i + 2) if i == j else F(0) for j in range(d)]
+                    for i in range(d)])
+        with pytest.raises(ValueError, match="^endomorphism is not natural at"):
+            bicat_trace(w, f)

@@ -36,14 +36,46 @@ print(json.dumps({"names": sorted({s[0] for s in tracer.spans}),
 """
 
 
-def test_tracer_sees_the_hocolim_path():
+PROFCALC_SCRIPT = """
+import json
+import tracing
+from tracelin import diagrams, fincat, harness, profcalc
+from tracelin.exactalg import Mat
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+s3 = fincat.symmetric_group(3)
+cat = fincat.bg_category(s3)
+rep = harness.rep_standard_perm(s3)
+dia = diagrams.VectDiagram(cat, {"x": 2}, {g: rep[g[1]] for g in cat.arrows})
+tracer.active = True
+w = profcalc.dual_of_pointwise(profcalc.prof_from_diagram(dia))
+got = profcalc.bicat_trace(w, {"x": Mat.identity(2)})
+tracer.active = False
+spans = tracer.spans
+metrics, _ = tracing.layer_metrics(spans)
+print(json.dumps({
+    "names": sorted({s[0] for s in spans}),
+    "cokernel_parents": sorted({spans[s[3]][0] for s in spans
+                                if s[0] == "exactalg.cokernel"}),
+    "coend_dim": metrics["profcalc.coend.dim"],
+    "coend_relations": metrics["profcalc.coend.relations"],
+    "got": sorted(str(v) for v in got.values())}))
+"""
+
+
+def _run_traced(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         str(p) for p in (ROOT / "src", ROOT / "perfbench", ROOT / "tests"))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_tracer_sees_the_hocolim_path():
+    out = _run_traced(SCRIPT)
     names = set(out["names"])
     for span in ("diagrams.hocolim_hofin", "diagrams.nat_endo_basis",
                  "exactalg.kernel_basis", "exactalg.ChainComplex.violations",
@@ -51,3 +83,20 @@ def test_tracer_sees_the_hocolim_path():
         assert span in names
     assert out["hocolim_s"] > 0
     assert out["elim_calls"] >= 1
+
+
+def test_tracer_counts_the_coends_of_bicat_trace():
+    """The coend counters read the shape of each ``exactalg.cokernel``
+    span under a profcalc span; B(S3) acting on its 2-dimensional
+    irreducible gives the unit shadow (6 diagonal values, 2 generating
+    arrows) and two coends of 4 values each."""
+    out = _run_traced(PROFCALC_SCRIPT)
+    names = set(out["names"])
+    for span in ("exactalg.cokernel", "exactalg.factor_through",
+                 "profcalc.bicat_trace"):
+        assert span in names
+    assert out["cokernel_parents"] == ["profcalc.bicat_trace",
+                                       "profcalc.shadow"]
+    assert out["coend_dim"] == 6 + 4 + 4
+    assert out["coend_relations"] == 2 * 6 + 2 * 4 + 2 * 4
+    assert out["got"] == ["-1", "0", "2"]    # the character of the irreducible
