@@ -73,7 +73,10 @@ def emit(args, payload, text_lines):
 
 
 def cmd_validate(args):
-    cat = load_category(args.category)
+    # unchecked: every violation is reported below, not just the first
+    path = resolve_category_path(args.category)
+    cat = serialize.cat_from_json(serialize.load_json(path), name=path.stem,
+                                  check=False)
     violations = fincat.validate(cat)
     emit(args, {"violations": violations},
          ["ok" if not violations else "violations:"] + violations)

@@ -141,40 +141,75 @@ def coeff_EI(cat):
     arrow strings over the chain contributes, per conjugacy class of its
     stabilizer restricting to the given class at the start, the class
     size over the stabilizer order, signed by chain length.
+
+    Chains are extended depth-first, one arrow at a time.  A class over
+    (a_0, ..., a_n) with stabilizer H extends to o above a_n by the
+    orbits of H x Aut(o) on hom(a_n, o) under (h, g).f = h_n^-1 ; f ; g;
+    each orbit is one class over (a_0, ..., a_n, o), whose stabilizer is
+    the set of h + (g,) fixing its representative.  How a class extends
+    depends only on its last object and its stabilizer, so classes with
+    equal stabilizers over one chain are carried once, with their count.
+    The conjugacy-class terms of each distinct (a_0, stabilizer) are
+    computed once per call.
     """
     if not fincat.is_EI(cat):
         raise ValueError("category is not EI")
     skel = fincat.skeletalize(cat).cat
     classes = fincat.conjugacy_classes(skel)
-    pos, _ = fincat.poset_reflection(skel)
-    lt = {o: [] for o in pos.objects}
-    for arr in pos.nonidentity():
-        lt[pos.src[arr]].append(pos.dst[arr])
-    aut_classes = {a: fincat.group_conj_classes(fincat.aut_group(skel, a))
-                   for a in skel.objects}
-    values = {rep: ZERO for rep in classes.reps}
+    table = skel.compose
+    auts = {a: fincat.aut_group(skel, a) for a in skel.objects}
+    inv = {}
+    for group in auts.values():
+        inv.update(group.inv_table)
+    aut_classes = {a: fincat.group_conj_classes(auts[a]) for a in skel.objects}
+    above = {a: [b for b in skel.objects if b != a and skel.hom(a, b)]
+             for a in skel.objects}
+    terms = {}      # (a_0, stabilizer) -> [(target class, class size)]
+    nums = {}       # (target class, stabilizer order) -> signed size sum
+
+    def stabilizer_terms(a, stab):
+        ident = tuple(skel.idarr(skel.src[x]) for x in stab[0])
+        mul = {(x, y): tuple(table[(yi, xi)] for xi, yi in zip(x, y))
+               for x in stab for y in stab}
+        out = []
+        for cls in fincat.group_conj_classes(fincat.FinGroup(stab, mul, ident)):
+            ci = _class_of_first_components(skel, a, aut_classes[a], cls)
+            out.append((classes.class_of[aut_classes[a][ci][0]], len(cls)))
+        return out
+
     for a in skel.objects:
-        chains = [(a,)]
-        frontier = [(a,)]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for o in lt[c[-1]]:
-                    nxt.append(c + (o,))
-            chains.extend(nxt)
-            frontier = nxt
-        for chain in chains:
-            n = len(chain) - 1
-            sign = 1 if n % 2 == 0 else -1
-            sc = fincat.string_iso_classes(skel, chain)
-            for k in sc.classes:
-                aut = k["aut"]
-                for cls in fincat.group_conj_classes(aut):
-                    ci = _class_of_first_components(skel, a, aut_classes[a], cls)
-                    first_rep = aut_classes[a][ci][0]
-                    target = classes.class_of[first_rep]
-                    target_rep = classes.reps[target]
-                    values[target_rep] += sign * F(len(cls), len(aut))
+        # (last object, signed class count, stabilizer of those classes)
+        stack = [(a, 1, tuple((g,) for g in auts[a].elements))]
+        while stack:
+            last, count, stab = stack.pop()
+            key = (a, stab)
+            if key not in terms:
+                terms[key] = stabilizer_terms(a, stab)
+            for target, size in terms[key]:
+                k = (target, len(stab))
+                nums[k] = nums.get(k, 0) + count * size
+            for o in above[last]:
+                aut_o = auts[o].elements
+                done = set()
+                orbits = {}     # stabilizer -> orbits with it
+                for f in skel.hom(last, o):
+                    if f in done:
+                        continue
+                    new = []
+                    for h in stab:
+                        pre = table[(inv[h[-1]], f)]
+                        for g in aut_o:
+                            t = table[(pre, g)]
+                            done.add(t)
+                            if t == f:
+                                new.append(h + (g,))
+                    new = tuple(new)
+                    orbits[new] = orbits.get(new, 0) + 1
+                for new, n in orbits.items():
+                    stack.append((o, -count * n, new))
+    values = {rep: ZERO for rep in classes.reps}
+    for (target, order), num in nums.items():
+        values[classes.reps[target]] += F(num, order)
     return CoeffVector(skel, values)
 
 

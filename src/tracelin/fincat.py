@@ -34,7 +34,8 @@ class FinCat:
         self._out = {o: [] for o in self.objects}
         for a in self.arrows:
             if a not in self._ids:
-                self._out[self.src[a]].append(a)
+                # an unknown source is left to table_violations to report
+                self._out.setdefault(self.src[a], []).append(a)
         self._gens = None
         self._unit_shadow = None    # filled by profcalc.unit_shadow
 
@@ -116,36 +117,51 @@ class FinCat:
                         todo.append(c)
 
 
-def validate(cat):
-    """All category-law violations of the table, as readable strings."""
+def table_violations(cat):
+    """Violations of the table's shape, as readable strings.
+
+    Checks that every object has an identity with the right endpoints,
+    that every arrow has known endpoints, and that every composable pair
+    has a known composite with the right endpoints.  Quadratic in the
+    arrows; the unit and associativity laws are left to ``validate``.
+    """
+    src, dst, known = cat.src, cat.dst, cat.arrow_index
     out = []
     for o in cat.objects:
         i = cat.identities.get(o)
         if i is None:
             out.append("object %r has no identity" % (o,))
-        elif cat.src.get(i) != o or cat.dst.get(i) != o:
+        elif src.get(i) != o or dst.get(i) != o:
             out.append("identity of %r has wrong endpoints" % (o,))
+    by_src = {}
     for a in cat.arrows:
-        if cat.src[a] not in cat.obj_index or cat.dst[a] not in cat.obj_index:
+        if src[a] not in cat.obj_index or dst[a] not in cat.obj_index:
             out.append("arrow %r has unknown endpoint" % (a,))
+        by_src.setdefault(src[a], []).append(a)
     seen = set()
     for (f, g), h in cat.compose.items():
-        if f not in cat.arrow_index or g not in cat.arrow_index:
+        if f not in known or g not in known:
             out.append("composite entry (%r, %r) uses unknown arrows" % (f, g))
             continue
-        if cat.dst[f] != cat.src[g]:
+        if dst[f] != src[g]:
             out.append("composite entry (%r, %r) is not composable" % (f, g))
             continue
-        if h not in cat.arrow_index:
+        if h not in known:
             out.append("composite of (%r, %r) is unknown arrow %r" % (f, g, h))
             continue
-        if cat.src[h] != cat.src[f] or cat.dst[h] != cat.dst[g]:
+        if src[h] != src[f] or dst[h] != dst[g]:
             out.append("composite of (%r, %r) has wrong endpoints" % (f, g))
         seen.add((f, g))
     for f in cat.arrows:
-        for g in cat.arrows:
-            if cat.dst[f] == cat.src[g] and (f, g) not in seen:
+        for g in by_src.get(dst[f], ()):
+            if (f, g) not in seen:
                 out.append("missing composite for (%r, %r)" % (f, g))
+    return out
+
+
+def validate(cat):
+    """All category-law violations of the table, as readable strings."""
+    out = table_violations(cat)
     if out:
         return out
     for f in cat.arrows:
@@ -257,8 +273,11 @@ def lambda_cat(cat):
     equals the number of conjugacy classes.
 
     The morphisms out of (f, g) are found by solving: each x out of a and
-    z into b fix g', and only the f' in hom(a', b') are tested.  They are
-    listed by target, then x, then z, each in stored order.
+    z into b fix g', and f' ranges over the preimages of f under
+    f' -> x then f' then z.  That map does not depend on (f, g), so its
+    preimage table over hom(a', b') is built once per (x, z), on first
+    use.  The morphisms are listed by target, then x, then z, each in
+    stored order.
     """
     table = cat.compose
     objs = []
@@ -273,15 +292,23 @@ def lambda_cat(cat):
         into[cat.dst[h]].append((i, h))
     arrows = []
     uf = UnionFind(objs)
+    preimages = {}      # (x, z) -> {x then f' then z: [f', ...]}
     for (f, g) in objs:
         zs = [(zi, z, cat.src[z], table[(z, g)]) for zi, z in into[cat.dst[f]]]
         found = []
         for xi, x in out_of[cat.src[f]]:
             a2 = cat.dst[x]
             for zi, z, b2, zg in zs:
-                g2 = table[(zg, x)]
-                for f2 in cat.hom(a2, b2):
-                    if table[(table[(x, f2)], z)] == f:
+                pre = preimages.get((xi, zi))
+                if pre is None:
+                    pre = preimages[(xi, zi)] = {}
+                    for f2 in cat.hom(a2, b2):
+                        pre.setdefault(table[(table[(x, f2)], z)],
+                                       []).append(f2)
+                f2s = pre.get(f)
+                if f2s:
+                    g2 = table[(zg, x)]
+                    for f2 in f2s:
                         found.append((obj_index[(f2, g2)], xi, zi, x, z))
         found.sort()
         for t, _xi, _zi, x, z in found:

@@ -76,7 +76,10 @@ def cat_to_json(cat):
     }
 
 
-def cat_from_json(obj, name=None):
+def cat_from_json(obj, name=None, check=True):
+    """The category of a JSON object.  With ``check``, a table with a
+    missing identity, an unknown endpoint or a missing or misplaced
+    composite is a ValueError naming the first such violation."""
     _check_fields(obj, ["objects", "arrows", "identities", "compose"],
                   "category")
     arrows = []
@@ -87,8 +90,14 @@ def cat_from_json(obj, name=None):
     for c in obj["compose"]:
         _check_fields(c, ["f", "g", "gf"], "compose entry")
         compose[(c["f"], c["g"])] = c["gf"]
-    return fincat.FinCat(obj["objects"], arrows, obj["identities"], compose,
-                         name=name)
+    cat = fincat.FinCat(obj["objects"], arrows, obj["identities"], compose,
+                        name=name)
+    if check:
+        bad = fincat.table_violations(cat)
+        if bad:
+            raise ValueError("category %s is not a valid table: %s"
+                             % (name or "(inline)", bad[0]))
+    return cat
 
 
 def relabel(cat, name=None):

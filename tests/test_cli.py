@@ -333,3 +333,61 @@ def test_cli_inline_category_is_compared_by_table(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.strip() == ("error: diagram %r is not over category %r"
                            % (str(path), str(cat_path)))
+
+
+def _without_composite(name, f, g):
+    obj = serialize.load_json(cli.data_dir() / (name + ".json"))
+    obj["compose"] = [c for c in obj["compose"]
+                      if (c["f"], c["g"]) != (f, g)]
+    return obj
+
+
+@pytest.mark.parametrize("name, pair, argv", [
+    ("BC2", ("g", "g"), ["classes"]),
+    ("BC2", ("g", "g"), ["coeffs", "--method", "ei"]),
+    ("BC2", ("g", "g"), ["coeffs", "--method", "group"]),
+    ("idem", ("e", "e"), ["coeffs", "--method", "leinster"]),
+    ("idem", ("e", "e"), ["classes"]),
+])
+def test_cli_broken_table_is_input_error(tmp_path, capsys, name, pair, argv):
+    """A table missing a composite is refused on load, naming the first
+    violation, by every command but ``validate``."""
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(_without_composite(name, *pair)))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.strip() == ("error: category broken is not a valid table: "
+                           "missing composite for %r" % (pair,))
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert out.splitlines() == ["violations:",
+                                "missing composite for %r" % (pair,)]
+
+
+def test_cli_unknown_endpoint_is_input_error(tmp_path, capsys):
+    obj = serialize.load_json(cli.data_dir() / "BC2.json")
+    obj["arrows"][1]["src"] = "y"
+    path = tmp_path / "endpoint.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "classes", str(path))
+    assert code == 2
+    assert err.strip() == ("error: category endpoint is not a valid table: "
+                           "arrow 'g' has unknown endpoint")
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "arrow 'g' has unknown endpoint",
+        "composite entry ('e', 'g') is not composable",
+        "composite entry ('g', 'g') is not composable"]
+
+
+@pytest.mark.parametrize("command", ["trace", "hocolim", "bicat-trace"])
+def test_cli_broken_inline_category_is_input_error(tmp_path, capsys, command):
+    obj = serialize.load_json(cli.data_dir() / "idem_diagram.json")
+    obj["category"] = _without_composite("idem", "e", "e")
+    path = tmp_path / "inline.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, command, "idem", str(path))
+    assert code == 2 and out == ""
+    assert err.strip() == ("error: category (inline) is not a valid table: "
+                           "missing composite for ('e', 'e')")

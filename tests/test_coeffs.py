@@ -259,3 +259,153 @@ def test_ei_coefficient_sum_rule_on_groupoids():
     for g in [cyclic_group(2), cyclic_group(4), symmetric_group(3)]:
         cv = coeff_EI(bg_category(g))
         assert sum(v for _, v in cv.items()) == 1
+
+
+# ---------------------------------------------------------------------------
+# coeff_EI against the per-chain enumeration over string_iso_classes
+
+def _coeff_EI_reference(cat):
+    """coeff_EI as a sum over every chain's string classes, each chain
+    enumerated from scratch by ``fincat.string_iso_classes``."""
+    skel = fincat.skeletalize(cat).cat
+    classes = fincat.conjugacy_classes(skel)
+    pos, _ = fincat.poset_reflection(skel)
+    lt = {o: [] for o in pos.objects}
+    for arr in pos.nonidentity():
+        lt[pos.src[arr]].append(pos.dst[arr])
+    aut_classes = {a: fincat.group_conj_classes(fincat.aut_group(skel, a))
+                   for a in skel.objects}
+    values = {rep: F(0) for rep in classes.reps}
+    for a in skel.objects:
+        chains = [(a,)]
+        frontier = [(a,)]
+        while frontier:
+            frontier = [c + (o,) for c in frontier for o in lt[c[-1]]]
+            chains.extend(frontier)
+        for chain in chains:
+            sign = 1 if len(chain) % 2 == 1 else -1
+            for k in fincat.string_iso_classes(skel, chain).classes:
+                aut = k["aut"]
+                for cls in fincat.group_conj_classes(aut):
+                    ci = coeffs._class_of_first_components(
+                        skel, a, aut_classes[a], cls)
+                    target = classes.class_of[aut_classes[a][ci][0]]
+                    values[classes.reps[target]] += sign * F(len(cls),
+                                                             len(aut))
+    return CoeffVector(skel, values)
+
+
+def _generated(group, gens, name=None):
+    """Subgroup generated by ``gens``."""
+    els = {group.identity}
+    todo = [group.identity]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = group.mul(x, g)
+            if y not in els:
+                els.add(y)
+                todo.append(y)
+    out = subgroup(group, sorted(els, key=group.index.get))
+    out.name = name
+    return out
+
+
+def _table_group(name, elements, mul, identity):
+    return fincat.FinGroup(elements, {(a, b): mul(a, b) for a in elements
+                                      for b in elements}, identity, name=name)
+
+
+def _quaternion_group():
+    units = {("1", u): (1, u) for u in "1ijk"}
+    units.update({(u, "1"): (1, u) for u in "ijk"})
+    units.update({("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"),
+                  ("k", "k"): (-1, "1"), ("i", "j"): (1, "k"),
+                  ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
+                  ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"),
+                  ("i", "k"): (-1, "j")})
+
+    def mul(a, b):
+        s, u = units[(a[1], b[1])]
+        return (a[0] * b[0] * s, u)
+    return _table_group("Q8", [(s, u) for s in (1, -1) for u in "1ijk"],
+                        mul, (1, "1"))
+
+
+def _xor_group(n):
+    els = [tuple((i >> k) & 1 for k in range(n)) for i in range(2 ** n)]
+    return _table_group("C2^%d" % n, els,
+                        lambda a, b: tuple(x ^ y for x, y in zip(a, b)),
+                        els[0])
+
+
+def _small_groups():
+    """One group for each isomorphism type of order at most 8."""
+    c2c4 = [(a, b) for a in range(2) for b in range(4)]
+    s4 = symmetric_group(4)
+    return ([cyclic_group(n) for n in range(1, 9)]
+            + [symmetric_group(3), _xor_group(2), _xor_group(3),
+               _generated(s4, [(1, 2, 3, 0), (1, 0, 3, 2)], "D4"),
+               _quaternion_group(),
+               _table_group("C2xC4", c2c4,
+                            lambda a, b: ((a[0] + b[0]) % 2,
+                                          (a[1] + b[1]) % 4), (0, 0))])
+
+
+def _orbit_categories():
+    s3, s4 = symmetric_group(3), symmetric_group(4)
+    d4 = _generated(s4, [(1, 2, 3, 0), (1, 0, 3, 2)])
+    lists = [
+        (s3, [(), [(1, 0, 2)], [(1, 2, 0)], [(1, 0, 2), (1, 2, 0)]]),
+        (cyclic_group(4), [(), [2], [1]]),
+        (cyclic_group(6), [(), [3], [2], [1]]),
+        (d4, [(), [(1, 0, 3, 2)], [(1, 2, 3, 0)],
+              [(1, 2, 3, 0), (1, 0, 3, 2)]]),
+        (d4, [(), [(2, 3, 0, 1)], [(1, 0, 3, 2), (2, 3, 0, 1)],
+              [(1, 2, 3, 0), (1, 0, 3, 2)]]),
+        (s4, [(), [(1, 0, 2, 3)], [(1, 0, 3, 2)], [(1, 2, 0, 3)],
+              [(1, 2, 3, 0)]]),
+    ]
+    return [pytest.param(
+        fincat.orbit_category(g, [_generated(g, gens) for gens in subs]),
+        id="orbit%d_%d" % (len(g), len(subs)))
+        for g, subs in lists]
+
+
+def _group_hom_shapes():
+    c2, c3, c4 = cyclic_group(2), cyclic_group(3), cyclic_group(4)
+    c5, c6, s3 = cyclic_group(5), cyclic_group(6), symmetric_group(3)
+    k4 = _xor_group(2)
+
+    def sign(p):
+        return sum(1 for i in range(3) for j in range(i + 1, 3)
+                   if p[i] > p[j]) % 2
+    homs = [(c6, c3, {x: x % 3 for x in range(6)}),
+            (c4, c2, {x: x % 2 for x in range(4)}),
+            (c6, c2, {x: x % 2 for x in range(6)}),
+            (c5, c5, {x: 2 * x % 5 for x in range(5)}),
+            (s3, c2, {p: sign(p) for p in s3.elements}),
+            (k4, c2, {p: p[0] for p in k4.elements}),
+            (s3, c3, {p: 0 for p in s3.elements})]
+    return [pytest.param(fincat.category_from_group_hom(g, h, phi),
+                         id="hom_%s_%s_%d" % (g.name, h.name, i))
+            for i, (g, h, phi) in enumerate(homs)]
+
+
+def _coeff_ei_reference_cases():
+    cases = [pytest.param(fincat.delta_prime_op(n), id="delta%dop" % n)
+             for n in range(2, 6)]
+    cases += [pytest.param(entry["cat"], id=name)
+              for name, entry in harness.corpus().items()
+              if fincat.is_EI(entry["cat"])]
+    cases += _orbit_categories() + _group_hom_shapes()
+    cases += [pytest.param(bg_category(g), id="B" + g.name)
+              for g in _small_groups()]
+    cases += [pytest.param(harness.gen_hofin_category(seed),
+                           id="hofin_seed%d" % seed) for seed in range(40)]
+    return cases
+
+
+@pytest.mark.parametrize("cat", _coeff_ei_reference_cases())
+def test_coeff_ei_matches_per_chain_reference(cat):
+    assert coeff_EI(cat).items() == _coeff_EI_reference(cat).items()

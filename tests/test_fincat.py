@@ -1,3 +1,5 @@
+from itertools import product as iproduct
+
 import pytest
 
 from tracelin import fincat, harness
@@ -9,7 +11,7 @@ from tracelin.fincat import (
     is_strictly_homotopy_finite, lambda_cat, opposite, orbit_category,
     parallel_arrows, poset_reflection, product, skeletalize,
     string_alternating_sum, string_iso_classes, subgroup, symmetric_group,
-    twisted_arrow, validate,
+    table_violations, twisted_arrow, validate,
 )
 
 
@@ -54,6 +56,21 @@ def test_validate_catches_missing_unit_composite():
                      ("f", "ib"): "f"})
     bad = validate(broken)
     assert any("missing composite" in v for v in bad)
+
+
+def test_table_violations_leave_the_laws_to_validate():
+    # a complete table with e then e = i: well formed, but i is no unit
+    # for e (i then e = i), so only validate objects
+    bad_unit = FinCat(["x"], [("i", "x", "x"), ("e", "x", "x")], {"x": "i"},
+                      {("i", "i"): "i", ("i", "e"): "i", ("e", "i"): "e",
+                       ("e", "e"): "e"})
+    assert table_violations(bad_unit) == []
+    assert validate(bad_unit) == ["left unit law fails at 'e'"]
+    broken = FinCat(["x"], [("i", "x", "x"), ("e", "y", "x")], {"x": "i"},
+                    {("i", "i"): "i"})
+    assert table_violations(broken) == validate(broken) == [
+        "arrow 'e' has unknown endpoint",
+        "missing composite for ('e', 'i')"]
 
 
 def test_validate_free_dag_with_composites():
@@ -145,13 +162,50 @@ def _klein_four():
     return fincat.FinGroup(els, mul, (0, 0), name="C2xC2")
 
 
+def _dihedral_four():
+    """D4 as the symmetries of a square on the permutations of 4 points."""
+    s4 = symmetric_group(4)
+    els = {s4.identity}
+    todo = [s4.identity]
+    while todo:
+        x = todo.pop()
+        for g in ((1, 2, 3, 0), (1, 0, 3, 2)):
+            y = s4.mul(x, g)
+            if y not in els:
+                els.add(y)
+                todo.append(y)
+    d4 = subgroup(s4, sorted(els))
+    d4.name = "D4"
+    return d4
+
+
+def _self_maps(n):
+    """One-object category of all self-maps m of range(n), m[i] the
+    image of i."""
+    maps = list(iproduct(range(n), repeat=n))
+    ident = tuple(range(n))
+    return FinCat(["x"], [(m, "x", "x") for m in maps], {"x": ident},
+                  {(f, g): tuple(g[f[i]] for i in range(n))
+                   for f in maps for g in maps})
+
+
 def _lambda_reference_cases():
     cases = [pytest.param(entry["cat"], id=name)
              for name, entry in harness.corpus().items()]
+    d4 = _dihedral_four()
     groups = [cyclic_group(n) for n in range(1, 7)]
-    groups += [symmetric_group(3), _klein_four()]
+    groups += [symmetric_group(3), _klein_four(), d4]
     cases += [pytest.param(bg_category(g), id="B" + g.name) for g in groups]
     cases.append(pytest.param(delta_prime_op(3), id="delta3op"))
+    rot, flip = (1, 2, 3, 0), (1, 0, 3, 2)
+    subs = [[d4.identity], [d4.identity, flip],
+            [d4.identity, rot, (2, 3, 0, 1), (3, 0, 1, 2)],
+            [d4.identity, flip, (2, 3, 0, 1), (3, 2, 1, 0)]]
+    cases.append(pytest.param(
+        orbit_category(d4, [subgroup(d4, h) for h in subs]), id="orbit_D4"))
+    # in a skeletal EI shape every f of an object (f, g) is an
+    # automorphism with one preimage per (x, z); these have several
+    cases.append(pytest.param(_self_maps(2), id="T2"))
     return cases
 
 

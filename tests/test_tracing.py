@@ -64,6 +64,41 @@ print(json.dumps({
 """
 
 
+ROUTES_SCRIPT = """
+import json
+import tracing
+from tracelin import cli, coeffs, diagrams, fincat, harness
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+orbit_s3 = harness.corpus()["orbit_S3"]["cat"]
+delta3 = fincat.delta_prime_op(3)
+dia, endo = cli.load_diagram("pushout_span")
+tracer.active = True
+coeffs.coeff_EI(delta3)
+coeffs.coeff_EI(orbit_s3)
+diagrams.hocolim_EI(dia, endo)
+tracer.active = False
+spans = tracer.spans
+
+
+def under(i):
+    names = set()
+    for s in spans:
+        p = s[3]
+        while p != -1 and p != i:
+            p = spans[p][3]
+        if p == i:
+            names.add(s[0])
+    return sorted(names)
+
+
+print(json.dumps({name: [under(i) for i, s in enumerate(spans)
+                         if s[0] == name]
+                  for name in ("coeffs.coeff_EI", "diagrams.hocolim_EI")}))
+"""
+
+
 def _run_traced(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -100,3 +135,17 @@ def test_tracer_counts_the_coends_of_bicat_trace():
     assert out["coend_dim"] == 6 + 4 + 4
     assert out["coend_relations"] == 2 * 6 + 2 * 4 + 2 * 4
     assert out["got"] == ["-1", "0", "2"]    # the character of the irreducible
+
+
+def test_coeff_ei_and_hocolim_ei_build_their_string_orbits_apart():
+    """The ``ei`` linearity check pairs coeff_EI with the Lefschetz
+    number of hocolim_EI; only the latter enumerates string orbits with
+    ``fincat.string_iso_classes``, so the two sides share no orbit
+    builder."""
+    out = _run_traced(ROUTES_SCRIPT)
+    assert len(out["coeffs.coeff_EI"]) == 2
+    for names in out["coeffs.coeff_EI"]:
+        assert "fincat.skeletalize" in names
+        assert "fincat.string_iso_classes" not in names
+    assert len(out["diagrams.hocolim_EI"]) == 1
+    assert "fincat.string_iso_classes" in out["diagrams.hocolim_EI"][0]
