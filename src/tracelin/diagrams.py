@@ -11,7 +11,7 @@ a finite EI shape to a strictly homotopy finite one.
 from . import fincat
 from .exactalg import (
     F, ZERO, ONE, Mat, SparseMat, ChainComplex, ChainMap, block_diag, cokernel,
-    dd_violations, factor_through, idempotent_image, kernel_basis, kron,
+    factor_through, idempotent_image, kernel_basis, kron,
 )
 
 
@@ -84,7 +84,7 @@ class ChainDiagram:
         if out:
             return out
         for o in cat.objects:
-            if not all(self.maps[cat.idarr(o)].mat(n).is_identity()
+            if not all(self.maps[cat.idarr(o)].sparse_mat(n).is_identity()
                        for n in self.complexes[o].dims):
                 out.append("identity of %r is not the identity" % (o,))
         for (f, g), h in cat.compose.items():
@@ -418,20 +418,15 @@ class HocolimResult:
         self.diagram = diagram
 
     def induce(self, f):
-        """Block-diagonal chain endomorphism induced by a natural endo."""
-        mats = {n: [[ZERO] * self.complex.dim(n)
-                    for _ in range(self.complex.dim(n))]
-                for n in self.complex.dims}
+        """Block-diagonal chain endomorphism induced by a natural endo,
+        one sparse block per (string, internal degree)."""
+        cx = self.complex
+        blocks = {n: [] for n in cx.dims}
         for (s, m), (n, off) in self.index.items():
-            fm = f.at(s[0]).mat(m)
-            block = mats[n]
-            for i in range(fm.rows):
-                for j in range(fm.cols):
-                    block[off + i][off + j] = fm.data[i][j]
-        return ChainMap(self.complex, self.complex,
-                        {n: Mat(b, self.complex.dim(n), self.complex.dim(n),
-                                coerce=False)
-                         for n, b in mats.items()}, check=False)
+            blocks[n].append((off, off, f.at(s[0]).sparse_mat(m)))
+        return ChainMap(cx, cx,
+                        {n: SparseMat.from_blocks(cx.dim(n), cx.dim(n), b)
+                         for n, b in blocks.items()}, check=False)
 
 
 def hocolim_hofin(x, check=True):
@@ -442,8 +437,8 @@ def hocolim_hofin(x, check=True):
     alternates face maps (apply the first arrow / compose adjacent
     arrows / drop the last), and the total differential adds the internal
     one with sign (-1)^k.  The differential is written as sparse rows, the
-    identity faces as diagonals; with ``check`` its d o d = 0 is tested on
-    those rows before the dense matrices of the complex are built.
+    identity faces as diagonals, and the complex keeps it sparse; with
+    ``check`` the complex tests d o d = 0 on those rows.
     """
     cat = x.base
     if not fincat.is_strictly_homotopy_finite(cat):
@@ -453,22 +448,22 @@ def hocolim_hofin(x, check=True):
     dims = {}
     for k, level in enumerate(levels):
         for s in level:
-            cx0 = x.cx(s[0])
-            for m in cx0.dims:
+            for m, dm in x.cx(s[0]).dims.items():
                 n = k + m
                 off = dims.get(n, 0)
                 index[(s, m)] = (n, off)
-                dims[n] = off + cx0.dim(m)
+                dims[n] = off + dm
     dims = {n: d for n, d in dims.items() if d}
     # d[n] as sparse rows; a block lands in d[n] only when its target
     # summand sits in degree n - 1, so dims[n - 1] > 0
     diff = {n: [{} for _ in range(dims[n - 1])] for n in dims if n - 1 in dims}
     blocks = {}    # (tag, object or arrow, degree) -> sparse rows
 
-    def sparse(key, m):
-        if key not in blocks:
-            blocks[key] = SparseMat.from_mat(m).terms
-        return blocks[key]
+    def sparse(key, read):
+        terms = blocks.get(key)
+        if terms is None:
+            terms = blocks[key] = read(key[2]).terms
+        return terms
 
     def add_block(n, roff, coff, terms, sign):
         tgt = diff[n]
@@ -489,10 +484,10 @@ def hocolim_hofin(x, check=True):
         k = len(arrs)
         cx0 = x.cx(start)
         # internal differential with sign (-1)^k
-        dm = cx0.diff(m)
-        if dm.rows and (s, m - 1) in index:
+        if (s, m - 1) in index:
             add_block(n, index[(s, m - 1)][1], off,
-                      sparse(("d", start, m), dm), 1 if k % 2 == 0 else -1)
+                      sparse(("d", start, m), cx0.sparse_diff),
+                      1 if k % 2 == 0 else -1)
         # face maps with sign (-1)^i: apply the first arrow, then identities
         # that compose adjacent arrows or drop the last
         faces = []
@@ -508,20 +503,15 @@ def hocolim_hofin(x, check=True):
             roff = index[(tgt_s, m)][1]
             sign = 1 if i % 2 == 0 else -1
             if i == 0:
-                fm = sparse(("f", arrs[0], m), x.map(arrs[0]).mat(m))
+                fm = sparse(("f", arrs[0], m), x.map(arrs[0]).sparse_mat)
                 add_block(n, roff, off, fm, sign)
             else:
                 add_diagonal(n, roff, off, cx0.dim(m), sign)
 
-    d = {n: SparseMat([{j: v for j, v in row.items() if v} for row in rows],
-                      dims[n - 1], dims[n])
-         for n, rows in diff.items()}
-    if check:
-        bad = dd_violations(dims, d)
-        if bad:
-            raise ValueError("; ".join(bad))
-    total = ChainComplex(dims, {n: m.to_mat() for n, m in d.items()},
-                         check=False)
+    total = ChainComplex(
+        dims, {n: SparseMat([{j: v for j, v in row.items() if v}
+                             for row in rows], dims[n - 1], dims[n])
+               for n, rows in diff.items()}, check=check)
     strings = [s for level in levels for s in level]
     return HocolimResult(total, index, strings, x)
 
@@ -542,7 +532,6 @@ def cofiber(f):
 
 def group_action_idempotent(x, obj, group_arrows):
     """Averaging idempotent (1/|G|) sum of the action chain maps."""
-    cxo = x.cx(obj)
     total = None
     for g in group_arrows:
         m = x.map(g)
@@ -552,21 +541,20 @@ def group_action_idempotent(x, obj, group_arrows):
 
 
 def chain_idempotent_image(e):
-    """Split a degreewise idempotent chain endo: (subcomplex, incl, proj)."""
+    """Split a degreewise idempotent chain endo: (subcomplex, incl, proj),
+    all held as SparseMats."""
     cx = e.src
     incs = {}
     projs = {}
     dims = {}
     for n in cx.dims:
-        i, p = idempotent_image(e.mat(n))
+        i, p = idempotent_image(e.sparse_mat(n))
         if i.cols:
             incs[n] = i
             projs[n] = p
             dims[n] = i.cols
-    d = {}
-    for n in dims:
-        if (n - 1) in dims:
-            d[n] = projs[n - 1] @ cx.diff(n) @ incs[n]
+    d = {n: projs[n - 1] @ cx.sparse_diff(n) @ incs[n]
+         for n in dims if n - 1 in dims}
     sub = ChainComplex(dims, d)
     inc = ChainMap(sub, cx, incs, check=False)
     proj = ChainMap(cx, sub, projs, check=False)
@@ -631,6 +619,8 @@ def hocolim_groupoid(x, f):
 
 
 def _direct_sum_complex(pieces):
+    """The direct sum of complexes, with each piece's offset per degree;
+    the differentials are placed as sparse blocks."""
     dims = {}
     offs = []
     for p in pieces:
@@ -639,32 +629,23 @@ def _direct_sum_complex(pieces):
             off[n] = dims.get(n, 0)
             dims[n] = off[n] + p.dim(n)
         offs.append(off)
-    d = {}
-    for n in dims:
-        if dims.get(n - 1, 0):
-            rows = [[ZERO] * dims.get(n, 0) for _ in range(dims[n - 1])]
-            for p, off in zip(pieces, offs):
-                dm = p.diff(n)
-                for i in range(dm.rows):
-                    for j in range(dm.cols):
-                        rows[off[n - 1] + i][off[n] + j] = dm.data[i][j]
-            d[n] = Mat(rows, dims[n - 1], dims.get(n, 0), coerce=False)
+    d = {n: SparseMat.from_blocks(
+            dims[n - 1], dims[n],
+            [(off[n - 1], off[n], p.sparse_diff(n))
+             for p, off in zip(pieces, offs) if n in off and n - 1 in off])
+         for n in dims if n - 1 in dims}
     return ChainComplex(dims, d, check=False), offs
 
 
 def _direct_sum_endo(total, offs, pieces, endos):
-    mats = {n: [[ZERO] * total.dim(n) for _ in range(total.dim(n))]
-            for n in total.dims}
+    """The block-diagonal endomorphism of a direct sum of pieces."""
+    blocks = {n: [] for n in total.dims}
     for p, off, e in zip(pieces, offs, endos):
         for n in p.dims:
-            m = e.mat(n)
-            block = mats[n]
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    block[off[n] + i][off[n] + j] = m.data[i][j]
+            blocks[n].append((off[n], off[n], e.sparse_mat(n)))
     return ChainMap(total, total,
-                    {n: Mat(b, total.dim(n), total.dim(n), coerce=False)
-                     for n, b in mats.items()}, check=False)
+                    {n: SparseMat.from_blocks(total.dim(n), total.dim(n), b)
+                     for n, b in blocks.items()}, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +726,9 @@ def hocolim_EI(x, f, check=True):
         cls[c] = sc
         pieces = []
         for k in sc.classes:
-            e = _string_stabilizer_idempotent(x, c[0], k["aut"])
+            # the string stabilizer acts through first components
+            e = group_action_idempotent(x, c[0],
+                                        [g[0] for g in k["aut"].elements])
             pieces.append(chain_idempotent_image(e))
         piece[c] = pieces
 
@@ -778,16 +761,6 @@ def hocolim_EI(x, f, check=True):
     return res, res.induce(nat)
 
 
-def _string_stabilizer_idempotent(x, obj, aut):
-    """Average of the first-component actions of a string stabilizer."""
-    cxo = x.cx(obj)
-    total = None
-    for g in aut.elements:
-        m = x.map(g[0])
-        total = m if total is None else total + m
-    return total.smul(F(1, len(aut.elements)))
-
-
 def _ei_face_map(x, scat, cls, piece, offsets, complexes, c, posn, sub):
     """Chain map between coinvariant sums along a subchain selection.
 
@@ -798,8 +771,7 @@ def _ei_face_map(x, scat, cls, piece, offsets, complexes, c, posn, sub):
     """
     src_cx = complexes[c]
     dst_cx = complexes[sub]
-    mats = {n: [[ZERO] * src_cx.dim(n) for _ in range(dst_cx.dim(n))]
-            for n in set(src_cx.dims) | set(dst_cx.dims)}
+    blocks = {n: [] for n in set(src_cx.dims) | set(dst_cx.dims)}
     src_cls = cls[c]
     dst_cls = cls[sub]
     for ci, k in enumerate(src_cls.classes):
@@ -827,16 +799,11 @@ def _ei_face_map(x, scat, cls, piece, offsets, complexes, c, posn, sub):
         soff = offsets[c][ci]
         doff = offsets[sub][di]
         for n in ssub.dims:
-            m = block.mat(n)
-            if n not in mats:
-                continue
-            tgt = mats[n]
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    tgt[doff[n] + i][soff[n] + j] = m.data[i][j]
+            if n in dsub.dims:
+                blocks[n].append((doff[n], soff[n], block.sparse_mat(n)))
     return ChainMap(src_cx, dst_cx,
-                    {n: Mat(rows, dst_cx.dim(n), src_cx.dim(n), coerce=False)
-                     for n, rows in mats.items()}, check=False)
+                    {n: SparseMat.from_blocks(dst_cx.dim(n), src_cx.dim(n), b)
+                     for n, b in blocks.items()}, check=False)
 
 
 def _component_inverse(cat, arrow):

@@ -4,10 +4,12 @@ Everything here is exact: ``Mat`` is dense with ``fractions.Fraction``
 entries, and no floating point appears anywhere.  Kernels, images,
 cokernels, ranks and solutions all come from one elimination core on
 sparse integer rows ({column: int}, each row rescaled by the lcm of its
-denominators).  ``SparseMat`` holds the nonzero entries of each row; its
-product is the d o d = 0 check of chain complexes, and kernels,
-cokernels and solutions take it wherever they take a ``Mat``.  Matrices
-act on column vectors, so a map V -> W is a (dim W x dim V) matrix.
+denominators).  ``SparseMat`` holds the nonzero entries of each row;
+kernels, cokernels and solutions take it wherever they take a ``Mat``.
+Chain complexes and chain maps keep each matrix in the form it was given
+and compose, add, compare and check on the sparse form; their dense
+``Mat`` reads are built on demand.  Matrices act on column vectors, so a
+map V -> W is a (dim W x dim V) matrix.
 """
 
 from bisect import bisect
@@ -126,9 +128,11 @@ class Mat:
 
 
 def trace(m):
-    """Sum of diagonal entries of a square matrix."""
+    """Sum of diagonal entries of a square Mat or SparseMat."""
     if m.rows != m.cols:
         raise ValueError("trace of a non-square matrix (%d x %d)" % (m.rows, m.cols))
+    if type(m) is SparseMat:
+        return F(sum(terms.get(i, 0) for i, terms in enumerate(m.terms)))
     return sum((m.data[i][i] for i in range(m.rows)), ZERO)
 
 
@@ -213,6 +217,26 @@ class SparseMat:
         return SparseMat([{j: _exact(v) for j, v in enumerate(row) if v}
                           for row in m.data], m.rows, m.cols)
 
+    @staticmethod
+    def zeros(rows, cols):
+        return SparseMat([{} for _ in range(rows)], rows, cols)
+
+    @staticmethod
+    def identity(n):
+        return SparseMat([{i: 1} for i in range(n)], n, n)
+
+    @staticmethod
+    def from_blocks(rows, cols, blocks):
+        """The rows x cols matrix holding each (row offset, column offset,
+        SparseMat) of ``blocks``; the blocks do not overlap."""
+        out = [{} for _ in range(rows)]
+        for r0, c0, b in blocks:
+            for i, terms in enumerate(b.terms, r0):
+                if terms:
+                    out[i].update({j + c0: v for j, v in terms.items()}
+                                  if c0 else terms)
+        return SparseMat(out, rows, cols)
+
     def to_mat(self):
         data = [[ZERO] * self.cols for _ in range(self.rows)]
         for row, terms in zip(data, self.terms):
@@ -233,6 +257,27 @@ class SparseMat:
 
     __hash__ = None
 
+    def __add__(self, other):
+        assert self.rows == other.rows and self.cols == other.cols
+        out = []
+        for a, b in zip(self.terms, other.terms):
+            row = dict(a)
+            for j, v in b.items():
+                w = row.get(j, 0) + v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+            out.append(row)
+        return SparseMat(out, self.rows, self.cols)
+
+    def smul(self, s):
+        s = _exact(_coerce(s))
+        if not s:
+            return SparseMat.zeros(self.rows, self.cols)
+        return SparseMat([{j: v * s for j, v in row.items()}
+                          for row in self.terms], self.rows, self.cols)
+
     def __matmul__(self, other):
         assert self.cols == other.rows, (self.cols, other.rows)
         bt = other.terms
@@ -247,6 +292,11 @@ class SparseMat:
 
     def is_zero(self):
         return not any(self.terms)
+
+    def is_identity(self):
+        return self.rows == self.cols and all(
+            len(terms) == 1 and terms.get(i) == 1
+            for i, terms in enumerate(self.terms))
 
 
 def _integral(terms):
@@ -403,13 +453,18 @@ def kernel_basis(m):
     return Mat.from_cols(basis, m.cols) if basis else Mat.zeros(m.cols, 0)
 
 
+def _pivots(m):
+    """The pivot columns of the echelon form of a Mat or SparseMat."""
+    return [pc for pc, _ in _eliminate(_int_rows(m), m.cols)[0]]
+
+
 def image_basis(m):
     """(basis matrix, column indices): independent columns of m.
 
     Row reduction does not change column dependencies, so the pivot
     columns of the echelon form index a basis of the column space.
     """
-    pivots = [pc for pc, _ in _eliminate(_int_rows(m), m.cols)[0]]
+    pivots = _pivots(m)
     cols = [m.col(j) for j in pivots]
     return (Mat.from_cols(cols, m.rows) if cols else Mat.zeros(m.rows, 0)), pivots
 
@@ -437,14 +492,10 @@ class SolveResult:
         self.unique = unique
 
 
-def solve_linear(a, b):
-    """Solve a @ x = b exactly for a matrix of right-hand columns.
-
-    ``a`` and ``b`` are each a Mat or a SparseMat.  Returns None when
-    inconsistent, otherwise a SolveResult whose ``solution`` (a Mat) sets
-    all free variables to zero and whose ``unique`` flag reports whether
-    the solution is the only one.
-    """
+def _solve(a, b):
+    """(one (num, den) vector per column of b, unique) solving a @ x = b
+    with the free variables at zero (see ``_back_substitute``), or None
+    when inconsistent."""
     assert a.rows == b.rows
     n = a.cols
     rows = []
@@ -457,10 +508,26 @@ def solve_linear(a, b):
     if rest:
         return None
     system = _echelon_system(echelon, n)
-    sols = [_dense(*_back_substitute(system, {}, [row.get(n + bc, 0)
-                                                 for _, row in echelon]), n)
-            for bc in range(b.cols)]
-    return SolveResult(Mat.from_cols(sols, n), unique=(len(echelon) == n))
+    return ([_back_substitute(system, {}, [row.get(n + bc, 0)
+                                          for _, row in echelon])
+             for bc in range(b.cols)], len(echelon) == n)
+
+
+def solve_linear(a, b):
+    """Solve a @ x = b exactly for a matrix of right-hand columns.
+
+    ``a`` and ``b`` are each a Mat or a SparseMat.  Returns None when
+    inconsistent, otherwise a SolveResult whose ``solution`` (a Mat) sets
+    all free variables to zero and whose ``unique`` flag reports whether
+    the solution is the only one.
+    """
+    res = _solve(a, b)
+    if res is None:
+        return None
+    sols, unique = res
+    return SolveResult(Mat.from_cols([_dense(num, den, a.cols)
+                                      for num, den in sols], a.cols),
+                       unique=unique)
 
 
 def inverse(m):
@@ -487,48 +554,82 @@ def factor_through(p, m):
 
 
 def idempotent_image(e):
-    """(i, p) with p @ i = id, i @ p = e, columns of i a basis of im(e)."""
+    """(i, p) with p @ i = id, i @ p = e, columns of i a basis of im(e).
+
+    ``e`` is a Mat or a SparseMat, and i and p are of the same kind; the
+    checks, the pivot columns and the solve for p run on sparse rows.
+    """
     if e.rows != e.cols:
         raise ValueError("idempotent must be square")
-    if not (e @ e == e):
+    s = e if type(e) is SparseMat else SparseMat.from_mat(e)
+    # e o e = e as l^2 e o e = l (l e), in integers, l the lcm of e's
+    # denominators
+    l = 1
+    for terms in s.terms:
+        for v in terms.values():
+            l = l // gcd(l, v.denominator) * v.denominator
+    le = SparseMat([{j: v.numerator * (l // v.denominator)
+                     for j, v in terms.items()} for terms in s.terms],
+                   s.rows, s.cols)
+    if not (le @ le == le.smul(l)):
         raise ValueError("matrix is not idempotent")
-    i, _cols = image_basis(e)
-    res = solve_linear(i, e)
-    assert res is not None and res.unique
-    p = res.solution
+    # the pivot columns of e are a basis of its column space
+    col = {pc: k for k, pc in enumerate(_pivots(s))}
+    i = SparseMat([{col[j]: v for j, v in terms.items() if j in col}
+                   for terms in s.terms], s.rows, len(col))
+    res = _solve(i, s)
+    assert res is not None and res[1]
+    rows = [{} for _ in range(i.cols)]
+    for j, (num, den) in enumerate(res[0]):
+        for k, v in _sparse(num, den).items():
+            rows[k][j] = v
+    p = SparseMat(rows, i.cols, s.cols)
     assert (p @ i).is_identity()
-    return i, p
+    if type(e) is SparseMat:
+        return i, p
+    return i.to_mat(), p.to_mat()
 
 
 # ---------------------------------------------------------------------------
 # bounded chain complexes
 
-def dd_violations(dims, d):
-    """The message "d o d nonzero out of degree N" for each N - 1 in
-    ``dims`` whose d[N - 1] @ d[N] is nonzero, as a sparse product;
-    ``d`` maps degree -> SparseMat.  Pairs of the wrong shape are left
-    to the shape check."""
-    out = []
-    for n in dims:
-        a = d.get(n)
-        b = d.get(n + 1)
-        if (a is not None and b is not None and a.cols == b.rows
-                and not (a @ b).is_zero()):
-            out.append("d o d nonzero out of degree %d" % (n + 1,))
-    return out
+class _Graded:
+    """Matrices by degree, each kept in the form it was given, Mat or
+    SparseMat; the other form is built on its first read and kept.  A
+    degree with no matrix reads as zero."""
+
+    __slots__ = ("_given", "_other")
+
+    def _keep(self, mats):
+        self._given = {n: m for n, m in mats.items() if m.rows or m.cols}
+        self._other = {}
+
+    def _at(self, n, sparse):
+        """The matrix given at degree n, as a SparseMat when ``sparse`` is
+        set and as a Mat otherwise, or None."""
+        m = self._given.get(n)
+        if m is None or (type(m) is SparseMat) == sparse:
+            return m
+        other = self._other.get(n)
+        if other is None:
+            other = self._other[n] = (SparseMat.from_mat(m) if sparse
+                                      else m.to_mat())
+        return other
 
 
-class ChainComplex:
-    """Bounded complex of rational spaces; d[n] maps degree n to n-1."""
+class ChainComplex(_Graded):
+    """Bounded complex of rational spaces; d[n] maps degree n to n-1.
 
-    __slots__ = ("dims", "d")
+    A differential may be given as a Mat or a SparseMat.  ``diff(n)`` and
+    ``d`` are Mats, ``sparse_diff(n)`` is a SparseMat; the checks run on
+    the sparse form.
+    """
+
+    __slots__ = ("dims",)
 
     def __init__(self, dims, d, check=True):
         self.dims = {n: dim for n, dim in dims.items() if dim}
-        self.d = {}
-        for n, m in d.items():
-            if m.rows or m.cols:
-                self.d[n] = m
+        self._keep(d)
         if check:
             bad = self.violations()
             if bad:
@@ -548,66 +649,85 @@ class ChainComplex:
         return range(lo, hi + 1)
 
     def diff(self, n):
-        m = self.d.get(n)
-        if m is None:
-            return Mat.zeros(self.dim(n - 1), self.dim(n))
-        return m
+        return self._at(n, False) or Mat.zeros(self.dim(n - 1), self.dim(n))
+
+    def sparse_diff(self, n):
+        return (self._at(n, True)
+                or SparseMat.zeros(self.dim(n - 1), self.dim(n)))
+
+    @property
+    def d(self):
+        """The given differentials by degree, as Mats."""
+        return {n: self.diff(n) for n in self._given}
 
     def total_dim(self):
         return sum(self.dims.values())
 
     def violations(self):
         out = []
-        for n, m in self.d.items():
+        for n, m in self._given.items():
             if m.rows != self.dim(n - 1) or m.cols != self.dim(n):
                 out.append("differential at degree %d has shape %dx%d, expected %dx%d"
                            % (n, m.rows, m.cols, self.dim(n - 1), self.dim(n)))
-        return out + dd_violations(
-            self.dims, {n: SparseMat.from_mat(m) for n, m in self.d.items()})
+        for n in self.dims:
+            a, b = self._at(n, True), self._at(n + 1, True)
+            # pairs of the wrong shape are left to the shape check
+            if (a is not None and b is not None and a.cols == b.rows
+                    and not (a @ b).is_zero()):
+                out.append("d o d nonzero out of degree %d" % (n + 1,))
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, ChainComplex) and self.dims == other.dims
-                and all(self.diff(n) == other.diff(n)
-                        for n in set(self.d) | set(other.d)))
+                and all(self.sparse_diff(n) == other.sparse_diff(n)
+                        for n in self._given.keys() | other._given.keys()))
 
     def __repr__(self):
         return "ChainComplex(%r)" % (self.dims,)
 
 
-class ChainMap:
-    """Degreewise matrices between two complexes, commuting with d."""
+class ChainMap(_Graded):
+    """Degreewise matrices between two complexes, commuting with d.
 
-    __slots__ = ("src", "dst", "mats")
+    A component may be given as a Mat or a SparseMat.  ``mat(n)`` and
+    ``mats`` are Mats, ``sparse_mat(n)`` is a SparseMat; composition,
+    sums, comparison and the commutation check run on the sparse form.
+    """
+
+    __slots__ = ("src", "dst")
 
     def __init__(self, src, dst, mats, check=True):
         self.src = src
         self.dst = dst
-        self.mats = {}
-        for n, m in mats.items():
-            if m.rows or m.cols:
-                self.mats[n] = m
+        self._keep(mats)
         if check:
             bad = self.violations()
             if bad:
                 raise ValueError("; ".join(bad))
 
     def mat(self, n):
-        m = self.mats.get(n)
-        if m is None:
-            return Mat.zeros(self.dst.dim(n), self.src.dim(n))
-        return m
+        return self._at(n, False) or Mat.zeros(self.dst.dim(n), self.src.dim(n))
+
+    def sparse_mat(self, n):
+        return (self._at(n, True)
+                or SparseMat.zeros(self.dst.dim(n), self.src.dim(n)))
+
+    @property
+    def mats(self):
+        """The given components by degree, as Mats."""
+        return {n: self.mat(n) for n in self._given}
 
     def violations(self):
         out = []
-        for n, m in self.mats.items():
+        for n, m in self._given.items():
             if m.rows != self.dst.dim(n) or m.cols != self.src.dim(n):
                 out.append("component at degree %d has shape %dx%d, expected %dx%d"
                            % (n, m.rows, m.cols, self.dst.dim(n), self.src.dim(n)))
                 return out
         degs = set(self.src.dims) | set(self.dst.dims)
         for n in degs:
-            lhs = self.dst.diff(n) @ self.mat(n)
-            rhs = self.mat(n - 1) @ self.src.diff(n)
+            lhs = self.dst.sparse_diff(n) @ self.sparse_mat(n)
+            rhs = self.sparse_mat(n - 1) @ self.src.sparse_diff(n)
             if lhs != rhs:
                 out.append("does not commute with differentials at degree %d" % n)
         return out
@@ -615,37 +735,44 @@ class ChainMap:
     def compose(self, other):
         """self after other (other first)."""
         assert other.dst is self.src or other.dst == self.src
-        degs = set(self.mats) | set(other.mats)
+        degs = self._given.keys() | other._given.keys()
         return ChainMap(other.src, self.dst,
-                        {n: self.mat(n) @ other.mat(n) for n in degs}, check=False)
+                        {n: self.sparse_mat(n) @ other.sparse_mat(n)
+                         for n in degs}, check=False)
 
     def __add__(self, other):
-        degs = set(self.mats) | set(other.mats)
+        degs = self._given.keys() | other._given.keys()
         return ChainMap(self.src, self.dst,
-                        {n: self.mat(n) + other.mat(n) for n in degs}, check=False)
+                        {n: self.sparse_mat(n) + other.sparse_mat(n)
+                         for n in degs}, check=False)
 
     def smul(self, s):
         return ChainMap(self.src, self.dst,
-                        {n: m.smul(s) for n, m in self.mats.items()}, check=False)
+                        {n: self.sparse_mat(n).smul(s) for n in self._given},
+                        check=False)
 
     def __eq__(self, other):
         if not isinstance(other, ChainMap):
             return False
-        degs = set(self.mats) | set(other.mats)
-        return all(self.mat(n) == other.mat(n) for n in degs)
+        degs = self._given.keys() | other._given.keys()
+        return all(self.sparse_mat(n) == other.sparse_mat(n) for n in degs)
 
 
 def identity_chain_map(c):
-    return ChainMap(c, c, {n: Mat.identity(c.dim(n)) for n in c.dims}, check=False)
+    return ChainMap(c, c, {n: SparseMat.identity(c.dim(n)) for n in c.dims},
+                    check=False)
 
 
 def lefschetz(f):
-    """Alternating sum of degreewise traces of a chain endomorphism."""
+    """Alternating sum of degreewise traces of a chain endomorphism, read
+    off each component in the form it was given."""
     if f.src.dims != f.dst.dims:
         raise ValueError("lefschetz needs an endomorphism")
     tot = ZERO
     for n in f.src.dims:
-        tot += trace(f.mat(n)) if n % 2 == 0 else -trace(f.mat(n))
+        m = f._given.get(n)
+        if m is not None:
+            tot += trace(m) if n % 2 == 0 else -trace(m)
     return tot
 
 
@@ -653,13 +780,13 @@ def shift(c, k):
     """Shifted complex with dim(n) = c.dim(n-k); d picks up the sign (-1)^k."""
     dims = {n + k: dim for n, dim in c.dims.items()}
     sign = ONE if k % 2 == 0 else -ONE
-    d = {n + k: m.smul(sign) for n, m in c.d.items()}
+    d = {n + k: m.smul(sign) for n, m in c._given.items()}
     return ChainComplex(dims, d, check=False)
 
 
 def shift_map(f, k):
     return ChainMap(shift(f.src, k), shift(f.dst, k),
-                    {n + k: m for n, m in f.mats.items()}, check=False)
+                    {n + k: m for n, m in f._given.items()}, check=False)
 
 
 def cone(f):

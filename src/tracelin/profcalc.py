@@ -891,10 +891,13 @@ def bicat_trace(w, f):
 
 
 def _check_endo_natural(x, f):
+    """x(g) f_s = f_t x(g) on every generating arrow g: s -> t, as
+    sparse products, each action and each f read once."""
     A = x.src
+    sf = {a: SparseMat.from_mat(m) for a, m in f.items()}
     for g in A.generating_arrows():
-        s, t = A.src[g], A.dst[g]
-        if x.sact("*", g) @ f[s] != f[t] @ x.sact("*", g):
+        act = SparseMat.from_mat(x.sact("*", g))
+        if act @ sf[A.src[g]] != sf[A.dst[g]] @ act:
             raise ValueError("endomorphism is not natural at %r" % (g,))
 
 

@@ -16,8 +16,19 @@ def frac_from(v):
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            pass
     raise ValueError("bad rational %r" % (v,))
+
+
+def _dim_from(v, what, degree):
+    """A dimension read from JSON: a nonnegative int, not a bool."""
+    if type(v) is not int or v < 0:
+        raise ValueError("%s has dimension %s in degree %s, expected a "
+                         "nonnegative integer" % (what, json.dumps(v), degree))
+    return v
 
 
 def frac_str(x):
@@ -118,12 +129,14 @@ def relabel(cat, name=None):
 
 def complex_to_json(c):
     return {"degrees": {str(n): c.dim(n) for n in c.degrees()},
-            "d": {str(n): mat_to_json(c.diff(n)) for n in c.d}}
+            "d": {str(n): mat_to_json(m) for n, m in c.d.items()}}
 
 
-def complex_from_json(obj):
+def complex_from_json(obj, what):
+    """The complex of a JSON object; ``what``, such as "object 'a'",
+    names it in errors."""
     _check_fields(obj, ["degrees"], "complex", optional=["d"])
-    dims = {int(n): int(d) for n, d in obj["degrees"].items()}
+    dims = {int(n): _dim_from(d, what, n) for n, d in obj["degrees"].items()}
     d = {}
     for n, rows in obj.get("d", {}).items():
         n = int(n)
@@ -175,10 +188,12 @@ def diagram_from_json(obj, resolve_category):
     complexes = {}
     for o in cat.objects:
         val = _entry(obj, "objects", o)
+        what = "object %r" % (o,)
         if isinstance(val, int):
+            val = _dim_from(val, what, 0)
             complexes[o] = ChainComplex({0: val} if val else {}, {})
         else:
-            complexes[o] = complex_from_json(val)
+            complexes[o] = complex_from_json(val, what)
     from .exactalg import identity_chain_map
     arrow_maps = {}
     for a in cat.arrows:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -391,3 +392,89 @@ def test_cli_broken_inline_category_is_input_error(tmp_path, capsys, command):
     assert code == 2 and out == ""
     assert err.strip() == ("error: category (inline) is not a valid table: "
                            "missing composite for ('e', 'e')")
+
+
+# SHA-256 of the --format json output of trace and hocolim on the bundled
+# diagrams, per pipeline.  How the chain layer stores its matrices must
+# not move a byte of it.
+BUNDLED_OUTPUT_SHA256 = {
+    ("trace", "auto", "pushout", "pushout_span"):
+        "777b23dbccbebcfd7b05a4f89d312dadf4ec03af0d17152f4f8df78dfd006315",
+    ("hocolim", "auto", "pushout", "pushout_span"):
+        "b49ccbd1ecc2f471644f2cb2e2fdf19b313d669b3be5688f804b77c7bcd810bd",
+    ("trace", "hofin", "pushout", "pushout_span"):
+        "777b23dbccbebcfd7b05a4f89d312dadf4ec03af0d17152f4f8df78dfd006315",
+    ("hocolim", "hofin", "pushout", "pushout_span"):
+        "b49ccbd1ecc2f471644f2cb2e2fdf19b313d669b3be5688f804b77c7bcd810bd",
+    ("trace", "ei", "pushout", "pushout_span"):
+        "bb0cfe6e6509c8f0e20b9ca2a0c57f90da3f3653eff5dee4ba54860be0dd05f9",
+    ("hocolim", "ei", "pushout", "pushout_span"):
+        "4b16ba27c4d41c8c4495abaacea95bbc1819c7c965e966dfcf2fb62e3e962ef2",
+    ("trace", "auto", "BC2", "BC2_regular"):
+        "cf180ac495a8f40cb7ed658b12ee20f707c5b73c3d7c4ceba25521c842e59fa0",
+    ("hocolim", "auto", "BC2", "BC2_regular"):
+        "f61bd7ce9734b5f7cbd447620a6aa002909430deaab101afac588aaac6994c17",
+    ("trace", "groupoid", "BC2", "BC2_regular"):
+        "cf180ac495a8f40cb7ed658b12ee20f707c5b73c3d7c4ceba25521c842e59fa0",
+    ("hocolim", "groupoid", "BC2", "BC2_regular"):
+        "f61bd7ce9734b5f7cbd447620a6aa002909430deaab101afac588aaac6994c17",
+    ("trace", "ei", "BC2", "BC2_regular"):
+        "bb0cfe6e6509c8f0e20b9ca2a0c57f90da3f3653eff5dee4ba54860be0dd05f9",
+    ("hocolim", "ei", "BC2", "BC2_regular"):
+        "6c634b73171f8d0d9083c8ed8bdde2e1080ea3443ef0a181589045dcd77f881d",
+}
+
+
+@pytest.mark.parametrize("key", sorted(BUNDLED_OUTPUT_SHA256))
+def test_cli_bundled_output_bytes_are_pinned(capsys, key):
+    command, method, cat, dia = key
+    code, out, _ = run_cli(capsys, "--format", "json", command,
+                           "--method", method, cat, dia)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == BUNDLED_OUTPUT_SHA256[key]
+
+
+@pytest.mark.parametrize("command", ["trace", "hocolim"])
+def test_cli_idem_diagram_has_no_hocolim_pipeline(capsys, command):
+    code, out, err = run_cli(capsys, "--format", "json", command, "idem",
+                             "idem_diagram")
+    assert (code, out) == (2, "")
+    assert err.strip() == ("error: no homotopy colimit pipeline applies to "
+                           "this category")
+
+
+@pytest.mark.parametrize("command", ["trace", "hocolim", "bicat-trace"])
+def test_cli_zero_denominator_is_input_error(tmp_path, capsys, command):
+    obj = serialize.load_json(cli.data_dir() / "pushout_span.json")
+    obj["arrows"]["f"] = {"0": [["1/0"], ["1"]]}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, command, "pushout", str(path))
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: bad rational '1/0'"
+
+
+BAD_DIMENSIONS = [(1.5, "1.5"), ("1", '"1"'), (1.0, "1.0"), (True, "true"),
+                  (-1, "-1")]
+
+
+@pytest.mark.parametrize("form, value, shown",
+                         [("complex", v, s) for v, s in BAD_DIMENSIONS]
+                         + [("integer", True, "true"), ("integer", -1, "-1")])
+@pytest.mark.parametrize("command", ["trace", "hocolim"])
+def test_cli_dimension_that_is_not_a_nonnegative_int_is_input_error(
+        tmp_path, capsys, command, form, value, shown):
+    """A complex's dimensions, and an object given as a plain dimension,
+    must be nonnegative JSON ints; a bool is not one."""
+    obj = serialize.load_json(cli.data_dir() / "pushout_span.json")
+    if form == "complex":
+        obj["objects"]["a"]["degrees"]["0"] = value
+    else:
+        obj["objects"]["a"] = value
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, command, "pushout", str(path))
+    assert (code, out) == (2, "")
+    assert err.strip() == ("error: object 'a' has dimension %s in degree 0, "
+                           "expected a nonnegative integer" % shown)
