@@ -538,13 +538,42 @@ def inverse(m):
     return res.solution
 
 
+def _unit_columns(terms):
+    """{column: row} taking one column per row where the matrix with these
+    sparse rows is that row's unit vector, or None when a row has none."""
+    owner = {}      # column -> the row of its one nonzero, if that is 1
+    for r, row in enumerate(terms):
+        for c, v in row.items():
+            owner[c] = -1 if c in owner or v != 1 else r
+    unit = {}
+    for c, r in owner.items():
+        if r >= 0:
+            unit.setdefault(r, c)
+    if len(unit) < len(terms):
+        return None
+    return {c: r for r, c in unit.items()}
+
+
 def factor_through(p, m):
     """The unique n with n @ p = m, for surjective p.
 
-    ``p`` and ``m`` are each a Mat or a SparseMat; n is a Mat.  Fails
-    loudly when m does not kill the kernel of p, i.e. when no
-    factorization exists.
+    ``p`` and ``m`` are each a Mat or a SparseMat; n is a Mat.  A
+    projection from ``cokernel`` is the unit vector e_r at the free column
+    of each row r, so n is m read at those columns, and what is left is
+    the check n @ p = m, as a sparse product; only a p with no unit
+    column in some row is solved for.  Fails loudly when m does not kill
+    the kernel of p, i.e. when no factorization exists.
     """
+    assert p.cols == m.cols, (p.cols, m.cols)
+    pt = _terms(p)
+    unit = _unit_columns(pt)
+    if unit is not None:
+        mt = _terms(m)
+        n = SparseMat([{unit[c]: v for c, v in row.items() if c in unit}
+                       for row in mt], m.rows, p.rows)
+        if (n @ SparseMat(pt, p.rows, p.cols)).terms != mt:
+            raise ValueError("map does not factor through the projection")
+        return n.to_mat()
     res = solve_linear(p.transpose(), m.transpose())
     if res is None:
         raise ValueError("map does not factor through the projection")

@@ -37,6 +37,7 @@ class FinCat:
                 # an unknown source is left to table_violations to report
                 self._out.setdefault(self.src[a], []).append(a)
         self._gens = None
+        self._classes = None        # filled by conjugacy_classes
         self._unit_shadow = None    # filled by profcalc.unit_shadow
 
     def __repr__(self):
@@ -208,8 +209,7 @@ class UnionFind:
 class ConjClasses:
     """Partition of the endomorphism arrows under g o f ~ f o g."""
 
-    def __init__(self, cat, classes):
-        self.cat = cat
+    def __init__(self, classes):
         self.classes = tuple(tuple(c) for c in classes)
         self.reps = tuple(c[0] for c in self.classes)
         self.class_of = {}
@@ -227,7 +227,10 @@ def conjugacy_classes(cat):
     Endomorphisms f o g and g o f are identified for every pair of arrows
     g: a->b, f: b->a; the partition is the generated equivalence, computed
     by union-find.  Representatives are least in stored arrow order.
+    Computed once per category and kept on it.
     """
+    if cat._classes is not None:
+        return cat._classes
     endos = [a for a in cat.arrows if cat.src[a] == cat.dst[a]]
     uf = UnionFind(endos)
     for g in cat.arrows:
@@ -238,7 +241,8 @@ def conjugacy_classes(cat):
     idx = cat.arrow_index
     classes = sorted((sorted(v, key=idx.get) for v in groups.values()),
                      key=lambda c: idx[c[0]])
-    return ConjClasses(cat, classes)
+    cat._classes = ConjClasses(classes)
+    return cat._classes
 
 
 def opposite(cat):

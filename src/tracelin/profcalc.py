@@ -9,12 +9,13 @@ matrix straight from the nonzero entries of the action matrices, and the
 cokernel hands back a sparse projection; maps of the form id (x) m,
 m (x) id and the swap of tensor factors are applied as index maps on the
 nonzero entries of the projections, so no Kronecker or permutation matrix
-is built for them, and factoring through a projection runs on its
-nonzeros.
-Duality witnesses carry coevaluation and evaluation component matrices;
-traces run through the genuine quotient spaces rather than through any
-shortcut formula, so they can serve as an independent oracle against
-direct trace computations.
+is built for them, and factoring through a projection reads its free
+columns.
+Duality witnesses carry coevaluation and evaluation component matrices,
+and their checks multiply sparse reshapes of those components; traces
+run through the genuine quotient spaces rather than through any shortcut
+formula, so they can serve as an independent oracle against direct trace
+computations.
 """
 
 from . import fincat
@@ -30,6 +31,8 @@ class Profunctor:
     ``dims[(t, s)]`` is the value dimension; ``tact(beta, s)`` for
     beta: t -> t' is the contravariant map value(t', s) -> value(t, s);
     ``sact(t, alpha)`` for alpha: s -> s' maps value(t, s) -> value(t, s').
+    ``sparse_tact`` and ``sparse_sact`` give the same maps as SparseMats,
+    each converted on first use and kept.
     """
 
     def __init__(self, src, tgt, dims, tacts, sacts, check=True):
@@ -38,6 +41,7 @@ class Profunctor:
         self.dims = dict(dims)
         self.tacts = dict(tacts)
         self.sacts = dict(sacts)
+        self._sparse = {}
         if check:
             bad = self.violations()
             if bad:
@@ -51,6 +55,20 @@ class Profunctor:
 
     def sact(self, t, alpha):
         return self.sacts[(t, alpha)]
+
+    def sparse_tact(self, beta, s):
+        key = (True, beta, s)
+        m = self._sparse.get(key)
+        if m is None:
+            m = self._sparse[key] = SparseMat.from_mat(self.tacts[(beta, s)])
+        return m
+
+    def sparse_sact(self, t, alpha):
+        key = (False, t, alpha)
+        m = self._sparse.get(key)
+        if m is None:
+            m = self._sparse[key] = SparseMat.from_mat(self.sacts[(t, alpha)])
+        return m
 
     def act(self, beta, alpha):
         """Combined action for beta: t -> t' in T, alpha: s -> s' in S."""
@@ -186,13 +204,6 @@ class ShadowSpace:
         return _block_apply(self.sparse_proj, self.offsets[obj], vec_)
 
 
-def _reshape(flat, rows, cols):
-    """The rows x cols matrix whose row-major entries are flat; the
-    inverse of ``vec`` on kron-layout coordinates."""
-    return Mat([flat[i * cols:(i + 1) * cols] for i in range(rows)],
-               rows, cols, coerce=False)
-
-
 def _block_apply(p, block, m):
     """The columns of the SparseMat p that one (offset, dim) block of its
     source occupies, applied to the Mat m; read off p's nonzeros."""
@@ -209,17 +220,18 @@ def _block_apply(p, block, m):
     return Mat(out, p.rows, m.cols, coerce=False)
 
 
+
 def _route_cols(route):
     """Sparse columns of I_left (x) m (x) I_right for route (m, left, right).
 
     Each column is a list of (row, value) pairs over the nonzero entries
-    of m, with integral values as ints, so no Kronecker product is built
-    and zeros cost no arithmetic.
+    of m, a Mat or a SparseMat, with integral values as ints, so no
+    Kronecker product is built and zeros cost no arithmetic.
     """
     m, left, right = route
-    nz = [[(i, row[j].numerator if row[j].denominator == 1 else row[j])
-           for i, row in enumerate(m.data) if row[j]]
-          for j in range(m.cols)]
+    if type(m) is not SparseMat:
+        m = SparseMat.from_mat(m)
+    nz = [list(col.items()) for col in m.transpose().terms]
     return [[((p * m.rows + i) * right + q, v) for i, v in nz[j]]
             for p in range(left) for j in range(m.cols) for q in range(right)]
 
@@ -476,7 +488,8 @@ class DualityWitness:
     coevaluation components follow by naturality.  ``eps[(a, bp, b)]`` is
     the evaluation component y(a, b) (x) x(bp, a) -> hom(bp, b), given
     before coend projection.  Triangle identities are matrix identities
-    computed through these components.
+    computed through these components.  ``sparse_eta`` and
+    ``sparse_eps`` are built on first read and kept.
     """
 
     def __init__(self, x, y, eta, eps, check=True):
@@ -484,8 +497,37 @@ class DualityWitness:
         self.y = y
         self.eta = eta
         self.eps = eps
+        self._sparse_eta = None
+        self._sparse_eps = None
         if check:
             verify_witness(self)
+
+    @property
+    def sparse_eta(self):
+        """{(a, b): the coevaluation block at b reshaped to the SparseMat
+        E (x(b, a) x y(a, b)) with vec(E) that block}."""
+        if self._sparse_eta is None:
+            x, y = self.x, self.y
+            eta = {}
+            for a in x.src.objects:
+                col = SparseMat.from_mat(self.eta[a].transpose()).terms[0]
+                off = 0
+                for b in x.tgt.objects:
+                    dx, dy = x.dim(b, a), y.dim(a, b)
+                    end = off + dx * dy
+                    eta[(a, b)] = _row_block({k - off: v for k, v in col.items()
+                                              if off <= k < end}, dx, dy)
+                    off = end
+            self._sparse_eta = eta
+        return self._sparse_eta
+
+    @property
+    def sparse_eps(self):
+        """The evaluation components as SparseMats, under their keys."""
+        if self._sparse_eps is None:
+            self._sparse_eps = {k: SparseMat.from_mat(m)
+                                for k, m in self.eps.items()}
+        return self._sparse_eps
 
     def eta_block(self, a, b):
         bobjs = self.x.tgt.objects
@@ -501,7 +543,8 @@ class DualityWitness:
 
 def verify_witness(w):
     """Check both triangle identities and that evaluation kills the coend
-    relations; raises on failure."""
+    relations and is natural; raises on failure.  The checks run on
+    the witness's sparse components."""
     x, y = w.x, w.y
     A, B = x.src, x.tgt
     for b in B.objects:
@@ -520,26 +563,36 @@ def verify_witness(w):
     _check_eps_natural(w)
 
 
+def _row_block(terms, rows, cols):
+    """The rows x cols SparseMat whose row-major entries are the sparse
+    row ``terms``; the inverse of ``vec`` on kron-layout coordinates."""
+    out = [{} for _ in range(rows)]
+    for k, v in terms.items():
+        i, j = divmod(k, cols)
+        out[i][j] = v
+    return SparseMat(out, rows, cols)
+
+
 def _triangle_one(w, b, a):
     """x(b,a) -> x(b,a) through coevaluation then evaluation.
 
     With the coevaluation block at bp reshaped to E (x(bp,a) x y(a,bp))
     and the evaluation row of u to R (y(a,bp) x x(b,a)), the map
-    (id (x) ev_u)(eta (x) id) is the product E R.
+    (id (x) ev_u)(eta (x) id) is the product E R, here a SparseMat.
     """
-    x, y = w.x, w.y
+    x = w.x
+    eta, eps = w.sparse_eta, w.sparse_eps
     B = x.tgt
     dx = x.dim(b, a)
-    total = Mat.zeros(dx, dx)
+    total = SparseMat.zeros(dx, dx)
     for bp in B.objects:
-        dxp = x.dim(bp, a)
-        dyp = y.dim(a, bp)
-        if dxp * dyp == 0:
+        e = eta[(a, bp)]
+        if not any(e.terms):
             continue
-        eta = _reshape(w.eta_block(a, bp).col(0), dxp, dyp)
-        ev = w.eps[(a, b, bp)]
+        ev = eps[(a, b, bp)]
         for k, u in enumerate(B.hom(b, bp)):
-            total = total + x.tact(u, a) @ (eta @ _reshape(ev.data[k], dyp, dx))
+            total = total + x.sparse_tact(u, a) @ (
+                e @ _row_block(ev.terms[k], e.cols, dx))
     return total
 
 
@@ -547,38 +600,57 @@ def _triangle_two(w, a, b):
     """y(a,b) -> y(a,b) through coevaluation then evaluation.
 
     With the evaluation row of u reshaped to R (y(a,b) x x(bp,a)), the map
-    (ev_u (x) id)(id (x) eta) is the transpose of R E.
+    (ev_u (x) id)(id (x) eta) is the transpose of R E, here a SparseMat.
     """
-    x, y = w.x, w.y
-    B = x.tgt
+    y = w.y
+    eta, eps = w.sparse_eta, w.sparse_eps
+    B = w.x.tgt
     dy = y.dim(a, b)
-    total = Mat.zeros(dy, dy)
+    total = SparseMat.zeros(dy, dy)
     for bp in B.objects:
-        dxp = x.dim(bp, a)
-        dyp = y.dim(a, bp)
-        if dxp * dyp == 0:
+        e = eta[(a, bp)]
+        if not any(e.terms):
             continue
-        eta = _reshape(w.eta_block(a, bp).col(0), dxp, dyp)
-        ev = w.eps[(a, bp, b)]
+        ev = eps[(a, bp, b)]
         for k, u in enumerate(B.hom(bp, b)):
-            mid = (_reshape(ev.data[k], dy, dxp) @ eta).transpose()
-            total = total + y.sact(a, u) @ mid
+            mid = (_row_block(ev.terms[k], dy, e.rows) @ e).transpose()
+            total = total + y.sparse_sact(a, u) @ mid
     return total
+
+
+def _sandwich(ev, rows, cols, left=None, right=None):
+    """The SparseMat whose row k is vec(left R right), R the row k of ev
+    reshaped to rows x cols; a missing factor is the identity.  So
+    ev (T (x) id) has left = T^t and ev (id (x) S) has right = S."""
+    orows = rows if left is None else left.rows
+    ocols = cols if right is None else right.cols
+    out = []
+    for terms in ev.terms:
+        m = _row_block(terms, rows, cols)
+        if left is not None:
+            m = left @ m
+        if right is not None:
+            m = m @ right
+        out.append({i * ocols + j: v for i, t in enumerate(m.terms)
+                    for j, v in t.items()})
+    return SparseMat(out, ev.rows, orows * ocols)
 
 
 def _check_eps_descends(w):
     """Evaluation must agree on the two routes of every coend relation."""
     x, y = w.x, w.y
     A, B = x.src, x.tgt
-    eps = {k: SparseMat.from_mat(m) for k, m in w.eps.items()}
+    eps = w.sparse_eps
     for g in A.generating_arrows():
         a1, a2 = A.src[g], A.dst[g]
+        ts = {b: y.sparse_tact(g, b).transpose() for b in B.objects}
         for bp in B.objects:
+            s = x.sparse_sact(bp, g)
             for b in B.objects:
-                lhs = _times_blocks(eps[(a1, bp, b)],
-                                    [(y.tact(g, b), 1, x.dim(bp, a1))])
-                rhs = _times_blocks(eps[(a2, bp, b)],
-                                    [(x.sact(bp, g), y.dim(a2, b), 1)])
+                lhs = _sandwich(eps[(a1, bp, b)], y.dim(a1, b), x.dim(bp, a1),
+                                left=ts[b])
+                rhs = _sandwich(eps[(a2, bp, b)], y.dim(a2, b), x.dim(bp, a2),
+                                right=s)
                 if lhs != rhs:
                     raise AssertionError(
                         "evaluation does not kill the coend relation at %r" % (g,))
@@ -589,22 +661,24 @@ def _check_eps_natural(w):
     x, y = w.x, w.y
     A, B = x.src, x.tgt
     unit = unit_prof(B)
-    eps = {k: SparseMat.from_mat(m) for k, m in w.eps.items()}
+    eps = w.sparse_eps
     for g in B.generating_arrows():
         b1, b2 = B.src[g], B.dst[g]
         for a in A.objects:
+            xg = x.sparse_tact(g, a)
+            ygt = y.sparse_sact(a, g).transpose()
             for b in B.objects:
                 # contravariant slot: precompose with g on x and on homs
-                lhs = SparseMat.from_mat(unit.tacts[(g, b)] @ w.eps[(a, b2, b)])
-                rhs = _times_blocks(eps[(a, b1, b)],
-                                    [(x.tact(g, a), y.dim(a, b), 1)])
+                lhs = unit.sparse_tact(g, b) @ eps[(a, b2, b)]
+                rhs = _sandwich(eps[(a, b1, b)], y.dim(a, b), x.dim(b1, a),
+                                right=xg)
                 if lhs != rhs:
                     raise AssertionError(
                         "evaluation not natural (contravariant) at %r" % (g,))
                 # covariant slot: postcompose with g on y and on homs
-                lhs = SparseMat.from_mat(unit.sacts[(b, g)] @ w.eps[(a, b, b1)])
-                rhs = _times_blocks(eps[(a, b, b2)],
-                                    [(y.sact(a, g), 1, x.dim(b, a))])
+                lhs = unit.sparse_sact(b, g) @ eps[(a, b, b1)]
+                rhs = _sandwich(eps[(a, b, b2)], y.dim(a, b2), x.dim(b, a),
+                                left=ygt)
                 if lhs != rhs:
                     raise AssertionError(
                         "evaluation not natural (covariant) at %r" % (g,))
@@ -859,24 +933,31 @@ def bicat_trace(w, f):
 
     dx = {a: x.dim("*", a) for a in A.objects}
     dy = {a: y.dim(a, "*") for a in A.objects}
-    off, p1, p2, h3 = _paired_coend(A, dx, lambda g: x.sact("*", g),
-                                    dy, lambda g: y.tact(g, "*"), True)
+    off, p1, p2, h3 = _paired_coend(A, dx, lambda g: x.sparse_sact("*", g),
+                                    dy, lambda g: y.sparse_tact(g, "*"),
+                                    True)
 
     # shadow of the coevaluation, checked on both naturality routes:
-    # (x(alpha) (x) id) eta and (id (x) y(alpha)) eta, as vec(S E) and
-    # vec(E T^t) for eta = vec(E), seen through the block of p1 at a
-    pre_cols = []
+    # (x(alpha) (x) id) eta and (id (x) y(alpha)) eta, as S E and E T^t
+    # for eta = vec(E), seen through the block of p1 at a; equal products
+    # have equal images, so E T^t goes through p1 only when they differ
+    eta = w.sparse_eta
+    p1_cols = p1.transpose().terms
+    pre = [{} for _ in range(p1.rows)]
+    c = 0
     for a in A.objects:
-        eta = _reshape(w.eta[a].col(0), dx[a], dy[a])
+        e = eta[(a, "*")]
         for alpha in A.endos(a):
-            v1 = _block_apply(p1, off[a], vec(x.sact("*", alpha) @ eta))
-            v2 = _block_apply(p1, off[a],
-                              vec(eta @ y.tact(alpha, "*").transpose()))
-            if v1 != v2:
+            se = x.sparse_sact("*", alpha) @ e
+            et = e @ y.sparse_tact(alpha, "*").transpose()
+            v1 = _through_block(p1_cols, off[a][0], se)
+            if se != et and v1 != _through_block(p1_cols, off[a][0], et):
                 raise AssertionError(
                     "coevaluation is not natural at endomorphism %r" % (alpha,))
-            pre_cols.append(v1.col(0))
-    pre = Mat.from_cols(pre_cols, p1.rows) if pre_cols else Mat.zeros(p1.rows, 0)
+            for r, v in v1.items():
+                pre[r][c] = v
+            c += 1
+    pre = SparseMat(pre, p1.rows, c)
     h1 = factor_through(su.sparse_proj, pre)
 
     h2 = factor_through(p1, _times_blocks(p1, [(f[a], 1, dy[a])
@@ -890,13 +971,26 @@ def bicat_trace(w, f):
     return {rep: row.data[0][i] for i, rep in enumerate(su.classes.reps)}
 
 
+def _through_block(p_cols, off, m):
+    """p @ vec(m) as {row: value}, for m laid out row-major in the columns
+    of p from ``off`` on; ``p_cols`` holds p's sparse columns, so only the
+    nonzeros of m and of those columns are read."""
+    acc = {}
+    for i, terms in enumerate(m.terms):
+        base = off + i * m.cols
+        for j, v in terms.items():
+            for r, pv in p_cols[base + j].items():
+                acc[r] = acc.get(r, 0) + pv * v
+    return {r: v for r, v in acc.items() if v}
+
+
 def _check_endo_natural(x, f):
     """x(g) f_s = f_t x(g) on every generating arrow g: s -> t, as
     sparse products, each action and each f read once."""
     A = x.src
     sf = {a: SparseMat.from_mat(m) for a, m in f.items()}
     for g in A.generating_arrows():
-        act = SparseMat.from_mat(x.sact("*", g))
+        act = x.sparse_sact("*", g)
         if act @ sf[A.src[g]] != sf[A.dst[g]] @ act:
             raise ValueError("endomorphism is not natural at %r" % (g,))
 
@@ -918,8 +1012,9 @@ def coeff_vector_direct(w, endo=None):
     dy = {a: y.dim("*", a) for a in A.objects}
     if endo is None:
         endo = {a: Mat.identity(dx[a]) for a in A.objects}
-    _off, p1, p2, u2 = _paired_coend(A, dx, lambda g: x.tact(g, "*"),
-                                     dy, lambda g: y.sact("*", g), False)
+    _off, p1, p2, u2 = _paired_coend(A, dx, lambda g: x.sparse_tact(g, "*"),
+                                     dy, lambda g: y.sparse_sact("*", g),
+                                     False)
 
     u1 = _block_apply(p1, (0, p1.cols), w.eta["*"])
     u1 = factor_through(p1, _times_blocks(p1, [(endo[a], 1, dy[a])

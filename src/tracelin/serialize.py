@@ -13,14 +13,17 @@ from .exactalg import ChainComplex, ChainMap, Mat
 
 
 def frac_from(v):
-    if isinstance(v, int):
+    """A rational from JSON: an int (not a bool) or a string like "-1/2"."""
+    if type(v) is int:
         return Fraction(v)
     if isinstance(v, str):
         try:
             return Fraction(v)
         except ZeroDivisionError:
             pass
-    raise ValueError("bad rational %r" % (v,))
+    # a string keeps its quotes; other values are shown as JSON writes them
+    raise ValueError("bad rational %s" % (repr(v) if isinstance(v, str)
+                                          else json.dumps(v, default=repr)))
 
 
 def _dim_from(v, what, degree):

@@ -54,6 +54,9 @@ def test_rational_strings():
     from fractions import Fraction
     assert serialize.frac_from("3") == 3
     assert serialize.frac_from("-1/2") == Fraction(-1, 2)
+    for bad in (True, False, 1.5, None):
+        with pytest.raises(ValueError, match="^bad rational "):
+            serialize.frac_from(bad)
     assert serialize.frac_str(Fraction(4, 2)) == "2"
     assert serialize.frac_str(Fraction(-1, 3)) == "-1/3"
 
@@ -453,6 +456,21 @@ def test_cli_zero_denominator_is_input_error(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, command, "pushout", str(path))
     assert (code, out) == (2, "")
     assert err.strip() == "error: bad rational '1/0'"
+
+
+@pytest.mark.parametrize("value, shown", [(True, "true"), (False, "false")])
+@pytest.mark.parametrize("command", ["trace", "hocolim", "bicat-trace"])
+def test_cli_boolean_entry_is_input_error(tmp_path, capsys, command, value,
+                                          shown):
+    """JSON true and false are not rationals, although Python's bool is
+    an int."""
+    obj = serialize.load_json(cli.data_dir() / "pushout_span.json")
+    obj["arrows"]["f"] = {"0": [[value], ["1"]]}
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, command, "pushout", str(path))
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: bad rational %s" % shown
 
 
 BAD_DIMENSIONS = [(1.5, "1.5"), ("1", '"1"'), (1.0, "1.0"), (True, "true"),

@@ -420,7 +420,16 @@ def test_sparse_solve_matches_dense_reference():
     assert inconsistent > 20
 
 
-def test_sparse_factor_through_matches_dense():
+def test_sparse_factor_through_matches_dense(monkeypatch):
+    """Through a cokernel projection, factoring reads the free columns and
+    runs no elimination; the factor is the one that solving p^t n^t = m^t
+    gives, and both failures keep their messages."""
+    from tracelin import exactalg
+    calls = []
+    real = exactalg._eliminate
+    monkeypatch.setattr(exactalg, "_eliminate",
+                        lambda rows, limit: calls.append(limit)
+                        or real(rows, limit))
     rng = random.Random(61)
     counts = {"unique": 0, "no factor": 0, "ambiguous": 0}
     for m in seeded_matrices(67, 80):
@@ -432,24 +441,32 @@ def test_sparse_factor_through_matches_dense():
                           for _ in range(2)], 2, p.cols)
         if dense_solve(p.transpose(), bad.transpose()) is not None:
             bad = None
+        ref = solve_linear(p.transpose(), good.transpose()).solution
         for p_, good_ in _operand_forms(p, good):
+            del calls[:]
             got = factor_through(p_, good_)
-            assert got == n and _all_fractions(got)
+            assert calls == []
+            assert got == n == ref.transpose() and _all_fractions(got)
             counts["unique"] += 1
         if bad is not None:
             for p_, bad_ in _operand_forms(p, bad):
+                del calls[:]
                 with pytest.raises(ValueError, match="^map does not factor "
                                    "through the projection$"):
                     factor_through(p_, bad_)
+                assert calls == []
                 counts["no factor"] += 1
         if p.rows:
             # a repeated row leaves p's row space alone but makes the
-            # factorization ambiguous
+            # factorization ambiguous; it has no unit column, so p is
+            # solved for
             twice = Mat(p.data + p.data[:1], p.rows + 1, p.cols)
             for p_, good_ in _operand_forms(twice, good):
+                del calls[:]
                 with pytest.raises(ValueError, match="^projection is not "
                                    "surjective; factorization ambiguous$"):
                     factor_through(p_, good_)
+                assert calls != []
                 counts["ambiguous"] += 1
     assert min(counts.values()) > 40
 

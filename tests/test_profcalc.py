@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -547,8 +548,8 @@ def test_triangles_match_kron_formula():
             A, B = w.x.src, w.x.tgt
             for a in A.objects:
                 for b in B.objects:
-                    assert _triangle_one(bad, b, a) == one(bad, b, a)
-                    assert _triangle_two(bad, a, b) == two(bad, a, b)
+                    assert _triangle_one(bad, b, a).to_mat() == one(bad, b, a)
+                    assert _triangle_two(bad, a, b).to_mat() == two(bad, a, b)
 
 
 def test_witness_with_scaled_coevaluation_is_rejected():
@@ -559,6 +560,56 @@ def test_witness_with_scaled_coevaluation_is_rejected():
     with pytest.raises(AssertionError, match="triangle identity fails"):
         DualityWitness(w.x, w.y, {a: v.smul(2) for a, v in w.eta.items()},
                        w.eps)
+
+
+@pytest.mark.parametrize("dx, dy, which", [(2, 1, "first"), (1, 2, "second")])
+def test_witness_checks_each_triangle(dx, dy, which):
+    """With x and y of different dimensions, E R = I can hold while R E is
+    not I, and the other way round, so each triangle fails on its own."""
+    from tracelin.exactalg import vec
+    from tracelin.profcalc import DualityWitness, Profunctor
+    one = terminal_category()
+
+    def prof(d):
+        return Profunctor(one, one, {("*", "*"): d},
+                          {("id*", "*"): Mat.identity(d)},
+                          {("*", "id*"): Mat.identity(d)})
+
+    e = Mat([[F(int(i == j)) for j in range(dy)] for i in range(dx)])
+    r = e.transpose()
+    eps = Mat([[r.data[i][j] for i in range(dy) for j in range(dx)]])
+    with pytest.raises(AssertionError,
+                       match="^%s triangle identity fails" % which):
+        DualityWitness(prof(dx), prof(dy), {"*": vec(e)},
+                       {("*", "*", "*"): eps})
+
+
+# one entry of the evaluation of the representable witness of the span at
+# an object moved by one, and the naturality square that then fails
+EPS_NOT_NATURAL = [
+    ("a", ("*", "a", "a"), "covariant) at 'f'"),
+    ("a", ("*", "a", "b"), "covariant) at 'f'"),
+    ("a", ("*", "a", "c"), "covariant) at 'g'"),
+    ("b", ("*", "a", "b"), "contravariant) at 'f'"),
+    ("b", ("*", "b", "b"), "contravariant) at 'f'"),
+    ("c", ("*", "a", "c"), "contravariant) at 'g'"),
+    ("c", ("*", "c", "c"), "contravariant) at 'g'"),
+]
+
+
+@pytest.mark.parametrize("obj, key, where", EPS_NOT_NATURAL)
+def test_witness_rejects_evaluation_that_is_not_natural(obj, key, where):
+    from tracelin.profcalc import DualityWitness, _check_eps_natural
+    w = representable(object_functor(span(), obj))[2]
+    eps = dict(w.eps)
+    data = [list(row) for row in eps[key].data]
+    data[0][0] += 1
+    eps[key] = Mat(data)
+    bad = DualityWitness(w.x, w.y, w.eta, eps, check=False)
+    _check_eps_natural(w)
+    with pytest.raises(AssertionError, match="^evaluation not natural \\(%s$"
+                       % re.escape(where)):
+        _check_eps_natural(bad)
 
 
 def _rejection_witnesses():
@@ -573,6 +624,47 @@ def _rejection_witnesses():
     perm = VectDiagram(bs3, {"x": rep[bs3.arrows[0][1]].rows},
                        {g: rep[g[1]] for g in bs3.arrows})
     return [dual_of_pointwise(prof_from_diagram(d)) for d in (const, perm)]
+
+
+@pytest.mark.parametrize("name", ["orbit_S3", "BS3", "delta3op"])
+def test_bicat_trace_eliminates_once_per_coend(monkeypatch, name):
+    """With the unit shadow cached, the only eliminations left are the
+    two coends; every map is factored through a projection by reading
+    its free columns."""
+    cat = harness.corpus()[name]["cat"]
+    unit_shadow(cat)
+    rng = random.Random(5)
+    dia = harness.random_vect_diagram(rng, cat, max_dim=3)
+    endo = harness.random_vect_endo(rng, dia)
+    w = dual_of_pointwise(prof_from_diagram(dia))
+    from tracelin import exactalg
+    calls = []
+    real = exactalg._eliminate
+    monkeypatch.setattr(exactalg, "_eliminate",
+                        lambda rows, limit: calls.append(limit)
+                        or real(rows, limit))
+    got = bicat_trace(w, {a: endo.at(a) for a in cat.objects})
+    assert len(calls) == 2
+    for rep, v in got.items():
+        assert v == trace(endo.at(cat.src[rep]) @ dia.mat(rep))
+
+
+def test_bicat_trace_rejects_coevaluation_that_is_not_natural():
+    """An identity action of the dual that is not the identity moves the
+    coevaluation off its naturality square at the identity arrow."""
+    from tracelin.profcalc import DualityWitness, Profunctor
+    for w in _rejection_witnesses():
+        A = w.x.src
+        y = w.y
+        tacts = dict(y.tacts)
+        a = A.objects[0]
+        tacts[(A.idarr(a), "*")] = y.tact(A.idarr(a), "*").smul(2)
+        y2 = Profunctor(y.src, y.tgt, y.dims, tacts, y.sacts, check=False)
+        bad = DualityWitness(w.x, y2, w.eta, w.eps, check=False)
+        f = {b: Mat.identity(w.x.dim("*", b)) for b in A.objects}
+        msg = "coevaluation is not natural at endomorphism %r" % (A.idarr(a),)
+        with pytest.raises(AssertionError, match="^%s$" % re.escape(msg)):
+            bicat_trace(bad, f)
 
 
 def test_bicat_trace_rejects_evaluation_that_does_not_descend():
