@@ -160,20 +160,13 @@ def _hocolim(cat, dia, endo, method):
         return res.complex, induced, method
     if method in ("group", "groupoid"):
         total, induced, _parts = diagrams.hocolim_groupoid(
-            dia, endo if endo is not None else _identity_endo(dia))
+            dia, endo if endo is not None else diagrams.identity_endo(dia))
         return total, (induced if endo is not None else None), method
     if method == "ei":
         res, induced = diagrams.hocolim_EI(
-            dia, endo if endo is not None else _identity_endo(dia))
+            dia, endo if endo is not None else diagrams.identity_endo(dia))
         return res.complex, (induced if endo is not None else None), method
     raise ValueError("unknown method %r" % (method,))
-
-
-def _identity_endo(dia):
-    from .exactalg import identity_chain_map
-    return diagrams.NatEndo(
-        dia, {o: identity_chain_map(dia.cx(o)) for o in dia.base.objects},
-        check=False)
 
 
 def cmd_hocolim(args):
@@ -189,7 +182,7 @@ def cmd_hocolim(args):
 def cmd_trace(args):
     cat, dia, endo = _category_and_diagram(args)
     if endo is None:
-        endo = _identity_endo(dia)
+        endo = diagrams.identity_endo(dia)
     _total, induced, method = _hocolim(cat, dia, endo, args.method)
     val = lefschetz(induced)
     emit(args, {"method": method, "trace": str(val)},

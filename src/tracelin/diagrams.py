@@ -11,7 +11,7 @@ a finite EI shape to a strictly homotopy finite one.
 from . import fincat
 from .exactalg import (
     F, ZERO, ONE, Mat, SparseMat, ChainComplex, ChainMap, block_diag, cokernel,
-    factor_through, idempotent_image, kernel_basis, kron,
+    factor_through, identity_chain_map, idempotent_image, kernel_basis, kron,
 )
 
 
@@ -159,6 +159,16 @@ class NatEndo:
                 if lhs != self.components[t].compose(d.map(a)):
                     out.append("naturality fails at arrow %r" % (a,))
         return out
+
+
+def identity_endo(x):
+    """Identity natural endomorphism of a vector-space or chain diagram."""
+    objs = x.base.objects
+    if isinstance(x, VectDiagram):
+        return NatEndo(x, {o: Mat.identity(x.dim(o)) for o in objs},
+                       check=False)
+    return NatEndo(x, {o: identity_chain_map(x.cx(o)) for o in objs},
+                   check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -514,17 +524,6 @@ def hocolim_hofin(x, check=True):
                for n, rows in diff.items()}, check=check)
     strings = [s for level in levels for s in level]
     return HocolimResult(total, index, strings, x)
-
-
-def pushout_ho(x, check=True):
-    """Homotopy pushout: the homotopy colimit over a two-legged span base."""
-    return hocolim_hofin(x, check=check)
-
-
-def cofiber(f):
-    """Mapping cone wrapper; see exactalg.cone."""
-    from .exactalg import cone
-    return cone(f)
 
 
 # ---------------------------------------------------------------------------

@@ -151,10 +151,6 @@ def kron(a, b):
     return Mat(out, a.rows * b.rows, a.cols * b.cols, coerce=False)
 
 
-def direct_sum(a, b):
-    return block_diag([a, b])
-
-
 def block_diag(mats):
     rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)

@@ -332,35 +332,6 @@ def lambda_cat(cat):
     return lcat, comp_index
 
 
-def twisted_arrow(cat):
-    """Category whose objects are the arrows of cat.
-
-    A morphism f1 -> f2 is a pair (g, h) with f2 = g then f1 then h, i.e.
-    a two-sided factorization of f2 through f1.
-    """
-    objs = list(cat.arrows)
-    arrows = []
-    by_src = {}
-    for f1 in objs:
-        for f2 in objs:
-            for g in cat.hom(cat.src[f2], cat.src[f1]):
-                for h in cat.hom(cat.dst[f1], cat.dst[f2]):
-                    if cat.then_seq([g, f1, h]) == f2:
-                        arr = (f1, f2, g, h)
-                        arrows.append((arr, f1, f2))
-                        by_src.setdefault(f1, []).append(arr)
-    identities = {f: (f, f, cat.idarr(cat.src[f]), cat.idarr(cat.dst[f]))
-                  for f in objs}
-    compose = {}
-    for (m1, f1, f2) in arrows:
-        (_, _, g1, h1) = m1
-        for m2 in by_src.get(f2, []):
-            (_, f3, g2, h2) = m2
-            compose[(m1, m2)] = (f1, f3, cat.then(g2, g1), cat.then(h1, h2))
-    return FinCat(objs, arrows, identities, compose,
-                  name=("tw(%s)" % cat.name) if cat.name else None)
-
-
 def count_strings(cat, a, k):
     """Number of composable length-k strings of nonidentity arrows from a."""
     if k < 0:

@@ -292,6 +292,23 @@ def rand_combo_endo(rng, basis, lo=-2, hi=2):
     return diagrams.NatEndo(basis[0].diagram, acc, check=False)
 
 
+def random_endo(rng, dia):
+    """Random combination of the natural-endomorphism basis of a
+    vector-space or chain diagram, or its identity when the basis is
+    empty."""
+    endo = rand_combo_endo(rng, diagrams.nat_endo_basis(dia))
+    return endo if endo is not None else diagrams.identity_endo(dia)
+
+
+def random_chain_map(rng, src, dst):
+    """Random integer combination of the basis of chain maps src -> dst,
+    or the zero map when the basis is empty."""
+    acc = ChainMap(src, dst, {}, check=False)
+    for b in diagrams.chain_map_space(src, dst):
+        acc = acc + b.smul(F(rng.randint(-2, 2)))
+    return acc
+
+
 def gen_chain_diagram(seed, cat, max_dim=3, lo=0, hi=2):
     """Seeded functorial chain diagram over a free-graph category.
 
@@ -308,19 +325,8 @@ def gen_chain_diagram(seed, cat, max_dim=3, lo=0, hi=2):
     for arr in cat.arrows:
         if cat.is_id(arr) or arr[0] != "p" or len(arr[2]) != 1:
             continue
-        basis = diagrams.chain_map_space(complexes[cat.src[arr]],
-                                         complexes[cat.dst[arr]])
-        if basis:
-            coefs = [F(rng.randint(-2, 2)) for _ in basis]
-            acc = None
-            for c, b in zip(coefs, basis):
-                term = b.smul(c)
-                acc = term if acc is None else acc + term
-            edge_maps[arr[2][0]] = acc
-        else:
-            edge_maps[arr[2][0]] = ChainMap(complexes[cat.src[arr]],
-                                            complexes[cat.dst[arr]], {},
-                                            check=False)
+        edge_maps[arr[2][0]] = random_chain_map(
+            rng, complexes[cat.src[arr]], complexes[cat.dst[arr]])
     for arr in cat.arrows:
         if cat.is_id(arr):
             continue
@@ -332,12 +338,7 @@ def gen_chain_diagram(seed, cat, max_dim=3, lo=0, hi=2):
             acc = step if acc is None else step.compose(acc)
         maps[arr] = acc
     dia = diagrams.ChainDiagram(cat, complexes, maps)
-    endo = rand_combo_endo(rng, diagrams.nat_endo_basis(dia))
-    if endo is None:
-        endo = diagrams.NatEndo(
-            dia, {o: identity_chain_map(complexes[o]) for o in cat.objects},
-            check=False)
-    return dia, endo
+    return dia, random_endo(rng, dia)
 
 
 def group_chain_diagram(seed, gname, max_pieces=2):
@@ -396,10 +397,7 @@ def group_chain_diagram(seed, gname, max_pieces=2):
                             = m.data[i][j]
         maps[("g", x)] = ChainMap(cx, cx, mats, check=False)
     dia = diagrams.ChainDiagram(cat, {"x": cx}, maps)
-    endo = rand_combo_endo(rng, diagrams.nat_endo_basis(dia))
-    if endo is None:
-        endo = diagrams.NatEndo(dia, {"x": identity_chain_map(cx)}, check=False)
-    return dia, endo
+    return dia, random_endo(rng, dia)
 
 
 def rep_set_diagram(cat, a0):
@@ -478,16 +476,6 @@ def random_vect_diagram(rng, cat, max_dim=4):
                 cat, {b: [] for b in cat.objects},
                 {arr: {} for arr in cat.arrows}, check=False))
     return diagrams.linearize(coproduct_set_diagrams(cat, parts))
-
-
-def random_vect_endo(rng, dia):
-    basis = diagrams.nat_endo_basis(dia)
-    endo = rand_combo_endo(rng, basis)
-    if endo is None:
-        endo = diagrams.NatEndo(
-            dia, {o: Mat.identity(dia.dim(o)) for o in dia.base.objects},
-            check=False)
-    return endo
 
 
 # ---------------------------------------------------------------------------
@@ -620,12 +608,7 @@ def groupoid_chain_diagram(seed, name):
         dia = diagrams.ChainDiagram(cat, complexes, maps)
     else:
         raise ValueError("no groupoid diagram family for %r" % (name,))
-    endo = rand_combo_endo(rng, diagrams.nat_endo_basis(dia))
-    if endo is None:
-        endo = diagrams.NatEndo(
-            dia, {o: identity_chain_map(dia.cx(o)) for o in cat.objects},
-            check=False)
-    return dia, endo
+    return dia, random_endo(rng, dia)
 
 
 def verify_linearity_groupoid(seed, case_no, name):
@@ -645,14 +628,7 @@ def verify_linearity_ei(seed, case_no, name):
     dia, endo = _ei_chain_case(rng, cat)
     _res, induced = diagrams.hocolim_EI(dia, endo)
     lhs = lefschetz(induced)
-    phi = coeffs.coeff_EI(cat)
-    skel = fincat.skeletalize(cat).cat
-    rhs = ZERO
-    for rep, v in phi.items():
-        if not v:
-            continue
-        a = skel.src[rep]
-        rhs += v * lefschetz(endo.at(a).compose(dia.map(rep)))
+    rhs = linearity_rhs(coeffs.coeff_EI(cat), dia, endo)
     return _case("ei:linearity:%s:%d" % (name, case_no), lhs, rhs,
                  witness=_witness_payload(dia, endo))
 
@@ -663,21 +639,11 @@ def verify_cofiber(seed, case_no):
     rng = seeded_rng("cof", seed, case_no)
     cx = random_complex(rng, 3, 0, 2)
     cy = random_complex(rng, 3, 0, 2)
-    basis = diagrams.chain_map_space(cx, cy)
-    fmap = None
-    if basis:
-        for c, b in zip([F(rng.randint(-2, 2)) for _ in basis], basis):
-            t = b.smul(c)
-            fmap = t if fmap is None else fmap + t
-    if fmap is None:
-        fmap = ChainMap(cx, cy, {}, check=False)
+    fmap = random_chain_map(rng, cx, cy)
     dia = diagrams.ChainDiagram(
         cat, {"a": cx, "b": cy},
         {"a": identity_chain_map(cx), "b": identity_chain_map(cy), "f": fmap})
-    endo = rand_combo_endo(rng, diagrams.nat_endo_basis(dia))
-    if endo is None:
-        endo = diagrams.NatEndo(dia, {"a": identity_chain_map(cx),
-                                      "b": identity_chain_map(cy)}, check=False)
+    endo = random_endo(rng, dia)
     _cone_cx, cendo = cone_endo(fmap, endo.at("a"), endo.at("b"))
     lhs = lefschetz(cendo)
     rhs = lefschetz(endo.at("b")) - lefschetz(endo.at("a"))
@@ -692,25 +658,14 @@ def verify_pushout_vs_cone(seed, case_no):
     cx = random_complex(rng, 2, 0, 2)
     cy = random_complex(rng, 2, 0, 2)
     zero = ChainComplex({}, {})
-    basis = diagrams.chain_map_space(cx, cy)
-    fmap = None
-    if basis:
-        for c, b in zip([F(rng.randint(-2, 2)) for _ in basis], basis):
-            t = b.smul(c)
-            fmap = t if fmap is None else fmap + t
-    if fmap is None:
-        fmap = ChainMap(cx, cy, {}, check=False)
+    fmap = random_chain_map(rng, cx, cy)
     dia = diagrams.ChainDiagram(
         span, {"a": cx, "b": cy, "c": zero},
         {"a": identity_chain_map(cx), "b": identity_chain_map(cy),
          "c": identity_chain_map(zero), "f": fmap,
          "g": ChainMap(cx, zero, {}, check=False)})
-    endo = rand_combo_endo(rng, diagrams.nat_endo_basis(dia))
-    if endo is None:
-        endo = diagrams.NatEndo(
-            dia, {"a": identity_chain_map(cx), "b": identity_chain_map(cy),
-                  "c": identity_chain_map(zero)}, check=False)
-    res = diagrams.pushout_ho(dia)
+    endo = random_endo(rng, dia)
+    res = diagrams.hocolim_hofin(dia)
     lhs = lefschetz(res.induce(endo))
     _cone_cx, cendo = cone_endo(fmap, endo.at("a"), endo.at("b"))
     rhs = lefschetz(cendo)
@@ -765,7 +720,7 @@ def verify_component_lemma(rng, cat, case_id):
     """One componentwise comparison: the quotient-pipeline trace of a
     seeded endomorphism against the direct traces, class by class."""
     dia = random_vect_diagram(rng, cat, max_dim=4)
-    endo = random_vect_endo(rng, dia)
+    endo = random_endo(rng, dia)
     prof = profcalc.prof_from_diagram(dia)
     w = profcalc.dual_of_pointwise(prof)
     got = profcalc.bicat_trace(w, {a: endo.at(a) for a in cat.objects})
@@ -903,12 +858,7 @@ def _ei_chain_case(rng, cat):
     vd = random_vect_diagram(rng, cat, max_dim=4)
     deg = rng.randint(0, 1)
     dia = diagrams.vect_to_chain(vd, degree=deg)
-    endo = rand_combo_endo(rng, diagrams.nat_endo_basis(dia))
-    if endo is None:
-        endo = diagrams.NatEndo(
-            dia, {o: identity_chain_map(dia.cx(o)) for o in cat.objects},
-            check=False)
-    return dia, endo
+    return dia, random_endo(rng, dia)
 
 
 def suite_realiz(seed=0, cases=20):

@@ -21,7 +21,7 @@ computations.
 from . import fincat
 from .exactalg import (
     ONE, ZERO, Mat, SparseMat, block_diag, cokernel, factor_through, hstack,
-    idempotent_image, inverse, kron, vec,
+    idempotent_image, inverse, kron, vec, vstack,
 )
 
 
@@ -183,9 +183,8 @@ class ShadowSpace:
     conjugacy-class coordinates.
     """
 
-    def __init__(self, cat, offsets, sparse_proj, classes=None,
+    def __init__(self, offsets, sparse_proj, classes=None,
                  class_matrix=None, to_class=None):
-        self.cat = cat
         self.offsets = offsets
         self.sparse_proj = sparse_proj
         self._proj = None
@@ -326,7 +325,7 @@ def shadow(h):
              cat.dst[g], (h.sact(cat.dst[g], g), 1, 1))
             for g in cat.generating_arrows()]
     offsets, proj = _coend(cat.objects, lambda a: h.dim(a, a), rels)
-    return ShadowSpace(cat, offsets, proj)
+    return ShadowSpace(offsets, proj)
 
 
 def unit_shadow(cat):
@@ -352,7 +351,7 @@ def unit_shadow(cat):
         cols.append(sh.include(a, v).col(0))
     class_matrix = Mat.from_cols(cols, sh.dim)
     to_class = inverse(class_matrix)
-    cat._unit_shadow = ShadowSpace(cat, sh.offsets, sh.sparse_proj, classes,
+    cat._unit_shadow = ShadowSpace(sh.offsets, sh.sparse_proj, classes,
                                    class_matrix, to_class)
     return cat._unit_shadow
 
@@ -843,18 +842,13 @@ def dual_via_retract(w, r, s):
             blk = w.eta_block(ast, a)
             _i, p = splits[a]
             blocks.append(kron(r[a], p) @ blk)
-        eta[ast] = vstack_cols(blocks)
+        eta[ast] = vstack(blocks) if blocks else Mat.zeros(0, 1)
     eps = {}
     for ap in A.objects:
         for a in A.objects:
             i, _p = splits[a]
             eps[("*", ap, a)] = w.eps[("*", ap, a)] @ kron(i, s[ap])
     return DualityWitness(z, zd, eta, eps)
-
-
-def vstack_cols(cols):
-    data = [row for c in cols for row in c.data]
-    return Mat(data, sum(c.rows for c in cols), 1, coerce=False)
 
 
 def _mate_of_weight_endo(w, e):

@@ -113,7 +113,7 @@ def test_acceptance_8_small_fixed_facts():
     E = harness.idempotent_category()
     for i in range(20):
         dia = harness.random_vect_diagram(rng, E, max_dim=4)
-        endo = harness.random_vect_endo(rng, dia)
+        endo = harness.random_endo(rng, dia)
         e = dia.mat("e")
         if not e.rows:
             continue

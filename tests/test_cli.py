@@ -106,6 +106,34 @@ def test_cli_trace_and_hocolim(capsys):
     assert "complex" in json.loads(out)
 
 
+@pytest.mark.parametrize("cat, dia, method", [
+    ("pushout", "pushout_span", "hofin"), ("pushout", "pushout_span", "ei"),
+    ("BC2", "BC2_regular", "groupoid"), ("BC2", "BC2_regular", "ei"),
+])
+def test_cli_without_endo_uses_the_identity(tmp_path, capsys, monkeypatch,
+                                            cat, dia, method):
+    # with no endo entry, hocolim prints the same complex and trace gives
+    # its Euler characteristic, both through diagrams.identity_endo
+    obj = serialize.load_json(cli.data_dir() / (dia + ".json"))
+    del obj["endo"]
+    path = tmp_path / "noendo.json"
+    path.write_text(json.dumps(obj))
+    calls = []
+    real = diagrams.identity_endo
+    monkeypatch.setattr(diagrams, "identity_endo",
+                        lambda x: calls.append(x) or real(x))
+    argv = ["--format", "json", "hocolim", "--method", method, cat]
+    _, with_endo, _ = run_cli(capsys, *argv, dia)
+    code, out, _ = run_cli(capsys, *argv, str(path))
+    assert code == 0 and out == with_endo
+    degrees = json.loads(out)["complex"]["degrees"]
+    euler = sum((-1) ** int(n) * d for n, d in degrees.items())
+    code, out, _ = run_cli(capsys, "--format", "json", "trace", "--method",
+                           method, cat, str(path))
+    assert code == 0 and json.loads(out)["trace"] == str(euler)
+    assert len(calls) == (1 if method == "hofin" else 2)
+
+
 def test_cli_bicat_trace(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "bicat-trace",
                            "idem", "idem_diagram")

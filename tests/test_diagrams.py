@@ -7,7 +7,7 @@ from tracelin import diagrams, fincat, harness
 from tracelin.diagrams import (
     ChainDiagram, FinSetDiagram, NatEndo, VectDiagram, chain_map_space,
     coinvariants_group, colim_fin_set, colim_vect, hocolim_EI,
-    hocolim_groupoid, hocolim_hofin, induced_endo_colim,
+    hocolim_groupoid, hocolim_hofin, identity_endo, induced_endo_colim,
     induced_endo_fin_set, invariant_dims, linearize, nat_endo_basis,
     vect_to_chain, weighted_colim_vect, weighted_colim_endo,
 )
@@ -254,6 +254,21 @@ def test_nat_endo_basis_vector_case_is_chain_case_in_degree_zero():
         for bv, bc in zip(vect, chain):
             for o in x.base.objects:
                 assert bv.at(o) == bc.at(o).mat(0)
+
+
+def test_identity_endo_of_vect_and_chain_diagrams():
+    x = VectDiagram(idem_cat(), {"x": 2},
+                    {"x": Mat.identity(2), "e": Mat([[1, 1], [0, 0]])})
+    endo = identity_endo(x)
+    assert endo.violations() == []
+    assert all(endo.at(o).is_identity() for o in x.base.objects)
+    cat = harness.gen_hofin_category(2)
+    for dia in [vect_to_chain(x, degree=1),
+                harness.gen_chain_diagram(2, cat)[0]]:
+        endo = identity_endo(dia)
+        assert endo.violations() == []
+        for o in dia.base.objects:
+            assert endo.at(o) == identity_chain_map(dia.cx(o))
 
 
 def test_chain_map_space_against_kron_system():

@@ -5,8 +5,8 @@ from math import gcd
 import pytest
 
 from tracelin.exactalg import (
-    ChainComplex, ChainMap, Mat, SparseMat, cokernel, cone, cone_endo,
-    direct_sum, factor_through, hstack, homology_dims, homology_endo_traces,
+    ChainComplex, ChainMap, Mat, SparseMat, block_diag, cokernel, cone,
+    cone_endo, factor_through, hstack, homology_dims, homology_endo_traces,
     idempotent_image, identity_chain_map, image_basis, inverse, kernel_basis,
     kron, lefschetz, lefschetz_via_homology, rank, shift, shift_map,
     solve_linear, trace,
@@ -99,7 +99,8 @@ def test_idempotent_image_splitting():
         p.data[rng.randrange(d)][rng.randrange(d)] += F(rng.randint(-1, 1))
         if rank(p) < d:
             continue
-        e = p @ direct_sum(Mat.identity(r), Mat.zeros(d - r, d - r)) @ inverse(p)
+        e = (p @ block_diag([Mat.identity(r), Mat.zeros(d - r, d - r)])
+             @ inverse(p))
         i, q = idempotent_image(e)
         assert (q @ i).is_identity()
         assert i @ q == e

@@ -11,7 +11,7 @@ from tracelin.fincat import (
     is_strictly_homotopy_finite, lambda_cat, opposite, orbit_category,
     parallel_arrows, poset_reflection, product, skeletalize,
     string_alternating_sum, string_iso_classes, subgroup, symmetric_group,
-    table_violations, twisted_arrow, validate,
+    table_violations, validate,
 )
 
 
@@ -234,28 +234,6 @@ def test_lambda_cat_morphisms_form_a_category(cat):
     for (s, t, x1, z1) in lcat.arrows:
         for (_t, u, x2, z2) in by_src[t]:
             assert (s, u, cat.then(x1, x2), cat.then(z2, z1)) in morphisms
-
-
-def test_twisted_arrow_of_terminal():
-    tw = twisted_arrow(terminal())
-    assert len(tw.objects) == 1
-    assert validate(tw) == []
-
-
-def test_twisted_arrow_of_walking_arrow_is_opposite_span():
-    tw = twisted_arrow(walking_arrow())
-    assert len(tw.objects) == 3
-    assert validate(tw) == []
-    nonid = tw.nonidentity()
-    assert len(nonid) == 2
-    # both nonidentity arrows target the same object: the span, reversed
-    assert len({tw.dst[a] for a in nonid}) == 1
-    assert len({tw.src[a] for a in nonid}) == 2
-
-
-def test_twisted_arrow_object_count_is_arrow_count():
-    for cat in [bg_category(cyclic_group(2)), idem_cat(), span()]:
-        assert len(twisted_arrow(cat).objects) == len(cat.arrows)
 
 
 def test_count_strings_empty_string():

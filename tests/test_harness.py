@@ -1,8 +1,12 @@
 import hashlib
 import json
 
+import random
+
 from tracelin import diagrams, fincat, harness
-from tracelin.exactalg import identity_chain_map, lefschetz
+from tracelin.exactalg import (
+    ChainComplex, ChainMap, Mat, identity_chain_map, lefschetz,
+)
 
 
 def test_corpus_categories_all_validate():
@@ -98,16 +102,91 @@ SEED0_REPORT_SHA256 = {
 }
 
 
-def test_seed0_report_bytes_are_pinned():
-    assert sorted(SEED0_REPORT_SHA256) == sorted(harness.SUITES)
+# The same digests at seed 1, which draws other diagrams, endomorphisms
+# and chain maps, so a change in the order of the random draws shows.
+SEED1_REPORT_SHA256 = {
+    "linearity":
+        "72cba3e48f54995fa6e101d49fcbb90583a377062ad4c9f219d35ad03f7c60b3",
+    "component":
+        "d6f2bbbfa442e03fcd07e58bf752e0486c3676d1e143c9afc9f89df9527ef44f",
+    "burnside":
+        "50a20f71f481141e2915530970937aa5fdc770c223a5be5f04c5e21fa07e44ca",
+    "ei": "ebf51c5ca5cf8bb9b53147aa5233063ae5d185de70cedc6b2352d2c486da4e3b",
+    "realiz":
+        "a5310dbe5dcc40657bd8170460aef2b22d8c6996a2cd69fff330f5767c3a7989",
+    "sets":
+        "07830b52d4952f02843d224d015298bd0393d1c9d43ee375243466b374b4ad16",
+    "leinster":
+        "17a6913e06db232b746c241ebc1ae0bbfe50027536715050adaf2ba18fd615eb",
+}
+
+
+def _check_report_bytes(seed, digests):
+    assert sorted(digests) == sorted(harness.SUITES)
     changed = []
     for name in harness.SUITES:
-        report = harness.run_suite(name, seed=0)
+        report = harness.run_suite(name, seed=seed)
         text = json.dumps(report.to_json(), sort_keys=True)
-        if hashlib.sha256(text.encode()).hexdigest() \
-                != SEED0_REPORT_SHA256[name]:
+        if hashlib.sha256(text.encode()).hexdigest() != digests[name]:
             changed.append(name)
     assert not changed, "report bytes changed for suites: %s" % changed
+
+
+def test_seed0_report_bytes_are_pinned():
+    _check_report_bytes(0, SEED0_REPORT_SHA256)
+
+
+def test_seed1_report_bytes_are_pinned():
+    _check_report_bytes(1, SEED1_REPORT_SHA256)
+
+
+def test_random_endo_falls_back_to_identity_without_drawing():
+    cat = harness.span_category()
+    zero = diagrams.VectDiagram(cat, {o: 0 for o in cat.objects},
+                                {a: Mat.zeros(0, 0) for a in cat.arrows})
+    for dia in [zero, diagrams.vect_to_chain(zero)]:
+        assert diagrams.nat_endo_basis(dia) == []
+        rng = random.Random(4)
+        state = rng.getstate()
+        endo = harness.random_endo(rng, dia)
+        assert rng.getstate() == state
+        assert endo.violations() == []
+        assert endo.components == diagrams.identity_endo(dia).components
+
+
+def test_random_endo_draws_from_the_basis():
+    cat = harness.corpus()["BC3"]["cat"]
+    dia = harness.random_vect_diagram(random.Random(2), cat)
+    for x in [dia, diagrams.vect_to_chain(dia)]:
+        endo = harness.random_endo(random.Random(9), x)
+        assert endo.violations() == []
+        want = harness.rand_combo_endo(random.Random(9),
+                                       diagrams.nat_endo_basis(x))
+        assert endo.components == want.components
+
+
+def test_random_chain_map_is_zero_on_a_zero_space():
+    src = ChainComplex({0: 1}, {})
+    dst = ChainComplex({1: 2}, {})
+    assert diagrams.chain_map_space(src, dst) == []
+    rng = random.Random(0)
+    state = rng.getstate()
+    f = harness.random_chain_map(rng, src, dst)
+    assert rng.getstate() == state
+    assert f == ChainMap(src, dst, {}, check=False)
+    assert f.violations() == []
+
+
+def test_random_chain_map_is_a_chain_map():
+    nonzero = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        src = harness.random_complex(rng, 3, 0, 2)
+        dst = harness.random_complex(rng, 3, 0, 2)
+        f = harness.random_chain_map(rng, src, dst)
+        assert f.violations() == []
+        nonzero += f != ChainMap(src, dst, {}, check=False)
+    assert nonzero
 
 
 def test_small_suite_passes():

@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -44,7 +46,22 @@ def test_shadow_of_unit_idempotent():
 
 def test_shadow_of_unit_bs3():
     cat = bg_category(symmetric_group(3))
-    assert shadow(unit_shadow(cat).cat and unit_prof(cat)).dim == 3
+    unit_shadow(cat)
+    assert shadow(unit_prof(cat)).dim == 3
+
+
+def test_unit_shadow_leaves_its_category_free():
+    # the shadow kept on the category must not point back at it, or the
+    # category would live until the cyclic collector runs
+    gc.disable()
+    try:
+        cat = bg_category(symmetric_group(3))
+        unit_shadow(cat)
+        ref = weakref.ref(cat)
+        del cat
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_unit_shadow_class_basis_spans():
@@ -206,6 +223,17 @@ def test_retract_requires_section():
         dual_via_retract(w, {"x": Mat([[1, 0]])}, {"x": Mat([[0], [0]])})
 
 
+def test_retract_over_the_empty_category_keeps_a_0x1_coevaluation():
+    empty = fincat.FinCat([], [], {}, {}, name="empty")
+    one = terminal_category()
+    w = profcalc.DualityWitness(profcalc.Profunctor(one, empty, {}, {}, {}),
+                                profcalc.Profunctor(empty, one, {}, {}, {}),
+                                {"*": Mat.zeros(0, 1)}, {})
+    wz = dual_via_retract(w, {}, {})
+    assert (wz.eta["*"].rows, wz.eta["*"].cols) == (0, 1)
+    assert coeff_vector_direct(wz) == {}
+
+
 def test_split_idempotent_weight_coefficients():
     cat = idem_cat()
     x, y, w = representable(object_functor(cat, "x"))
@@ -278,7 +306,7 @@ def test_bicat_trace_rationally_conjugated_sweep():
         cat = corp[name]["cat"]
         for _ in range(2):
             dia = harness.random_vect_diagram(rng, cat, max_dim=3)
-            endo = harness.random_vect_endo(rng, dia)
+            endo = harness.random_endo(rng, dia)
             conj = {}
             for a in cat.objects:
                 d = dia.dim(a)
@@ -312,7 +340,7 @@ def test_bicat_trace_componentwise_sweep():
         cat = corp[name]["cat"]
         for _ in range(4):
             dia = harness.random_vect_diagram(rng, cat, max_dim=3)
-            endo = harness.random_vect_endo(rng, dia)
+            endo = harness.random_endo(rng, dia)
             w = dual_of_pointwise(prof_from_diagram(dia))
             got = bicat_trace(w, {a: endo.at(a) for a in cat.objects})
             for rep, v in got.items():
@@ -426,7 +454,7 @@ def test_coefficient_pairing_matches_evaluation_weight():
                       {"a": Mat.identity(1), "b": Mat.identity(2),
                        "c": Mat.identity(1), "f": Mat([[1], [2]]),
                        "g": Mat([[3]])})
-    endo = harness.random_vect_endo(random.Random(8), dia)
+    endo = harness.random_endo(random.Random(8), dia)
     wd = dual_of_pointwise(prof_from_diagram(dia))
     comp = bicat_trace(wd, {a: endo.at(a) for a in cat.objects})
     paired = sum((phi[rep] * comp[rep] for rep in comp), F(0))
@@ -635,7 +663,7 @@ def test_bicat_trace_eliminates_once_per_coend(monkeypatch, name):
     unit_shadow(cat)
     rng = random.Random(5)
     dia = harness.random_vect_diagram(rng, cat, max_dim=3)
-    endo = harness.random_vect_endo(rng, dia)
+    endo = harness.random_endo(rng, dia)
     w = dual_of_pointwise(prof_from_diagram(dia))
     from tracelin import exactalg
     calls = []
