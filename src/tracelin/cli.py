@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from . import coeffs, diagrams, fincat, harness, profcalc, serialize
-from .exactalg import Mat, lefschetz, trace
+from .exactalg import Mat, lefschetz
 
 
 def data_dir():

@@ -270,34 +270,32 @@ def weighted_colim_vect(weight, x):
     for o in cat.objects:
         offsets[o] = (total, weight.dim(o) * x.dim(o))
         total += weight.dim(o) * x.dim(o)
-    cols = []
+    rel = [{} for _ in range(total)]
+    j = 0
     for a in cat.nonidentity():
         s, t = cat.src[a], cat.dst[a]
         # mixed slot: weight(t) (x) x(s); relation =
         #   [weight action at s] - [diagram action at t]
-        wa = weight.mat(a)          # weight(t) -> weight(s)
-        xa = x.mat(a)               # x(s) -> x(t)
-        m1 = kron(wa, Mat.identity(x.dim(s)))
-        m2 = kron(Mat.identity(weight.dim(t)), xa)
-        for j in range(weight.dim(t) * x.dim(s)):
-            col = [ZERO] * total
-            off_s = offsets[s][0]
-            for i in range(weight.dim(s) * x.dim(s)):
-                col[off_s + i] += m1.data[i][j]
-            off_t = offsets[t][0]
-            for i in range(weight.dim(t) * x.dim(t)):
-                col[off_t + i] -= m2.data[i][j]
-            cols.append(col)
-    rel = Mat.from_cols(cols, total) if cols else Mat.zeros(total, 0)
-    dim, proj = cokernel(rel)
-    return ColimResult(dim, proj, offsets)
+        m1 = kron(weight.mat(a), SparseMat.identity(x.dim(s)))
+        m2 = kron(SparseMat.identity(weight.dim(t)), x.mat(a))
+        for m, off, sign in ((m1, offsets[s][0], 1), (m2, offsets[t][0], -1)):
+            for i, terms in enumerate(m.terms, off):
+                row = rel[i]
+                for c, v in terms.items():
+                    row[j + c] = row.get(j + c, 0) + sign * v
+        j += m1.cols
+    rel = [{c: v for c, v in row.items() if v} for row in rel]
+    dim, proj = cokernel(SparseMat(rel, total, j))
+    return ColimResult(dim, proj.to_mat(), offsets)
 
 
 def weighted_colim_endo(weight, x, f):
     res = weighted_colim_vect(weight, x)
-    big = block_diag([kron(Mat.identity(weight.dim(o)), f.at(o))
-                      for o in x.base.objects])
-    return res, factor_through(res.proj, res.proj @ big)
+    p = SparseMat.from_mat(res.proj)
+    big = SparseMat.from_blocks(p.cols, p.cols, [
+        (off, off, kron(SparseMat.identity(weight.dim(o)), f.at(o)))
+        for o, (off, _d) in res.offsets.items()])
+    return res, factor_through(p, p @ big)
 
 
 def _same_objects_opposite(wcat, cat):
@@ -316,50 +314,46 @@ def _commuting_solutions(blocks, eqs):
     """Basis of the unknown matrices X with A X_p - X_q B = 0 for all eqs.
 
     ``blocks`` lists the unknowns as (key, rows, cols), each laid out
-    row-major in that order; ``eqs`` lists (A, p, q, B).  A side whose
-    key is not a block drops out.  Each entry (i, j) of A X_p - X_q B is
-    one row of vec(A X - X B) = (I (x) A - B^T (x) I) vec(X), over the
-    row-major unknowns: it is written from the nonzero entries of A and
-    B, with integral values as ints, and skipped when it is zero.
-    Returns one {key: Mat} per vector of the echelon kernel basis, which
-    depends only on the row space and on the order of the blocks.
+    row-major in that order; ``eqs`` lists (A, p, q, B), each a Mat or a
+    SparseMat.  A side whose key is not a block drops out.  Row-major,
+    vec(A X_p - X_q B) = (A (x) I) vec(X_p) - (I (x) B^T) vec(X_q), so
+    each entry (i, j) of A X_p - X_q B is one row of those two sparse
+    Kronecker products, shifted to the columns of X_p and of X_q, and is
+    skipped when it is zero.  Returns one {key: Mat} per vector of the
+    echelon kernel basis, which depends only on the row space and on the
+    order of the blocks.
     """
     offsets = {}
     total = 0
     for key, r, c in blocks:
-        offsets[key] = (total, c)
+        offsets[key] = total
         total += r * c
     rows = []
     for a, p, q, b in eqs:
-        # entry (i, j): sum_k A[i][k] X_p[k][j] - sum_k X_q[i][k] B[k][j]
-        left = [{}] * a.rows
+        n = a.rows * b.cols
+        left = right = [{}] * n
         if p in offsets:
-            off, cols = offsets[p]
-            left = [{off + k * cols: v for k, v in row.items()}
-                    for row in SparseMat.from_mat(a).terms]
-        right, stride = [{}] * b.cols, 0
+            left = kron(a, SparseMat.identity(b.cols)).terms
         if q in offsets:
-            off, stride = offsets[q]
-            right = [{off + k: -v for k, v in col.items()}
-                     for col in SparseMat.from_mat(b.transpose()).terms]
-        for i, lterms in enumerate(left):
-            for j, rterms in enumerate(right):
-                terms = {c + j: v for c, v in lterms.items()}
-                for c, v in rterms.items():
-                    c += i * stride
-                    w = terms.get(c, 0) + v
-                    if w:
-                        terms[c] = w
-                    else:
-                        del terms[c]
-                if terms:
-                    rows.append(terms)
+            right = kron(SparseMat.identity(a.rows), b.transpose()).terms
+        off_p, off_q = offsets.get(p), offsets.get(q)
+        for lterms, rterms in zip(left, right):
+            terms = {off_p + c: v for c, v in lterms.items()}
+            for c, v in rterms.items():
+                c += off_q
+                w = terms.get(c, 0) - v
+                if w:
+                    terms[c] = w
+                else:
+                    del terms[c]
+            if terms:
+                rows.append(terms)
     basis = kernel_basis(SparseMat(rows, len(rows), total))
     out = []
     for vec in basis.transpose().data:
         sol = {}
         for key, r, c in blocks:
-            off = offsets[key][0]
+            off = offsets[key]
             sol[key] = Mat([vec[off + i * c:off + (i + 1) * c]
                             for i in range(r)], r, c, coerce=False)
         out.append(sol)
@@ -387,11 +381,11 @@ def nat_endo_basis(x):
     cx = {o: x.cx(o) for o in cat.objects}
     blocks = [((o, n), cx[o].dim(n), cx[o].dim(n))
               for o in cat.objects for n in cx[o].dims]
-    eqs = [(cx[o].diff(n), (o, n), (o, n - 1), cx[o].diff(n))
+    eqs = [(cx[o].sparse_diff(n), (o, n), (o, n - 1), cx[o].sparse_diff(n))
            for o in cat.objects for n in cx[o].dims]
     for a in arrows:
-        s, t = cat.src[a], cat.dst[a]
-        eqs += [(x.map(a).mat(n), (s, n), (t, n), x.map(a).mat(n))
+        s, t, m = cat.src[a], cat.dst[a], x.map(a)
+        eqs += [(m.sparse_mat(n), (s, n), (t, n), m.sparse_mat(n))
                 for n in cx[s].dims]
     out = []
     for sol in _commuting_solutions(blocks, eqs):
@@ -406,7 +400,8 @@ def chain_map_space(src, dst):
     """Basis of all chain maps src -> dst, by exact linear solving."""
     blocks = [(n, dst.dim(n), src.dim(n))
               for n in sorted(set(src.dims) & set(dst.dims))]
-    eqs = [(dst.diff(n), n, n - 1, src.diff(n)) for n in src.dims]
+    eqs = [(dst.sparse_diff(n), n, n - 1, src.sparse_diff(n))
+           for n in src.dims]
     return [ChainMap(src, dst, sol, check=False)
             for sol in _commuting_solutions(blocks, eqs)]
 

@@ -6,6 +6,9 @@ cokernels, ranks and solutions all come from one elimination core on
 sparse integer rows ({column: int}, each row rescaled by the lcm of its
 denominators).  ``SparseMat`` holds the nonzero entries of each row;
 kernels, cokernels and solutions take it wherever they take a ``Mat``.
+``kron`` is the one Kronecker product: it takes either kind, reads only
+the nonzeros and returns a ``SparseMat``, and every tensor map of the
+library (id (x) m, m (x) id, their block diagonals) is built with it.
 Chain complexes and chain maps keep each matrix in the form it was given
 and compose, add, compare and check on the sparse form; their dense
 ``Mat`` reads are built on demand.  Matrices act on column vectors, so a
@@ -137,18 +140,17 @@ def trace(m):
 
 
 def kron(a, b):
-    """Kronecker product; index (i1*b.rows+i2, j1*b.cols+j2)."""
-    out = [[ZERO] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
-    for i1, arow in enumerate(a.data):
-        for j1, av in enumerate(arow):
-            if av:
-                for i2, brow in enumerate(b.data):
-                    orow = out[i1 * b.rows + i2]
-                    base = j1 * b.cols
-                    for j2, bv in enumerate(brow):
-                        if bv:
-                            orow[base + j2] = av * bv
-    return Mat(out, a.rows * b.rows, a.cols * b.cols, coerce=False)
+    """Kronecker product of two Mats or SparseMats, as a SparseMat.
+
+    Entry (i1*b.rows+i2, j1*b.cols+j2) is a[i1][j1]*b[i2][j2].  Only the
+    nonzero entries are read, and integral entries are kept as ints.
+    """
+    ai = _items(a)
+    bi = _items(b)
+    bc = b.cols
+    return SparseMat([{j1 * bc + j2: x * y for j1, x in arow for j2, y in brow}
+                      for arow in ai for brow in bi],
+                     a.rows * b.rows, a.cols * bc)
 
 
 def block_diag(mats):
@@ -178,16 +180,6 @@ def vstack(mats):
     assert all(m.cols == cols for m in mats)
     data = [row[:] for m in mats for row in m.data]
     return Mat(data, sum(m.rows for m in mats), cols, coerce=False)
-
-
-def vec(m):
-    """Flatten a matrix into the column vector of V (x) W^* coordinates.
-
-    The map W -> V with matrix m corresponds to the element of V (x) W^*
-    whose coordinate at (i, j) = i*cols+j is m[i][j].
-    """
-    col = [x for row in m.data for x in row]
-    return Mat([[x] for x in col], m.rows * m.cols, 1, coerce=False)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +304,14 @@ def _terms(m):
     if type(m) is SparseMat:
         return m.terms
     return [{j: v for j, v in enumerate(row) if v} for row in m.data]
+
+
+def _items(m):
+    """The nonzero (column, entry) pairs of each row of a Mat or SparseMat,
+    as lists; a Mat's integral entries become ints."""
+    if type(m) is SparseMat:
+        return [list(t.items()) for t in m.terms]
+    return [[(j, _exact(v)) for j, v in enumerate(row) if v] for row in m.data]
 
 
 def _int_rows(m):

@@ -5,23 +5,23 @@ covariant S-action and a contravariant T-action that commute.  Composites
 and shadows are coends, always presented as explicit cokernels with their
 projections retained, so every structural map in a trace computation is a
 literal matrix.  One builder writes the coend relations as a sparse
-matrix straight from the nonzero entries of the action matrices, and the
-cokernel hands back a sparse projection; maps of the form id (x) m,
-m (x) id and the swap of tensor factors are applied as index maps on the
-nonzero entries of the projections, so no Kronecker or permutation matrix
-is built for them, and factoring through a projection reads its free
-columns.
+matrix straight from the rows of the action matrices or of their sparse
+Kronecker products id (x) m and m (x) id, and the cokernel hands back a
+sparse projection; maps induced on a coend are the projection times a
+block diagonal of such products, the swap of tensor factors is a column
+permutation of a projection, and factoring through a projection reads
+its free columns.
 Duality witnesses carry coevaluation and evaluation component matrices,
-and their checks multiply sparse reshapes of those components; traces
-run through the genuine quotient spaces rather than through any shortcut
-formula, so they can serve as an independent oracle against direct trace
-computations.
+and their checks multiply sparse reshapes of those components and
+Kronecker products of the actions; traces run through the genuine
+quotient spaces rather than through any shortcut formula, so they can
+serve as an independent oracle against direct trace computations.
 """
 
 from . import fincat
 from .exactalg import (
-    ONE, ZERO, Mat, SparseMat, block_diag, cokernel, factor_through, hstack,
-    idempotent_image, inverse, kron, vec, vstack,
+    ONE, ZERO, Mat, SparseMat, cokernel, factor_through, hstack,
+    idempotent_image, inverse, kron,
 )
 
 
@@ -69,12 +69,6 @@ class Profunctor:
         if m is None:
             m = self._sparse[key] = SparseMat.from_mat(self.sacts[(t, alpha)])
         return m
-
-    def act(self, beta, alpha):
-        """Combined action for beta: t -> t' in T, alpha: s -> s' in S."""
-        t = self.tgt.src[beta]
-        s = self.src.src[alpha]
-        return self.sact(t, alpha) @ self.tact(beta, s)
 
     def violations(self):
         out = []
@@ -177,62 +171,25 @@ class ShadowSpace:
     """Cokernel presentation of the coend of an endo-profunctor.
 
     ``sparse_proj`` maps the direct sum of diagonal values onto the
-    shadow, and ``proj`` is the same map as a Mat; for unit profunctors,
-    ``class_matrix`` collects the images of the class representatives,
-    forming a basis, and ``to_class`` converts shadow coordinates into
-    conjugacy-class coordinates.
+    shadow; for unit profunctors, ``class_matrix`` collects the images of
+    the class representatives, forming a basis, and ``to_class`` converts
+    shadow coordinates into conjugacy-class coordinates.
     """
 
     def __init__(self, offsets, sparse_proj, classes=None,
                  class_matrix=None, to_class=None):
         self.offsets = offsets
         self.sparse_proj = sparse_proj
-        self._proj = None
         self.dim = sparse_proj.rows
         self.classes = classes
         self.class_matrix = class_matrix
         self.to_class = to_class
 
-    @property
-    def proj(self):
-        if self._proj is None:
-            self._proj = self.sparse_proj.to_mat()
-        return self._proj
-
     def include(self, obj, vec_):
-        return _block_apply(self.sparse_proj, self.offsets[obj], vec_)
-
-
-def _block_apply(p, block, m):
-    """The columns of the SparseMat p that one (offset, dim) block of its
-    source occupies, applied to the Mat m; read off p's nonzeros."""
-    off, d = block
-    out = []
-    for terms in p.terms:
-        acc = [ZERO] * m.cols
-        for k, v in terms.items():
-            if off <= k < off + d:
-                for c, x in enumerate(m.data[k - off]):
-                    if x:
-                        acc[c] += v * x
-        out.append(acc)
-    return Mat(out, p.rows, m.cols, coerce=False)
-
-
-
-def _route_cols(route):
-    """Sparse columns of I_left (x) m (x) I_right for route (m, left, right).
-
-    Each column is a list of (row, value) pairs over the nonzero entries
-    of m, a Mat or a SparseMat, with integral values as ints, so no
-    Kronecker product is built and zeros cost no arithmetic.
-    """
-    m, left, right = route
-    if type(m) is not SparseMat:
-        m = SparseMat.from_mat(m)
-    nz = [list(col.items()) for col in m.transpose().terms]
-    return [[((p * m.rows + i) * right + q, v) for i, v in nz[j]]
-            for p in range(left) for j in range(m.cols) for q in range(right)]
+        """The Mat vec_, in the block of obj, projected onto the shadow."""
+        p = self.sparse_proj
+        return (p @ SparseMat.from_blocks(p.cols, vec_.cols, [
+            (self.offsets[obj][0], 0, SparseMat.from_mat(vec_))])).to_mat()
 
 
 def _coend(objs, dim_of, rels):
@@ -240,9 +197,9 @@ def _coend(objs, dim_of, rels):
 
     The coend is the direct sum of the blocks ``dim_of(o)``, laid out in
     the order of objs, modulo one relation per column of the mixed space
-    of each generating arrow.  ``rels`` lists (a, route_a, b, route_b):
-    the two routes (see ``_route_cols``) map the mixed space into the
-    blocks of a and of b, and each relation is route_a minus route_b.
+    of each generating arrow.  ``rels`` lists (a, m_a, b, m_b): the two
+    SparseMats map the mixed space into the blocks of a and of b, and the
+    relations are the columns of m_a minus m_b, written from their rows.
     The relation matrix is a SparseMat, repeated entries summed and zeros
     dropped, and so is the projection ``cokernel`` returns for it.
     """
@@ -253,17 +210,14 @@ def _coend(objs, dim_of, rels):
         total += dim_of(o)
     rel = [{} for _ in range(total)]
     j = 0
-    for a, route_a, b, route_b in rels:
-        off_a, off_b = offsets[a][0], offsets[b][0]
-        to_a, to_b = _route_cols(route_a), _route_cols(route_b)
-        assert len(to_a) == len(to_b)
-        for col_a, col_b in zip(to_a, to_b):
-            for i, v in col_a:
-                rel[off_a + i][j] = v
-            for i, v in col_b:
-                row = rel[off_b + i]
-                row[j] = row.get(j, 0) - v
-            j += 1
+    for a, m_a, b, m_b in rels:
+        for i, terms in enumerate(m_a.terms, offsets[a][0]):
+            rel[i].update({j + c: v for c, v in terms.items()})
+        for i, terms in enumerate(m_b.terms, offsets[b][0]):
+            row = rel[i]
+            for c, v in terms.items():
+                row[j + c] = row.get(j + c, 0) - v
+        j += m_a.cols
     rel = [{c: v for c, v in row.items() if v} for row in rel]
     _dim, proj = cokernel(SparseMat(rel, total, j))
     return offsets, proj
@@ -281,39 +235,23 @@ def _tensor_rels(cat, du, u, dw, w, u_covariant):
     for g in cat.generating_arrows():
         a, b = cat.src[g], cat.dst[g]
         if u_covariant:
-            rels.append((a, (w(g), du[a], 1), b, (u(g), 1, dw[b])))
+            rels.append((a, kron(SparseMat.identity(du[a]), w(g)),
+                         b, kron(u(g), SparseMat.identity(dw[b]))))
         else:
-            rels.append((a, (u(g), 1, dw[a]), b, (w(g), du[b], 1)))
+            rels.append((a, kron(u(g), SparseMat.identity(dw[a])),
+                         b, kron(SparseMat.identity(du[b]), w(g))))
     return rels
 
 
-def _times_blocks(p, routes):
-    """p @ block_diag([I_left (x) m (x) I_right for each route]), by index.
-
-    ``p`` is a SparseMat and so is the result.  The blocks are
-    consecutive; block k of the result has the width of the source of
-    route k, and the Kronecker products are never built: each column of
-    p lists the result columns it feeds, so only p's nonzeros are read.
-    """
-    feeds = []      # per column of p: the (result column, value) pairs
-    ncols = 0
-    for route in routes:
-        m, left, right = route
-        base = len(feeds)
-        feeds.extend([] for _ in range(left * m.rows * right))
-        for col in _route_cols(route):
-            for i, v in col:
-                feeds[base + i].append((ncols, v))
-            ncols += 1
-    assert len(feeds) == p.cols
-    out = []
-    for terms in p.terms:
-        acc = {}
-        for k, x in terms.items():
-            for j, v in feeds[k]:
-                acc[j] = acc.get(j, 0) + x * v
-        out.append({j: s for j, s in acc.items() if s})
-    return SparseMat(out, p.rows, ncols)
+def _diag(mats):
+    """The block diagonal SparseMat of a list of SparseMats."""
+    blocks = []
+    rows = cols = 0
+    for m in mats:
+        blocks.append((rows, cols, m))
+        rows += m.rows
+        cols += m.cols
+    return SparseMat.from_blocks(rows, cols, blocks)
 
 
 def shadow(h):
@@ -321,8 +259,8 @@ def shadow(h):
     cat = h.src
     if h.tgt is not cat and h.tgt.objects != cat.objects:
         raise ValueError("shadow needs an endo-profunctor")
-    rels = [(cat.src[g], (h.tact(g, cat.src[g]), 1, 1),
-             cat.dst[g], (h.sact(cat.dst[g], g), 1, 1))
+    rels = [(cat.src[g], h.sparse_tact(g, cat.src[g]),
+             cat.dst[g], h.sparse_sact(cat.dst[g], g))
             for g in cat.generating_arrows()]
     offsets, proj = _coend(cat.objects, lambda a: h.dim(a, a), rels)
     return ShadowSpace(offsets, proj)
@@ -358,20 +296,12 @@ def unit_shadow(cat):
 
 class CompositeProf(Profunctor):
     """Composite profunctor with its coend projections retained, as
-    SparseMats in ``sparse_projs`` and as Mats in ``projs``."""
+    SparseMats in ``sparse_projs``."""
 
-    def __init__(self, src, tgt, dims, tacts, sacts, sparse_projs, offsets,
+    def __init__(self, src, tgt, dims, tacts, sacts, sparse_projs,
                  check=False):
         super().__init__(src, tgt, dims, tacts, sacts, check=check)
         self.sparse_projs = sparse_projs
-        self._projs = None
-        self.block_offsets = offsets
-
-    @property
-    def projs(self):
-        if self._projs is None:
-            self._projs = {k: p.to_mat() for k, p in self.sparse_projs.items()}
-        return self._projs
 
 
 def compose_prof(h, k):
@@ -385,35 +315,33 @@ def compose_prof(h, k):
         raise ValueError("middle categories do not match")
     A, B, C = h.src, h.tgt, k.tgt
     projs = {}
-    offsets = {}
     dims = {}
     for c in C.objects:
         for a in A.objects:
             hd = {b: h.dim(b, a) for b in B.objects}
             kd = {b: k.dim(c, b) for b in B.objects}
-            rels = _tensor_rels(B, hd, lambda g: h.tact(g, a),
-                                kd, lambda g: k.sact(c, g), False)
-            offs, proj = _coend(B.objects, lambda b: hd[b] * kd[b], rels)
+            rels = _tensor_rels(B, hd, lambda g: h.sparse_tact(g, a),
+                                kd, lambda g: k.sparse_sact(c, g), False)
+            _offs, proj = _coend(B.objects, lambda b: hd[b] * kd[b], rels)
             projs[(c, a)] = proj
-            offsets[(c, a)] = offs
             dims[(c, a)] = proj.rows
     tacts = {}
     for beta in C.arrows:
         c1, c2 = C.src[beta], C.dst[beta]
         for a in A.objects:
-            pre = _times_blocks(projs[(c1, a)],
-                                [(k.tact(beta, b), h.dim(b, a), 1)
-                                 for b in B.objects])
+            pre = projs[(c1, a)] @ _diag([
+                kron(SparseMat.identity(h.dim(b, a)), k.sparse_tact(beta, b))
+                for b in B.objects])
             tacts[(beta, a)] = factor_through(projs[(c2, a)], pre)
     sacts = {}
     for alpha in A.arrows:
         a1, a2 = A.src[alpha], A.dst[alpha]
         for c in C.objects:
-            pre = _times_blocks(projs[(c, a2)],
-                                [(h.sact(b, alpha), 1, k.dim(c, b))
-                                 for b in B.objects])
+            pre = projs[(c, a2)] @ _diag([
+                kron(h.sparse_sact(b, alpha), SparseMat.identity(k.dim(c, b)))
+                for b in B.objects])
             sacts[(c, alpha)] = factor_through(projs[(c, a1)], pre)
-    return CompositeProf(A, C, dims, tacts, sacts, projs, offsets)
+    return CompositeProf(A, C, dims, tacts, sacts, projs)
 
 
 def restriction_prof(fun, h):
@@ -564,7 +492,7 @@ def verify_witness(w):
 
 def _row_block(terms, rows, cols):
     """The rows x cols SparseMat whose row-major entries are the sparse
-    row ``terms``; the inverse of ``vec`` on kron-layout coordinates."""
+    row ``terms``: a vector of kron-layout coordinates as a matrix."""
     out = [{} for _ in range(rows)]
     for k, v in terms.items():
         i, j = divmod(k, cols)
@@ -617,39 +545,21 @@ def _triangle_two(w, a, b):
     return total
 
 
-def _sandwich(ev, rows, cols, left=None, right=None):
-    """The SparseMat whose row k is vec(left R right), R the row k of ev
-    reshaped to rows x cols; a missing factor is the identity.  So
-    ev (T (x) id) has left = T^t and ev (id (x) S) has right = S."""
-    orows = rows if left is None else left.rows
-    ocols = cols if right is None else right.cols
-    out = []
-    for terms in ev.terms:
-        m = _row_block(terms, rows, cols)
-        if left is not None:
-            m = left @ m
-        if right is not None:
-            m = m @ right
-        out.append({i * ocols + j: v for i, t in enumerate(m.terms)
-                    for j, v in t.items()})
-    return SparseMat(out, ev.rows, orows * ocols)
-
-
 def _check_eps_descends(w):
-    """Evaluation must agree on the two routes of every coend relation."""
+    """Evaluation must agree on the two routes of every coend relation:
+    ev (T (x) id) = ev (id (x) S), T and S the actions of the arrow."""
     x, y = w.x, w.y
     A, B = x.src, x.tgt
     eps = w.sparse_eps
     for g in A.generating_arrows():
         a1, a2 = A.src[g], A.dst[g]
-        ts = {b: y.sparse_tact(g, b).transpose() for b in B.objects}
         for bp in B.objects:
             s = x.sparse_sact(bp, g)
             for b in B.objects:
-                lhs = _sandwich(eps[(a1, bp, b)], y.dim(a1, b), x.dim(bp, a1),
-                                left=ts[b])
-                rhs = _sandwich(eps[(a2, bp, b)], y.dim(a2, b), x.dim(bp, a2),
-                                right=s)
+                lhs = eps[(a1, bp, b)] @ kron(
+                    y.sparse_tact(g, b), SparseMat.identity(x.dim(bp, a1)))
+                rhs = eps[(a2, bp, b)] @ kron(
+                    SparseMat.identity(y.dim(a2, b)), s)
                 if lhs != rhs:
                     raise AssertionError(
                         "evaluation does not kill the coend relation at %r" % (g,))
@@ -665,19 +575,19 @@ def _check_eps_natural(w):
         b1, b2 = B.src[g], B.dst[g]
         for a in A.objects:
             xg = x.sparse_tact(g, a)
-            ygt = y.sparse_sact(a, g).transpose()
+            yg = y.sparse_sact(a, g)
             for b in B.objects:
                 # contravariant slot: precompose with g on x and on homs
                 lhs = unit.sparse_tact(g, b) @ eps[(a, b2, b)]
-                rhs = _sandwich(eps[(a, b1, b)], y.dim(a, b), x.dim(b1, a),
-                                right=xg)
+                rhs = eps[(a, b1, b)] @ kron(SparseMat.identity(y.dim(a, b)),
+                                             xg)
                 if lhs != rhs:
                     raise AssertionError(
                         "evaluation not natural (contravariant) at %r" % (g,))
                 # covariant slot: postcompose with g on y and on homs
                 lhs = unit.sparse_sact(b, g) @ eps[(a, b, b1)]
-                rhs = _sandwich(eps[(a, b, b2)], y.dim(a, b2), x.dim(b, a),
-                                left=ygt)
+                rhs = eps[(a, b, b2)] @ kron(yg,
+                                             SparseMat.identity(x.dim(b, a)))
                 if lhs != rhs:
                     raise AssertionError(
                         "evaluation not natural (covariant) at %r" % (g,))
@@ -697,14 +607,13 @@ def dual_of_pointwise(x):
     tacts = {(beta, "*"): x.sact("*", beta).transpose() for beta in A.arrows}
     sacts = {(a, "id*"): Mat.identity(x.dim("*", a)) for a in A.objects}
     y = Profunctor(one, A, dims, tacts, sacts, check=False)
-    eta = {a: vec(Mat.identity(x.dim("*", a))) for a in A.objects}
+    eta = {}
     eps = {}
     for a in A.objects:
         d = x.dim("*", a)
-        row = [ZERO] * (d * d)
-        for i in range(d):
-            row[i * d + i] = ONE
-        eps[(a, "*", "*")] = Mat([row], 1, d * d, coerce=False)
+        flat = [ONE if i == j else ZERO for i in range(d) for j in range(d)]
+        eta[a] = Mat([[v] for v in flat], d * d, 1, coerce=False)
+        eps[(a, "*", "*")] = Mat([flat], 1, d * d, coerce=False)
     return DualityWitness(x, y, eta, eps)
 
 
@@ -835,19 +744,14 @@ def dual_via_retract(w, r, s):
         _i2, p2 = splits[a2]
         zdsacts[("*", alpha)] = p2 @ y.sact("*", alpha) @ i1
     zd = Profunctor(A, x.src, zddims, zdtacts, zdsacts, check=False)
-    eta = {}
-    for ast in x.src.objects:
-        blocks = []
-        for a in A.objects:
-            blk = w.eta_block(ast, a)
-            _i, p = splits[a]
-            blocks.append(kron(r[a], p) @ blk)
-        eta[ast] = vstack(blocks) if blocks else Mat.zeros(0, 1)
+    rp = _diag([kron(r[a], splits[a][1]) for a in A.objects])
+    eta = {ast: (rp @ SparseMat.from_mat(w.eta[ast])).to_mat()
+           for ast in x.src.objects}
     eps = {}
     for ap in A.objects:
         for a in A.objects:
-            i, _p = splits[a]
-            eps[("*", ap, a)] = w.eps[("*", ap, a)] @ kron(i, s[ap])
+            eps[("*", ap, a)] = (w.sparse_eps[("*", ap, a)]
+                                 @ kron(splits[a][0], s[ap])).to_mat()
     return DualityWitness(z, zd, eta, eps)
 
 
@@ -858,21 +762,21 @@ def _mate_of_weight_endo(w, e):
     out = {}
     for a in A.objects:
         dy = y.dim("*", a)
-        total = Mat.zeros(dy, dy)
+        total = SparseMat.zeros(dy, dy)
         for ap in A.objects:
             dxp = x.dim(ap, "*")
             dyp = y.dim("*", ap)
             if dxp * dyp == 0:
                 continue
-            blk = kron(e[ap], Mat.identity(dyp)) @ w.eta_block("*", ap)
-            start = kron(Mat.identity(dy), blk)
-            ev = w.eps[("*", ap, a)]
-            for u in A.hom(ap, a):
-                row = Mat([[ONE if v == u else ZERO for v in A.hom(ap, a)]],
-                          1, len(A.hom(ap, a)), coerce=False)
-                mid = kron(row @ ev, Mat.identity(dyp))
-                total = total + y.sact("*", u) @ mid @ start
-        out[a] = total
+            blk = kron(e[ap], SparseMat.identity(dyp)) @ SparseMat.from_mat(
+                w.eta_block("*", ap))
+            start = kron(SparseMat.identity(dy), blk)
+            ev = w.sparse_eps[("*", ap, a)]
+            for k, u in enumerate(A.hom(ap, a)):
+                mid = kron(SparseMat([ev.terms[k]], 1, ev.cols),
+                           SparseMat.identity(dyp))
+                total = total + y.sparse_sact("*", u) @ mid @ start
+        out[a] = total.to_mat()
     return out
 
 
@@ -910,19 +814,20 @@ def bicat_trace(w, f):
     The composite runs coevaluation into the coend of x (x) dual, applies
     the endomorphism, transposes the tensor factors, and evaluates, all
     through the actual cokernel presentations; the result is expressed in
-    the conjugacy-class basis of the unit shadow.  The maps f (x) id and
-    the factor swap are applied as index maps on the columns of the coend
-    projections (a block-stride product and a column permutation), never
-    as Kronecker or permutation matrices.  The component at a class
-    equals the direct trace of (endo at a) o (value of the class
-    representative); that equality is the point of the construction and
-    is asserted by callers, not assumed here.
+    the conjugacy-class basis of the unit shadow.  The map f (x) id is the
+    projection times a block diagonal of sparse Kronecker products, and
+    the factor swap a column permutation of a projection, never a
+    permutation matrix.  The component at a class equals the direct
+    trace of (endo at a) o (value of the class representative); that
+    equality is the point of the construction and is asserted by callers,
+    not assumed here.
     """
     x, y = w.x, w.y
     A = x.src
     if x.tgt.objects != ("*",):
         raise ValueError("trace pipeline expects a diagram-shaped profunctor")
-    _check_endo_natural(x, f)
+    sf = {a: SparseMat.from_mat(m) for a, m in f.items()}
+    _check_endo_natural(x, sf)
     su = unit_shadow(A)
 
     dx = {a: x.dim("*", a) for a in A.objects}
@@ -933,29 +838,31 @@ def bicat_trace(w, f):
 
     # shadow of the coevaluation, checked on both naturality routes:
     # (x(alpha) (x) id) eta and (id (x) y(alpha)) eta, as S E and E T^t
-    # for eta = vec(E), seen through the block of p1 at a; equal products
-    # have equal images, so E T^t goes through p1 only when they differ
+    # for eta = vec(E), flattened into the block of p1 at a; equal
+    # products have equal images, so only the nonzero differences
+    # S E - E T^t go through p1, where they must vanish
     eta = w.sparse_eta
-    p1_cols = p1.transpose().terms
-    pre = [{} for _ in range(p1.rows)]
-    c = 0
+    cols, diffs = [], []
     for a in A.objects:
         e = eta[(a, "*")]
         for alpha in A.endos(a):
             se = x.sparse_sact("*", alpha) @ e
             et = e @ y.sparse_tact(alpha, "*").transpose()
-            v1 = _through_block(p1_cols, off[a][0], se)
-            if se != et and v1 != _through_block(p1_cols, off[a][0], et):
-                raise AssertionError(
-                    "coevaluation is not natural at endomorphism %r" % (alpha,))
-            for r, v in v1.items():
-                pre[r][c] = v
-            c += 1
-    pre = SparseMat(pre, p1.rows, c)
+            cols.append(_flat(se, off[a][0]))
+            if se != et:
+                diffs.append((alpha, _flat(se + et.smul(-1), off[a][0])))
+    if diffs:
+        seen = p1 @ SparseMat([d for _, d in diffs], len(diffs),
+                              p1.cols).transpose()
+        bad = {c for terms in seen.terms for c in terms}
+        if bad:
+            raise AssertionError("coevaluation is not natural at endomorphism"
+                                 " %r" % (diffs[min(bad)][0],))
+    pre = p1 @ SparseMat(cols, len(cols), p1.cols).transpose()
     h1 = factor_through(su.sparse_proj, pre)
 
-    h2 = factor_through(p1, _times_blocks(p1, [(f[a], 1, dy[a])
-                                               for a in A.objects]))
+    h2 = factor_through(p1, p1 @ _diag([kron(sf[a], SparseMat.identity(dy[a]))
+                                        for a in A.objects]))
 
     ev = hstack([w.eps[(a, "*", "*")] for a in A.objects]) \
         if A.objects else Mat.zeros(1, 0)
@@ -965,24 +872,17 @@ def bicat_trace(w, f):
     return {rep: row.data[0][i] for i, rep in enumerate(su.classes.reps)}
 
 
-def _through_block(p_cols, off, m):
-    """p @ vec(m) as {row: value}, for m laid out row-major in the columns
-    of p from ``off`` on; ``p_cols`` holds p's sparse columns, so only the
-    nonzeros of m and of those columns are read."""
-    acc = {}
-    for i, terms in enumerate(m.terms):
-        base = off + i * m.cols
-        for j, v in terms.items():
-            for r, pv in p_cols[base + j].items():
-                acc[r] = acc.get(r, 0) + pv * v
-    return {r: v for r, v in acc.items() if v}
+def _flat(m, off):
+    """The entries of the SparseMat m, row-major, as a sparse vector whose
+    coordinates start at ``off``: the inverse of ``_row_block``."""
+    return {off + i * m.cols + j: v
+            for i, terms in enumerate(m.terms) for j, v in terms.items()}
 
 
-def _check_endo_natural(x, f):
+def _check_endo_natural(x, sf):
     """x(g) f_s = f_t x(g) on every generating arrow g: s -> t, as
-    sparse products, each action and each f read once."""
+    sparse products of the actions and the SparseMats ``sf``."""
     A = x.src
-    sf = {a: SparseMat.from_mat(m) for a, m in f.items()}
     for g in A.generating_arrows():
         act = x.sparse_sact("*", g)
         if act @ sf[A.src[g]] != sf[A.dst[g]] @ act:
@@ -994,8 +894,8 @@ def coeff_vector_direct(w, endo=None):
 
     With the default identity endomorphism this is the coefficient vector
     of the weight: one exact rational per conjugacy class of the shape.
-    The endomorphism and the factor swap act by index on the coend
-    projections, as in ``bicat_trace``.
+    The endomorphism and the factor swap act on the coend projections as
+    in ``bicat_trace``.
     """
     x, y = w.x, w.y
     A = x.tgt
@@ -1005,25 +905,18 @@ def coeff_vector_direct(w, endo=None):
     dx = {a: x.dim(a, "*") for a in A.objects}
     dy = {a: y.dim("*", a) for a in A.objects}
     if endo is None:
-        endo = {a: Mat.identity(dx[a]) for a in A.objects}
+        endo = {a: SparseMat.identity(dx[a]) for a in A.objects}
     _off, p1, p2, u2 = _paired_coend(A, dx, lambda g: x.sparse_tact(g, "*"),
                                      dy, lambda g: y.sparse_sact("*", g),
                                      False)
 
-    u1 = _block_apply(p1, (0, p1.cols), w.eta["*"])
-    u1 = factor_through(p1, _times_blocks(p1, [(endo[a], 1, dy[a])
-                                               for a in A.objects])) @ u1
-    diag_eps = []
-    for a in A.objects:
-        pre = Mat.zeros(len(A.endos(a)), dy[a] * dx[a])
-        full = w.eps[("*", a, a)]
-        endos = A.endos(a)
-        homs = A.hom(a, a)
-        for i, e_arr in enumerate(endos):
-            pre.data[i] = full.data[homs.index(e_arr)]
-        diag_eps.append(pre)
-    pre_map = block_diag(diag_eps)
-    # reorder rows into the unit-shadow block layout (identical here)
-    u3 = factor_through(p2, su.sparse_proj @ SparseMat.from_mat(pre_map))
+    u1 = factor_through(p1, p1 @ _diag([kron(endo[a],
+                                             SparseMat.identity(dy[a]))
+                                        for a in A.objects]))
+    u1 = u1 @ (p1 @ SparseMat.from_mat(w.eta["*"])).to_mat()
+    # the evaluation at each (a, a) lands in the unit shadow's block of
+    # hom(a, a)
+    u3 = factor_through(p2, su.sparse_proj @ _diag(
+        [w.sparse_eps[("*", a, a)] for a in A.objects]))
     vec_ = su.to_class @ (u3 @ u2 @ u1)
     return {rep: vec_.data[i][0] for i, rep in enumerate(su.classes.reps)}

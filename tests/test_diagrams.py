@@ -13,7 +13,7 @@ from tracelin.diagrams import (
 )
 from tracelin.exactalg import (
     ChainComplex, ChainMap, Mat, block_diag, cone, cone_endo, hstack,
-    homology_dims, identity_chain_map, inverse, kron, lefschetz, rank, trace,
+    homology_dims, identity_chain_map, inverse, lefschetz, rank, trace,
 )
 from tracelin.fincat import bg_category, cyclic_group, opposite
 
@@ -186,6 +186,13 @@ def test_nat_endo_basis_members_are_natural():
     assert NatEndo(dia, endo.components).violations() == []
 
 
+def _dense_kron(a, b):
+    """Kronecker product of two Mats, entry by entry, as a Mat."""
+    return Mat([[x * y for x in arow for y in brow]
+                for arow in a.data for brow in b.data],
+               a.rows * b.rows, a.cols * b.cols)
+
+
 def _kron_nullity(blocks, eqs):
     """Dimension of {X : A X_p - X_q B = 0 for all eqs}, from the dense
     system (I (x) A - B^T (x) I) vec(X), vec stacking columns."""
@@ -195,9 +202,9 @@ def _kron_nullity(blocks, eqs):
         for key, r, c in blocks:
             m = Mat.zeros(a.rows * b.cols, r * c)
             if key == p:
-                m = m + kron(Mat.identity(c), a)
+                m = m + _dense_kron(Mat.identity(c), a)
             if key == q:
-                m = m - kron(b.transpose(), Mat.identity(r))
+                m = m - _dense_kron(b.transpose(), Mat.identity(r))
             parts.append(m)
         rows.extend(hstack(parts).data)
     total = sum(r * c for _, r, c in blocks)

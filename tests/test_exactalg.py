@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tracelin.exactalg import (
     ChainComplex, ChainMap, Mat, SparseMat, block_diag, cokernel, cone,
@@ -37,6 +39,44 @@ def test_trace_multiplicative_under_kron():
         a = rand_mat(rng, 2, 2)
         b = rand_mat(rng, 3, 3)
         assert trace(kron(a, b)) == trace(a) * trace(b)
+
+
+@st.composite
+def _kron_factor(draw):
+    """(a Mat or a SparseMat of 0 to 3 rows and columns, its entries as
+    lists); the entries are ints, Fractions or zero."""
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entry = st.one_of(st.just(0), st.integers(-3, 3),
+                      st.fractions(-3, 3, max_denominator=4))
+    data = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    m = Mat(data, rows, cols)
+    return (SparseMat.from_mat(m) if draw(st.booleans()) else m), data
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_kron_factor(), _kron_factor())
+@example(fa=(Mat([], 0, 2), []),
+         fb=(SparseMat.from_mat(Mat([[1], [0]])), [[1], [0]]))
+@example(fa=(SparseMat([{}, {}], 2, 0), [[], []]),
+         fb=(Mat([[F(1, 2), 3]]), [[F(1, 2), 3]]))
+def test_kron_matches_definition(fa, fb):
+    (a, da), (b, db) = fa, fb
+    k = kron(a, b)
+    assert type(k) is SparseMat
+    assert (k.rows, k.cols) == (a.rows * b.rows, a.cols * b.cols)
+    assert len(k.terms) == k.rows
+    for i1 in range(a.rows):
+        for i2 in range(b.rows):
+            terms = k.terms[i1 * b.rows + i2]
+            assert all(v and 0 <= c < k.cols for c, v in terms.items())
+            for j1 in range(a.cols):
+                for j2 in range(b.cols):
+                    x, y = F(da[i1][j1]), F(db[i2][j2])
+                    got = terms.get(j1 * b.cols + j2, 0)
+                    assert got == x * y
+                    # integral entries multiply as ints
+                    if x.denominator == y.denominator == 1:
+                        assert type(got) is int
 
 
 def test_trace_cyclic():

@@ -1,0 +1,48 @@
+"""Static checks over the library's source: the run time needs only the
+standard library, and no module imports a name it never reads."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "tracelin")
+             .glob("*.py"))
+
+
+def _imports(tree):
+    """(line, module or None for a relative import, bound name) per name
+    an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (node.lineno, alias.name,
+                       alias.asname or alias.name.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            module = None if node.level else node.module
+            for alias in node.names:
+                yield node.lineno, module, alias.asname or alias.name
+
+
+def test_sources_found():
+    assert {p.name for p in SRC} >= {"exactalg.py", "profcalc.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_imports_are_standard_library_or_relative(path):
+    tree = ast.parse(path.read_text())
+    bad = ["line %d: %s" % (line, module) for line, module, _ in _imports(tree)
+           if module is not None
+           and module.split(".")[0] not in sys.stdlib_module_names]
+    assert not bad, bad
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_every_imported_name_is_read(path):
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = ["line %d: %s" % (line, name) for line, _, name in _imports(tree)
+              if name not in read]
+    assert not unread, unread

@@ -77,15 +77,14 @@ def test_shadow_relations_full_vs_generating_arrows():
     h = unit_prof(cat)
     sh = shadow(h)
     from tracelin.profcalc import _coend
-    rels = [(cat.src[g], (h.tact(g, cat.src[g]), 1, 1),
-             cat.dst[g], (h.sact(cat.dst[g], g), 1, 1))
+    rels = [(cat.src[g], h.sparse_tact(g, cat.src[g]),
+             cat.dst[g], h.sparse_sact(cat.dst[g], g))
             for g in cat.nonidentity()]
     assert len(rels) > len(cat.generating_arrows())
     _offsets, proj = _coend(cat.objects, lambda a: h.dim(a, a), rels)
     assert proj.rows == sh.dim
     # the same quotient, so the same reduced echelon projection
-    assert sh.proj == proj.to_mat()
-    assert all(type(v) is F for row in sh.proj.data for v in row)
+    assert sh.sparse_proj == proj
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +113,7 @@ def test_compose_restriction_is_restriction():
     for c in cat.objects:
         for a in two.objects:
             assert comp.dims[(c, a)] == len(cat.hom(c, fun.obj_map[a]))
-            assert comp.projs[(c, a)].rows == comp.dims[(c, a)]
-            assert all(type(v) is F for row in comp.projs[(c, a)].data
-                       for v in row)
+            assert comp.sparse_projs[(c, a)].rows == comp.dims[(c, a)]
     # commuting comparison square on a generating arrow
     for beta in cat.generating_arrows():
         for a in two.objects:
@@ -462,7 +459,14 @@ def test_coefficient_pairing_matches_evaluation_weight():
 
 
 # ---------------------------------------------------------------------------
-# index maps against the Kronecker products they stand for
+# sparse Kronecker maps against plain dense Kronecker products
+
+def _dense_kron(a, b):
+    """Kronecker product of two Mats, entry by entry, as a Mat."""
+    return Mat([[x * y for x in arow for y in brow]
+                for arow in a.data for brow in b.data],
+               a.rows * b.rows, a.cols * b.cols)
+
 
 def _rand_mat(rng, rows, cols):
     return Mat([[F(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.6
@@ -470,29 +474,33 @@ def _rand_mat(rng, rows, cols):
                rows, cols)
 
 
-def test_times_blocks_matches_kron():
-    # on random matrices and on sparse cokernel projections
+def test_projection_times_kron_blocks_matches_dense():
+    # p @ diag([I (x) m (x) I, ...]) on random matrices and on sparse
+    # cokernel projections, as the induced maps on coends are built
     from tracelin.exactalg import SparseMat, block_diag, cokernel, kron
-    from tracelin.profcalc import _times_blocks
+    from tracelin.profcalc import _diag
     rng = random.Random(5)
     for _ in range(20):
         routes = [(_rand_mat(rng, rng.randint(0, 3), rng.randint(0, 3)),
                    rng.randint(1, 3), rng.randint(1, 3)) for _ in range(3)]
-        dense = block_diag([kron(kron(Mat.identity(l), m), Mat.identity(r))
+        dense = block_diag([_dense_kron(_dense_kron(Mat.identity(l), m),
+                                        Mat.identity(r))
                             for m, l, r in routes])
+        diag = _diag([kron(kron(SparseMat.identity(l), m),
+                           SparseMat.identity(r)) for m, l, r in routes])
         rel = _rand_mat(rng, dense.rows, rng.randint(0, dense.rows))
         for p in (SparseMat.from_mat(_rand_mat(rng, rng.randint(1, 4),
                                                 dense.rows)),
                   cokernel(SparseMat.from_mat(rel))[1]):
-            got = _times_blocks(p, routes)
+            got = p @ diag
             assert got.to_mat() == p.to_mat() @ dense
             assert all(v for terms in got.terms for v in terms.values())
 
 
 def test_coend_matches_dense_kron_relations():
-    # relations written by index give the projection that dense columns
-    # of the Kronecker routes give
-    from tracelin.exactalg import SparseMat, cokernel, kron
+    # relations written from the rows of the sparse Kronecker products give
+    # the projection that dense columns of plain Kronecker products give
+    from tracelin.exactalg import SparseMat, cokernel
     from tracelin.profcalc import _coend, _tensor_rels
     rng = random.Random(11)
     for name in ["idem", "pushout", "BC3", "delta2op"]:
@@ -503,14 +511,21 @@ def test_coend_matches_dense_kron_relations():
         dw = {a: other.dim(a) for a in cat.objects}
         # transposed actions make a contravariant module of other sizes
         contra = {g: other.mat(g).transpose() for g in cat.arrows}
-        for rels in (_tensor_rels(cat, dc, cov.mat, dw, contra.get, True),
-                     _tensor_rels(cat, dw, contra.get, dc, cov.mat, False)):
+        for first_cov in (True, False):
+            du, u, dv, v = ((dc, cov.mat, dw, contra.get) if first_cov
+                            else (dw, contra.get, dc, cov.mat))
+            rels = _tensor_rels(cat, du, u, dv, v, first_cov)
             offsets, proj = _coend(cat.objects, lambda a: dc[a] * dw[a], rels)
             total = sum(dc[a] * dw[a] for a in cat.objects)
             cols = []
-            for a, (m1, l1, r1), b, (m2, l2, r2) in rels:
-                k1 = kron(kron(Mat.identity(l1), m1), Mat.identity(r1))
-                k2 = kron(kron(Mat.identity(l2), m2), Mat.identity(r2))
+            for g in cat.generating_arrows():
+                a, b = cat.src[g], cat.dst[g]
+                if first_cov:
+                    k1 = _dense_kron(Mat.identity(du[a]), v(g))
+                    k2 = _dense_kron(u(g), Mat.identity(dv[b]))
+                else:
+                    k1 = _dense_kron(u(g), Mat.identity(dv[a]))
+                    k2 = _dense_kron(Mat.identity(du[b]), v(g))
                 assert k1.cols == k2.cols
                 for j in range(k1.cols):
                     col = [F(0)] * total
@@ -525,7 +540,6 @@ def test_coend_matches_dense_kron_relations():
 
 
 def test_triangles_match_kron_formula():
-    from tracelin.exactalg import kron
     from tracelin.profcalc import (
         DualityWitness, _triangle_one, _triangle_two,
     )
@@ -539,10 +553,10 @@ def test_triangles_match_kron_formula():
         for bp in B.objects:
             if x.dim(bp, a) * y.dim(a, bp) == 0:
                 continue
-            start = kron(w.eta_block(a, bp), Mat.identity(x.dim(b, a)))
+            start = _dense_kron(w.eta_block(a, bp), Mat.identity(x.dim(b, a)))
             for k, u in enumerate(B.hom(b, bp)):
                 row = unit_row(len(B.hom(b, bp)), k) @ w.eps[(a, b, bp)]
-                mid = kron(Mat.identity(x.dim(bp, a)), row)
+                mid = _dense_kron(Mat.identity(x.dim(bp, a)), row)
                 total = total + x.tact(u, a) @ mid @ start
         return total
 
@@ -552,10 +566,10 @@ def test_triangles_match_kron_formula():
         for bp in B.objects:
             if x.dim(bp, a) * y.dim(a, bp) == 0:
                 continue
-            start = kron(Mat.identity(y.dim(a, b)), w.eta_block(a, bp))
+            start = _dense_kron(Mat.identity(y.dim(a, b)), w.eta_block(a, bp))
             for k, u in enumerate(B.hom(bp, b)):
                 row = unit_row(len(B.hom(bp, b)), k) @ w.eps[(a, bp, b)]
-                mid = kron(row, Mat.identity(y.dim(a, bp)))
+                mid = _dense_kron(row, Mat.identity(y.dim(a, bp)))
                 total = total + y.sact(a, u) @ mid @ start
         return total
 
@@ -594,7 +608,6 @@ def test_witness_with_scaled_coevaluation_is_rejected():
 def test_witness_checks_each_triangle(dx, dy, which):
     """With x and y of different dimensions, E R = I can hold while R E is
     not I, and the other way round, so each triangle fails on its own."""
-    from tracelin.exactalg import vec
     from tracelin.profcalc import DualityWitness, Profunctor
     one = terminal_category()
 
@@ -608,7 +621,8 @@ def test_witness_checks_each_triangle(dx, dy, which):
     eps = Mat([[r.data[i][j] for i in range(dy) for j in range(dx)]])
     with pytest.raises(AssertionError,
                        match="^%s triangle identity fails" % which):
-        DualityWitness(prof(dx), prof(dy), {"*": vec(e)},
+        DualityWitness(prof(dx), prof(dy),
+                       {"*": Mat([[v] for row in e.data for v in row])},
                        {("*", "*", "*"): eps})
 
 
