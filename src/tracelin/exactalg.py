@@ -202,6 +202,9 @@ class SparseMat:
 
     @staticmethod
     def from_mat(m):
+        """m as a SparseMat; a SparseMat is returned as it is."""
+        if type(m) is SparseMat:
+            return m
         return SparseMat([{j: _exact(v) for j, v in enumerate(row) if v}
                           for row in m.data], m.rows, m.cols)
 
@@ -586,7 +589,7 @@ def idempotent_image(e):
     """
     if e.rows != e.cols:
         raise ValueError("idempotent must be square")
-    s = e if type(e) is SparseMat else SparseMat.from_mat(e)
+    s = SparseMat.from_mat(e)
     # e o e = e as l^2 e o e = l (l e), in integers, l the lcm of e's
     # denominators
     l = 1

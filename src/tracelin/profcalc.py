@@ -4,24 +4,26 @@ A profunctor from S to T assigns a space to each (t, s) pair, with a
 covariant S-action and a contravariant T-action that commute.  Composites
 and shadows are coends, always presented as explicit cokernels with their
 projections retained, so every structural map in a trace computation is a
-literal matrix.  One builder writes the coend relations as a sparse
-matrix straight from the rows of the action matrices or of their sparse
-Kronecker products id (x) m and m (x) id, and the cokernel hands back a
-sparse projection; maps induced on a coend are the projection times a
-block diagonal of such products, the swap of tensor factors is a column
-permutation of a projection, and factoring through a projection reads
-its free columns.
+literal matrix.  Actions and witness components are kept as SparseMats,
+converted once when given as Mats; only a unit shadow's class basis and
+the maps factored through projections are Mats.  One routine writes the
+coend relations as a sparse matrix straight from the rows of the action
+matrices or of their sparse Kronecker products id (x) m and m (x) id,
+and the cokernel hands back a sparse projection; maps induced on a coend
+are the projection times a block diagonal of such products, the swap of
+tensor factors is a column permutation of a projection, and factoring
+through a projection reads its free columns.
 Duality witnesses carry coevaluation and evaluation component matrices,
-and their checks multiply sparse reshapes of those components and
-Kronecker products of the actions; traces run through the genuine
-quotient spaces rather than through any shortcut formula, so they can
-serve as an independent oracle against direct trace computations.
+and their checks multiply reshapes of those components and Kronecker
+products of the actions; traces run through the genuine quotient spaces
+rather than through any shortcut formula, so they can serve as an
+independent oracle against direct trace computations.
 """
 
 from . import fincat
 from .exactalg import (
-    ONE, ZERO, Mat, SparseMat, cokernel, factor_through, hstack,
-    idempotent_image, inverse, kron,
+    SparseMat, cokernel, factor_through, idempotent_image, inverse, kron,
+    rank,
 )
 
 
@@ -31,17 +33,16 @@ class Profunctor:
     ``dims[(t, s)]`` is the value dimension; ``tact(beta, s)`` for
     beta: t -> t' is the contravariant map value(t', s) -> value(t, s);
     ``sact(t, alpha)`` for alpha: s -> s' maps value(t, s) -> value(t, s').
-    ``sparse_tact`` and ``sparse_sact`` give the same maps as SparseMats,
-    each converted on first use and kept.
+    The actions may be given as Mats or SparseMats; they are kept, and
+    returned, as SparseMats.
     """
 
     def __init__(self, src, tgt, dims, tacts, sacts, check=True):
         self.src = src
         self.tgt = tgt
         self.dims = dict(dims)
-        self.tacts = dict(tacts)
-        self.sacts = dict(sacts)
-        self._sparse = {}
+        self.tacts = {k: SparseMat.from_mat(m) for k, m in tacts.items()}
+        self.sacts = {k: SparseMat.from_mat(m) for k, m in sacts.items()}
         if check:
             bad = self.violations()
             if bad:
@@ -55,20 +56,6 @@ class Profunctor:
 
     def sact(self, t, alpha):
         return self.sacts[(t, alpha)]
-
-    def sparse_tact(self, beta, s):
-        key = (True, beta, s)
-        m = self._sparse.get(key)
-        if m is None:
-            m = self._sparse[key] = SparseMat.from_mat(self.tacts[(beta, s)])
-        return m
-
-    def sparse_sact(self, t, alpha):
-        key = (False, t, alpha)
-        m = self._sparse.get(key)
-        if m is None:
-            m = self._sparse[key] = SparseMat.from_mat(self.sacts[(t, alpha)])
-        return m
 
     def violations(self):
         out = []
@@ -113,32 +100,32 @@ def terminal_category():
                          {("id*", "id*"): "id*"}, name="1")
 
 
+def _hom_map(src_basis, dst_basis, fn):
+    """The 0/1 SparseMat sending each u of ``src_basis`` to fn(u) in
+    ``dst_basis``: an action by composition on free spaces of arrows, or,
+    from a one-element basis, the unit column of one basis element."""
+    idx = {u: i for i, u in enumerate(dst_basis)}
+    rows = [{} for _ in dst_basis]
+    for j, u in enumerate(src_basis):
+        rows[idx[fn(u)]][j] = 1
+    return SparseMat(rows, len(dst_basis), len(src_basis))
+
+
 def unit_prof(cat):
     """Identity profunctor: free space on each hom-set, acting by composition."""
-    dims = {}
+    dims = {(x, y): len(cat.hom(x, y)) for x in cat.objects for y in cat.objects}
     tacts = {}
     sacts = {}
-    for x in cat.objects:
-        for y in cat.objects:
-            dims[(x, y)] = len(cat.hom(x, y))
     for beta in cat.arrows:
         x1, x2 = cat.src[beta], cat.dst[beta]
         for y in cat.objects:
-            src_basis = cat.hom(x2, y)
-            idx = {w: i for i, w in enumerate(cat.hom(x1, y))}
-            m = Mat.zeros(len(idx), len(src_basis))
-            for j, w in enumerate(src_basis):
-                m.data[idx[cat.then(beta, w)]][j] = ONE
-            tacts[(beta, y)] = m
+            tacts[(beta, y)] = _hom_map(cat.hom(x2, y), cat.hom(x1, y),
+                                        lambda w: cat.then(beta, w))
     for alpha in cat.arrows:
         y1, y2 = cat.src[alpha], cat.dst[alpha]
         for x in cat.objects:
-            src_basis = cat.hom(x, y1)
-            idx = {w: i for i, w in enumerate(cat.hom(x, y2))}
-            m = Mat.zeros(len(idx), len(src_basis))
-            for j, w in enumerate(src_basis):
-                m.data[idx[cat.then(w, alpha)]][j] = ONE
-            sacts[(x, alpha)] = m
+            sacts[(x, alpha)] = _hom_map(cat.hom(x, y1), cat.hom(x, y2),
+                                         lambda w: cat.then(w, alpha))
     return Profunctor(cat, cat, dims, tacts, sacts, check=False)
 
 
@@ -147,7 +134,7 @@ def prof_from_diagram(x):
     one = terminal_category()
     cat = x.base
     dims = {("*", a): x.dim(a) for a in cat.objects}
-    tacts = {("id*", a): Mat.identity(x.dim(a)) for a in cat.objects}
+    tacts = {("id*", a): SparseMat.identity(x.dim(a)) for a in cat.objects}
     sacts = {("*", alpha): x.mat(alpha) for alpha in cat.arrows}
     return Profunctor(cat, one, dims, tacts, sacts, check=False)
 
@@ -160,7 +147,7 @@ def prof_from_weight(w):
     cat = fincat.opposite(cat_op)
     dims = {(a, "*"): w.dim(a) for a in cat.objects}
     tacts = {(beta, "*"): w.mat(beta) for beta in cat.arrows}
-    sacts = {(a, "id*"): Mat.identity(w.dim(a)) for a in cat.objects}
+    sacts = {(a, "id*"): SparseMat.identity(w.dim(a)) for a in cat.objects}
     return Profunctor(one, cat, dims, tacts, sacts, check=False)
 
 
@@ -186,10 +173,11 @@ class ShadowSpace:
         self.to_class = to_class
 
     def include(self, obj, vec_):
-        """The Mat vec_, in the block of obj, projected onto the shadow."""
+        """The SparseMat vec_, in the block of obj, projected onto the
+        shadow, as a SparseMat."""
         p = self.sparse_proj
-        return (p @ SparseMat.from_blocks(p.cols, vec_.cols, [
-            (self.offsets[obj][0], 0, SparseMat.from_mat(vec_))])).to_mat()
+        return p @ SparseMat.from_blocks(p.cols, vec_.cols,
+                                         [(self.offsets[obj][0], 0, vec_)])
 
 
 def _coend(objs, dim_of, rels):
@@ -254,13 +242,23 @@ def _diag(mats):
     return SparseMat.from_blocks(rows, cols, blocks)
 
 
+def _hstack(rows, mats):
+    """The SparseMats ``mats``, each with ``rows`` rows, side by side."""
+    blocks = []
+    cols = 0
+    for m in mats:
+        blocks.append((0, cols, m))
+        cols += m.cols
+    return SparseMat.from_blocks(rows, cols, blocks)
+
+
 def shadow(h):
     """Coend of an endo-profunctor over the diagonal, as a ShadowSpace."""
     cat = h.src
     if h.tgt is not cat and h.tgt.objects != cat.objects:
         raise ValueError("shadow needs an endo-profunctor")
-    rels = [(cat.src[g], h.sparse_tact(g, cat.src[g]),
-             cat.dst[g], h.sparse_sact(cat.dst[g], g))
+    rels = [(cat.src[g], h.tact(g, cat.src[g]),
+             cat.dst[g], h.sact(cat.dst[g], g))
             for g in cat.generating_arrows()]
     offsets, proj = _coend(cat.objects, lambda a: h.dim(a, a), rels)
     return ShadowSpace(offsets, proj)
@@ -283,11 +281,8 @@ def unit_shadow(cat):
     cols = []
     for rep in classes.reps:
         a = cat.src[rep]
-        basis = cat.hom(a, a)
-        v = Mat.zeros(len(basis), 1)
-        v.data[basis.index(rep)][0] = ONE
-        cols.append(sh.include(a, v).col(0))
-    class_matrix = Mat.from_cols(cols, sh.dim)
+        cols.append(sh.include(a, _hom_map([rep], cat.hom(a, a), lambda u: u)))
+    class_matrix = _hstack(sh.dim, cols).to_mat()
     to_class = inverse(class_matrix)
     cat._unit_shadow = ShadowSpace(sh.offsets, sh.sparse_proj, classes,
                                    class_matrix, to_class)
@@ -320,8 +315,8 @@ def compose_prof(h, k):
         for a in A.objects:
             hd = {b: h.dim(b, a) for b in B.objects}
             kd = {b: k.dim(c, b) for b in B.objects}
-            rels = _tensor_rels(B, hd, lambda g: h.sparse_tact(g, a),
-                                kd, lambda g: k.sparse_sact(c, g), False)
+            rels = _tensor_rels(B, hd, lambda g: h.tact(g, a),
+                                kd, lambda g: k.sact(c, g), False)
             _offs, proj = _coend(B.objects, lambda b: hd[b] * kd[b], rels)
             projs[(c, a)] = proj
             dims[(c, a)] = proj.rows
@@ -330,7 +325,7 @@ def compose_prof(h, k):
         c1, c2 = C.src[beta], C.dst[beta]
         for a in A.objects:
             pre = projs[(c1, a)] @ _diag([
-                kron(SparseMat.identity(h.dim(b, a)), k.sparse_tact(beta, b))
+                kron(SparseMat.identity(h.dim(b, a)), k.tact(beta, b))
                 for b in B.objects])
             tacts[(beta, a)] = factor_through(projs[(c2, a)], pre)
     sacts = {}
@@ -338,7 +333,7 @@ def compose_prof(h, k):
         a1, a2 = A.src[alpha], A.dst[alpha]
         for c in C.objects:
             pre = projs[(c, a2)] @ _diag([
-                kron(h.sparse_sact(b, alpha), SparseMat.identity(k.dim(c, b)))
+                kron(h.sact(b, alpha), SparseMat.identity(k.dim(c, b)))
                 for b in B.objects])
             sacts[(c, alpha)] = factor_through(projs[(c, a1)], pre)
     return CompositeProf(A, C, dims, tacts, sacts, projs)
@@ -361,9 +356,9 @@ def restriction_comparison(fun, h):
     """Isomorphism from the composite against a corestriction module onto
     the plain restriction, verified componentwise and naturally.
 
-    Returns (composite, restriction, iso components); raises when any
-    component fails to be invertible or any comparison square fails to
-    commute on generating arrows.
+    Returns (composite, restriction, iso components as SparseMats); raises
+    when any component fails to be invertible or any comparison square
+    fails to commute on generating arrows.
     """
     x, _y, _w = representable(fun)
     comp = compose_prof(x, h)
@@ -373,22 +368,15 @@ def restriction_comparison(fun, h):
     iso = {}
     for d in D.objects:
         for a in A.objects:
-            blocks = []
-            for b in B.objects:
-                homs = B.hom(b, fo[a])
-                m = Mat.zeros(h.dim(d, fo[a]), len(homs) * h.dim(d, b))
-                for iu, u in enumerate(homs):
-                    act = h.sact(d, u)
-                    for k in range(h.dim(d, b)):
-                        for r in range(act.rows):
-                            m.data[r][iu * h.dim(d, b) + k] = act.data[r][k]
-                blocks.append(m)
-            pre = hstack(blocks) if blocks else Mat.zeros(h.dim(d, fo[a]), 0)
+            # the coend block of b is x(b, a) (x) h(d, b), with x(b, a) the
+            # free space on hom(b, f a): u (x) v goes to h(d, u) v
+            pre = _hstack(h.dim(d, fo[a]), [h.sact(d, u) for b in B.objects
+                                            for u in B.hom(b, fo[a])])
             m = factor_through(comp.sparse_projs[(d, a)], pre)
-            if m.rows != m.cols or inverse(m) is None:
+            if m.rows != m.cols or rank(m) != m.rows:
                 raise AssertionError("comparison is not invertible at (%r, %r)"
                                      % (d, a))
-            iso[(d, a)] = m
+            iso[(d, a)] = SparseMat.from_mat(m)
     for gamma in D.generating_arrows():
         d1, d2 = D.src[gamma], D.dst[gamma]
         for a in A.objects:
@@ -414,30 +402,29 @@ class DualityWitness:
     blockwise sum over target objects b of x(b, a) (x) y(a, b); the other
     coevaluation components follow by naturality.  ``eps[(a, bp, b)]`` is
     the evaluation component y(a, b) (x) x(bp, a) -> hom(bp, b), given
-    before coend projection.  Triangle identities are matrix identities
-    computed through these components.  ``sparse_eta`` and
-    ``sparse_eps`` are built on first read and kept.
+    before coend projection.  Both are kept as SparseMats, converted once
+    when given as Mats.  Triangle identities are matrix identities
+    computed through these components and their reshapes ``eta_blocks``.
     """
 
     def __init__(self, x, y, eta, eps, check=True):
         self.x = x
         self.y = y
-        self.eta = eta
-        self.eps = eps
-        self._sparse_eta = None
-        self._sparse_eps = None
+        self.eta = {k: SparseMat.from_mat(m) for k, m in eta.items()}
+        self.eps = {k: SparseMat.from_mat(m) for k, m in eps.items()}
+        self._eta_blocks = None
         if check:
             verify_witness(self)
 
     @property
-    def sparse_eta(self):
+    def eta_blocks(self):
         """{(a, b): the coevaluation block at b reshaped to the SparseMat
         E (x(b, a) x y(a, b)) with vec(E) that block}."""
-        if self._sparse_eta is None:
+        if self._eta_blocks is None:
             x, y = self.x, self.y
             eta = {}
             for a in x.src.objects:
-                col = SparseMat.from_mat(self.eta[a].transpose()).terms[0]
+                col = self.eta[a].transpose().terms[0]
                 off = 0
                 for b in x.tgt.objects:
                     dx, dy = x.dim(b, a), y.dim(a, b)
@@ -445,33 +432,13 @@ class DualityWitness:
                     eta[(a, b)] = _row_block({k - off: v for k, v in col.items()
                                               if off <= k < end}, dx, dy)
                     off = end
-            self._sparse_eta = eta
-        return self._sparse_eta
-
-    @property
-    def sparse_eps(self):
-        """The evaluation components as SparseMats, under their keys."""
-        if self._sparse_eps is None:
-            self._sparse_eps = {k: SparseMat.from_mat(m)
-                                for k, m in self.eps.items()}
-        return self._sparse_eps
-
-    def eta_block(self, a, b):
-        bobjs = self.x.tgt.objects
-        off = 0
-        for bb in bobjs:
-            d = self.x.dim(bb, a) * self.y.dim(a, bb)
-            if bb == b:
-                return Mat([[self.eta[a].data[off + i][0]] for i in range(d)],
-                           d, 1, coerce=False)
-            off += d
-        raise KeyError(b)
+            self._eta_blocks = eta
+        return self._eta_blocks
 
 
 def verify_witness(w):
     """Check both triangle identities and that evaluation kills the coend
-    relations and is natural; raises on failure.  The checks run on
-    the witness's sparse components."""
+    relations and is natural; raises on failure."""
     x, y = w.x, w.y
     A, B = x.src, x.tgt
     for b in B.objects:
@@ -508,7 +475,7 @@ def _triangle_one(w, b, a):
     (id (x) ev_u)(eta (x) id) is the product E R, here a SparseMat.
     """
     x = w.x
-    eta, eps = w.sparse_eta, w.sparse_eps
+    eta, eps = w.eta_blocks, w.eps
     B = x.tgt
     dx = x.dim(b, a)
     total = SparseMat.zeros(dx, dx)
@@ -518,7 +485,7 @@ def _triangle_one(w, b, a):
             continue
         ev = eps[(a, b, bp)]
         for k, u in enumerate(B.hom(b, bp)):
-            total = total + x.sparse_tact(u, a) @ (
+            total = total + x.tact(u, a) @ (
                 e @ _row_block(ev.terms[k], e.cols, dx))
     return total
 
@@ -530,7 +497,7 @@ def _triangle_two(w, a, b):
     (ev_u (x) id)(id (x) eta) is the transpose of R E, here a SparseMat.
     """
     y = w.y
-    eta, eps = w.sparse_eta, w.sparse_eps
+    eta, eps = w.eta_blocks, w.eps
     B = w.x.tgt
     dy = y.dim(a, b)
     total = SparseMat.zeros(dy, dy)
@@ -541,7 +508,7 @@ def _triangle_two(w, a, b):
         ev = eps[(a, bp, b)]
         for k, u in enumerate(B.hom(bp, b)):
             mid = (_row_block(ev.terms[k], dy, e.rows) @ e).transpose()
-            total = total + y.sparse_sact(a, u) @ mid
+            total = total + y.sact(a, u) @ mid
     return total
 
 
@@ -550,14 +517,14 @@ def _check_eps_descends(w):
     ev (T (x) id) = ev (id (x) S), T and S the actions of the arrow."""
     x, y = w.x, w.y
     A, B = x.src, x.tgt
-    eps = w.sparse_eps
+    eps = w.eps
     for g in A.generating_arrows():
         a1, a2 = A.src[g], A.dst[g]
         for bp in B.objects:
-            s = x.sparse_sact(bp, g)
+            s = x.sact(bp, g)
             for b in B.objects:
                 lhs = eps[(a1, bp, b)] @ kron(
-                    y.sparse_tact(g, b), SparseMat.identity(x.dim(bp, a1)))
+                    y.tact(g, b), SparseMat.identity(x.dim(bp, a1)))
                 rhs = eps[(a2, bp, b)] @ kron(
                     SparseMat.identity(y.dim(a2, b)), s)
                 if lhs != rhs:
@@ -570,22 +537,22 @@ def _check_eps_natural(w):
     x, y = w.x, w.y
     A, B = x.src, x.tgt
     unit = unit_prof(B)
-    eps = w.sparse_eps
+    eps = w.eps
     for g in B.generating_arrows():
         b1, b2 = B.src[g], B.dst[g]
         for a in A.objects:
-            xg = x.sparse_tact(g, a)
-            yg = y.sparse_sact(a, g)
+            xg = x.tact(g, a)
+            yg = y.sact(a, g)
             for b in B.objects:
                 # contravariant slot: precompose with g on x and on homs
-                lhs = unit.sparse_tact(g, b) @ eps[(a, b2, b)]
+                lhs = unit.tact(g, b) @ eps[(a, b2, b)]
                 rhs = eps[(a, b1, b)] @ kron(SparseMat.identity(y.dim(a, b)),
                                              xg)
                 if lhs != rhs:
                     raise AssertionError(
                         "evaluation not natural (contravariant) at %r" % (g,))
                 # covariant slot: postcompose with g on y and on homs
-                lhs = unit.sparse_sact(b, g) @ eps[(a, b, b1)]
+                lhs = unit.sact(b, g) @ eps[(a, b, b1)]
                 rhs = eps[(a, b, b2)] @ kron(yg,
                                              SparseMat.identity(x.dim(b, a)))
                 if lhs != rhs:
@@ -605,15 +572,16 @@ def dual_of_pointwise(x):
     A = x.src
     dims = {(a, "*"): x.dim("*", a) for a in A.objects}
     tacts = {(beta, "*"): x.sact("*", beta).transpose() for beta in A.arrows}
-    sacts = {(a, "id*"): Mat.identity(x.dim("*", a)) for a in A.objects}
+    sacts = {(a, "id*"): SparseMat.identity(x.dim("*", a)) for a in A.objects}
     y = Profunctor(one, A, dims, tacts, sacts, check=False)
     eta = {}
     eps = {}
     for a in A.objects:
         d = x.dim("*", a)
-        flat = [ONE if i == j else ZERO for i in range(d) for j in range(d)]
-        eta[a] = Mat([[v] for v in flat], d * d, 1, coerce=False)
-        eps[(a, "*", "*")] = Mat([flat], 1, d * d, coerce=False)
+        # the identity flattened row-major, as a row and as a column
+        eps[(a, "*", "*")] = SparseMat([{i * (d + 1): 1 for i in range(d)}],
+                                       1, d * d)
+        eta[a] = eps[(a, "*", "*")].transpose()
     return DualityWitness(x, y, eta, eps)
 
 
@@ -635,22 +603,14 @@ def representable(fun):
     for beta in B.arrows:
         b1, b2 = B.src[beta], B.dst[beta]
         for a in A.objects:
-            basis = B.hom(b2, fo[a])
-            idx = {u: i for i, u in enumerate(B.hom(b1, fo[a]))}
-            m = Mat.zeros(len(idx), len(basis))
-            for j, u in enumerate(basis):
-                m.data[idx[B.then(beta, u)]][j] = ONE
-            xt[(beta, a)] = m
+            xt[(beta, a)] = _hom_map(B.hom(b2, fo[a]), B.hom(b1, fo[a]),
+                                     lambda u: B.then(beta, u))
     xs = {}
     for alpha in A.arrows:
         a1, a2 = A.src[alpha], A.dst[alpha]
         for b in B.objects:
-            basis = B.hom(b, fo[a1])
-            idx = {u: i for i, u in enumerate(B.hom(b, fo[a2]))}
-            m = Mat.zeros(len(idx), len(basis))
-            for j, u in enumerate(basis):
-                m.data[idx[B.then(u, fa[alpha])]][j] = ONE
-            xs[(b, alpha)] = m
+            xs[(b, alpha)] = _hom_map(B.hom(b, fo[a1]), B.hom(b, fo[a2]),
+                                      lambda u: B.then(u, fa[alpha]))
     x = Profunctor(A, B, xdims, xt, xs, check=False)
     # y = hom(f a, b), contravariant via f, covariant by postcomposition
     ydims = {(a, b): len(B.hom(fo[a], b)) for a in A.objects for b in B.objects}
@@ -658,49 +618,31 @@ def representable(fun):
     for alpha in A.arrows:
         a1, a2 = A.src[alpha], A.dst[alpha]
         for b in B.objects:
-            basis = B.hom(fo[a2], b)
-            idx = {u: i for i, u in enumerate(B.hom(fo[a1], b))}
-            m = Mat.zeros(len(idx), len(basis))
-            for j, u in enumerate(basis):
-                m.data[idx[B.then(fa[alpha], u)]][j] = ONE
-            yt[(alpha, b)] = m
+            yt[(alpha, b)] = _hom_map(B.hom(fo[a2], b), B.hom(fo[a1], b),
+                                      lambda u: B.then(fa[alpha], u))
     ys = {}
     for beta in B.arrows:
         b1, b2 = B.src[beta], B.dst[beta]
         for a in A.objects:
-            basis = B.hom(fo[a], b1)
-            idx = {u: i for i, u in enumerate(B.hom(fo[a], b2))}
-            m = Mat.zeros(len(idx), len(basis))
-            for j, u in enumerate(basis):
-                m.data[idx[B.then(u, beta)]][j] = ONE
-            ys[(a, beta)] = m
+            ys[(a, beta)] = _hom_map(B.hom(fo[a], b1), B.hom(fo[a], b2),
+                                     lambda u: B.then(u, beta))
     y = Profunctor(B, A, ydims, yt, ys, check=False)
+    # coevaluation at a: id (x) id in the block of f a, the blocks over b
+    # of x(b, a) (x) y(a, b) laid out as triples (b, v, u)
     eta = {}
     for a in A.objects:
-        blocks = []
-        for b in B.objects:
-            dx = x.dim(b, a)
-            dy = y.dim(a, b)
-            col = [ZERO] * (dx * dy)
-            if b == fo[a]:
-                basis = B.hom(b, fo[a])
-                i = basis.index(B.idarr(fo[a]))
-                j = B.hom(fo[a], b).index(B.idarr(fo[a]))
-                col[i * dy + j] = ONE
-            blocks.extend(col)
-        eta[a] = Mat([[v] for v in blocks], len(blocks), 1, coerce=False)
+        basis = [(b, v, u) for b in B.objects for v in B.hom(b, fo[a])
+                 for u in B.hom(fo[a], b)]
+        ida = B.idarr(fo[a])
+        eta[a] = _hom_map([ida], basis, lambda u: (fo[a], u, u))
+    # evaluation composes: u (x) v in y(a, b) (x) x(bp, a) goes to v;u
     eps = {}
     for a in A.objects:
         for bp in B.objects:
             for b in B.objects:
-                ybasis = B.hom(fo[a], b)
-                xbasis = B.hom(bp, fo[a])
-                homs = B.hom(bp, b)
-                m = Mat.zeros(len(homs), len(ybasis) * len(xbasis))
-                for i, u in enumerate(ybasis):
-                    for j, v in enumerate(xbasis):
-                        m.data[homs.index(B.then(v, u))][i * len(xbasis) + j] = ONE
-                eps[(a, bp, b)] = m
+                pairs = [(u, v) for u in B.hom(fo[a], b) for v in B.hom(bp, fo[a])]
+                eps[(a, bp, b)] = _hom_map(pairs, B.hom(bp, b),
+                                           lambda uv: B.then(uv[1], uv[0]))
     w = DualityWitness(x, y, eta, eps)
     return x, y, w
 
@@ -717,6 +659,8 @@ def dual_via_retract(w, r, s):
     A = x.tgt
     if x.src.objects != ("*",):
         raise ValueError("retract transport implemented for weights only")
+    r = {a: SparseMat.from_mat(m) for a, m in r.items()}
+    s = {a: SparseMat.from_mat(m) for a, m in s.items()}
     for a in A.objects:
         if not (r[a] @ s[a]).is_identity():
             raise ValueError("r o s is not the identity at %r" % (a,))
@@ -732,11 +676,12 @@ def dual_via_retract(w, r, s):
     for beta in A.arrows:
         a1, a2 = A.src[beta], A.dst[beta]
         ztacts[(beta, "*")] = r[a1] @ x.tact(beta, "*") @ s[a2]
-    zsacts = {(a, "id*"): Mat.identity(r[a].rows) for a in A.objects}
+    zsacts = {(a, "id*"): SparseMat.identity(r[a].rows) for a in A.objects}
     z = Profunctor(x.src, A, zdims, ztacts, zsacts, check=False)
     # dual of the retract: split the mate
     zddims = {("*", a): splits[a][0].cols for a in A.objects}
-    zdtacts = {("id*", a): Mat.identity(splits[a][0].cols) for a in A.objects}
+    zdtacts = {("id*", a): SparseMat.identity(splits[a][0].cols)
+               for a in A.objects}
     zdsacts = {}
     for alpha in A.arrows:
         a1, a2 = A.src[alpha], A.dst[alpha]
@@ -745,38 +690,31 @@ def dual_via_retract(w, r, s):
         zdsacts[("*", alpha)] = p2 @ y.sact("*", alpha) @ i1
     zd = Profunctor(A, x.src, zddims, zdtacts, zdsacts, check=False)
     rp = _diag([kron(r[a], splits[a][1]) for a in A.objects])
-    eta = {ast: (rp @ SparseMat.from_mat(w.eta[ast])).to_mat()
-           for ast in x.src.objects}
+    eta = {ast: rp @ w.eta[ast] for ast in x.src.objects}
     eps = {}
     for ap in A.objects:
         for a in A.objects:
-            eps[("*", ap, a)] = (w.sparse_eps[("*", ap, a)]
-                                 @ kron(splits[a][0], s[ap])).to_mat()
+            eps[("*", ap, a)] = w.eps[("*", ap, a)] @ kron(splits[a][0], s[ap])
     return DualityWitness(z, zd, eta, eps)
 
 
 def _mate_of_weight_endo(w, e):
-    """Mate of an endomorphism of a weight on its dual, componentwise."""
+    """Mate of an endomorphism of a weight on its dual, componentwise:
+    ``_triangle_two`` with each coevaluation block E replaced by e E."""
     x, y = w.x, w.y
     A = x.tgt
+    eta = w.eta_blocks
     out = {}
     for a in A.objects:
         dy = y.dim("*", a)
         total = SparseMat.zeros(dy, dy)
         for ap in A.objects:
-            dxp = x.dim(ap, "*")
-            dyp = y.dim("*", ap)
-            if dxp * dyp == 0:
-                continue
-            blk = kron(e[ap], SparseMat.identity(dyp)) @ SparseMat.from_mat(
-                w.eta_block("*", ap))
-            start = kron(SparseMat.identity(dy), blk)
-            ev = w.sparse_eps[("*", ap, a)]
+            ee = e[ap] @ eta[("*", ap)]
+            ev = w.eps[("*", ap, a)]
             for k, u in enumerate(A.hom(ap, a)):
-                mid = kron(SparseMat([ev.terms[k]], 1, ev.cols),
-                           SparseMat.identity(dyp))
-                total = total + y.sparse_sact("*", u) @ mid @ start
-        out[a] = total.to_mat()
+                mid = (_row_block(ev.terms[k], dy, ee.rows) @ ee).transpose()
+                total = total + y.sact("*", u) @ mid
+        out[a] = total
     return out
 
 
@@ -832,8 +770,8 @@ def bicat_trace(w, f):
 
     dx = {a: x.dim("*", a) for a in A.objects}
     dy = {a: y.dim(a, "*") for a in A.objects}
-    off, p1, p2, h3 = _paired_coend(A, dx, lambda g: x.sparse_sact("*", g),
-                                    dy, lambda g: y.sparse_tact(g, "*"),
+    off, p1, p2, h3 = _paired_coend(A, dx, lambda g: x.sact("*", g),
+                                    dy, lambda g: y.tact(g, "*"),
                                     True)
 
     # shadow of the coevaluation, checked on both naturality routes:
@@ -841,13 +779,13 @@ def bicat_trace(w, f):
     # for eta = vec(E), flattened into the block of p1 at a; equal
     # products have equal images, so only the nonzero differences
     # S E - E T^t go through p1, where they must vanish
-    eta = w.sparse_eta
+    eta = w.eta_blocks
     cols, diffs = [], []
     for a in A.objects:
         e = eta[(a, "*")]
         for alpha in A.endos(a):
-            se = x.sparse_sact("*", alpha) @ e
-            et = e @ y.sparse_tact(alpha, "*").transpose()
+            se = x.sact("*", alpha) @ e
+            et = e @ y.tact(alpha, "*").transpose()
             cols.append(_flat(se, off[a][0]))
             if se != et:
                 diffs.append((alpha, _flat(se + et.smul(-1), off[a][0])))
@@ -864,8 +802,7 @@ def bicat_trace(w, f):
     h2 = factor_through(p1, p1 @ _diag([kron(sf[a], SparseMat.identity(dy[a]))
                                         for a in A.objects]))
 
-    ev = hstack([w.eps[(a, "*", "*")] for a in A.objects]) \
-        if A.objects else Mat.zeros(1, 0)
+    ev = _hstack(1, [w.eps[(a, "*", "*")] for a in A.objects])
     h4 = factor_through(p2, ev)
 
     row = h4 @ h3 @ h2 @ h1 @ su.class_matrix
@@ -884,7 +821,7 @@ def _check_endo_natural(x, sf):
     sparse products of the actions and the SparseMats ``sf``."""
     A = x.src
     for g in A.generating_arrows():
-        act = x.sparse_sact("*", g)
+        act = x.sact("*", g)
         if act @ sf[A.src[g]] != sf[A.dst[g]] @ act:
             raise ValueError("endomorphism is not natural at %r" % (g,))
 
@@ -906,17 +843,17 @@ def coeff_vector_direct(w, endo=None):
     dy = {a: y.dim("*", a) for a in A.objects}
     if endo is None:
         endo = {a: SparseMat.identity(dx[a]) for a in A.objects}
-    _off, p1, p2, u2 = _paired_coend(A, dx, lambda g: x.sparse_tact(g, "*"),
-                                     dy, lambda g: y.sparse_sact("*", g),
+    _off, p1, p2, u2 = _paired_coend(A, dx, lambda g: x.tact(g, "*"),
+                                     dy, lambda g: y.sact("*", g),
                                      False)
 
     u1 = factor_through(p1, p1 @ _diag([kron(endo[a],
                                              SparseMat.identity(dy[a]))
                                         for a in A.objects]))
-    u1 = u1 @ (p1 @ SparseMat.from_mat(w.eta["*"])).to_mat()
+    u1 = u1 @ (p1 @ w.eta["*"]).to_mat()
     # the evaluation at each (a, a) lands in the unit shadow's block of
     # hom(a, a)
     u3 = factor_through(p2, su.sparse_proj @ _diag(
-        [w.sparse_eps[("*", a, a)] for a in A.objects]))
+        [w.eps[("*", a, a)] for a in A.objects]))
     vec_ = su.to_class @ (u3 @ u2 @ u1)
     return {rep: vec_.data[i][0] for i, rep in enumerate(su.classes.reps)}

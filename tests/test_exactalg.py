@@ -130,6 +130,13 @@ def test_inverse():
         inverse(Mat([[1, 2], [2, 4]]))
 
 
+def test_sparse_from_mat_returns_a_sparse_matrix_as_it_is():
+    m = Mat([[1, 0], [F(1, 2), 3]])
+    s = SparseMat.from_mat(m)
+    assert s.terms == [{0: 1}, {0: F(1, 2), 1: 3}]
+    assert SparseMat.from_mat(s) is s
+
+
 def test_idempotent_image_splitting():
     rng = random.Random(3)
     for _ in range(20):

@@ -46,3 +46,15 @@ def test_every_imported_name_is_read(path):
     unread = ["line %d: %s" % (line, name) for line, _, name in _imports(tree)
               if name not in read]
     assert not unread, unread
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_every_private_module_function_and_class_is_read(path):
+    # a helper that deletions left without callers is dead code
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = ["line %d: %s" % (node.lineno, node.name) for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and node.name not in read]
+    assert not unread, unread

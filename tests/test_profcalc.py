@@ -77,8 +77,8 @@ def test_shadow_relations_full_vs_generating_arrows():
     h = unit_prof(cat)
     sh = shadow(h)
     from tracelin.profcalc import _coend
-    rels = [(cat.src[g], h.sparse_tact(g, cat.src[g]),
-             cat.dst[g], h.sparse_sact(cat.dst[g], g))
+    rels = [(cat.src[g], h.tact(g, cat.src[g]),
+             cat.dst[g], h.sact(cat.dst[g], g))
             for g in cat.nonidentity()]
     assert len(rels) > len(cat.generating_arrows())
     _offsets, proj = _coend(cat.objects, lambda a: h.dim(a, a), rels)
@@ -118,7 +118,7 @@ def test_compose_restriction_is_restriction():
     for beta in cat.generating_arrows():
         for a in two.objects:
             c1, c2 = cat.src[beta], cat.dst[beta]
-            lhs = comp.tact(beta, a)
+            lhs = comp.tact(beta, a).to_mat()
             # the restriction itself: precomposition on hom(c, f a)
             basis2 = cat.hom(c2, fun.obj_map[a])
             idx = {u: i for i, u in enumerate(cat.hom(c1, fun.obj_map[a]))}
@@ -399,6 +399,22 @@ def test_restriction_comparison_walking_arrow_into_span():
         assert comp.dims[key] == restr.dims[key]
 
 
+def test_restriction_comparison_rejects_a_singular_component():
+    # a zero identity action of the module at a leaves the comparison at
+    # (a, a) without the column of the identity arrow
+    two = harness.arrow_category()
+    cat = span()
+    fun = Functor(two, cat, {"a": "a", "b": "b"},
+                  {"a": "a", "b": "b", "f": "f"})
+    h = unit_prof(cat)
+    sacts = dict(h.sacts)
+    sacts[("a", "a")] = Mat.zeros(h.sact("a", "a").rows, h.sact("a", "a").cols)
+    bad = profcalc.Profunctor(cat, cat, h.dims, h.tacts, sacts, check=False)
+    with pytest.raises(AssertionError,
+                       match="^comparison is not invertible at \\('a', 'a'\\)$"):
+        profcalc.restriction_comparison(fun, bad)
+
+
 def test_restriction_comparison_subgroup_inclusion():
     s3 = symmetric_group(3)
     bs3 = bg_category(s3, name="BS3")
@@ -547,17 +563,22 @@ def test_triangles_match_kron_formula():
     def unit_row(n, k):
         return Mat([[F(1) if j == k else F(0) for j in range(n)]], 1, n)
 
+    def eta_col(w, a, b):
+        # the coevaluation block at b, flattened back from its reshape
+        return Mat([[v] for row in w.eta_blocks[(a, b)].to_mat().data
+                    for v in row])
+
     def one(w, b, a):
         x, y, B = w.x, w.y, w.x.tgt
         total = Mat.zeros(x.dim(b, a), x.dim(b, a))
         for bp in B.objects:
             if x.dim(bp, a) * y.dim(a, bp) == 0:
                 continue
-            start = _dense_kron(w.eta_block(a, bp), Mat.identity(x.dim(b, a)))
+            start = _dense_kron(eta_col(w, a, bp), Mat.identity(x.dim(b, a)))
             for k, u in enumerate(B.hom(b, bp)):
-                row = unit_row(len(B.hom(b, bp)), k) @ w.eps[(a, b, bp)]
+                row = unit_row(len(B.hom(b, bp)), k) @ w.eps[(a, b, bp)].to_mat()
                 mid = _dense_kron(Mat.identity(x.dim(bp, a)), row)
-                total = total + x.tact(u, a) @ mid @ start
+                total = total + x.tact(u, a).to_mat() @ mid @ start
         return total
 
     def two(w, a, b):
@@ -566,11 +587,11 @@ def test_triangles_match_kron_formula():
         for bp in B.objects:
             if x.dim(bp, a) * y.dim(a, bp) == 0:
                 continue
-            start = _dense_kron(Mat.identity(y.dim(a, b)), w.eta_block(a, bp))
+            start = _dense_kron(Mat.identity(y.dim(a, b)), eta_col(w, a, bp))
             for k, u in enumerate(B.hom(bp, b)):
-                row = unit_row(len(B.hom(bp, b)), k) @ w.eps[(a, bp, b)]
+                row = unit_row(len(B.hom(bp, b)), k) @ w.eps[(a, bp, b)].to_mat()
                 mid = _dense_kron(row, Mat.identity(y.dim(a, bp)))
-                total = total + y.sact(a, u) @ mid @ start
+                total = total + y.sact(a, u).to_mat() @ mid @ start
         return total
 
     rng = random.Random(3)
@@ -592,6 +613,28 @@ def test_triangles_match_kron_formula():
                 for b in B.objects:
                     assert _triangle_one(bad, b, a).to_mat() == one(bad, b, a)
                     assert _triangle_two(bad, a, b).to_mat() == two(bad, a, b)
+
+
+def test_actions_and_components_given_as_mats_are_kept_sparse():
+    from tracelin.exactalg import SparseMat
+    from tracelin.profcalc import DualityWitness, Profunctor
+    one = terminal_category()
+    x = Profunctor(one, one, {("*", "*"): 2}, {("id*", "*"): Mat.identity(2)},
+                   {("*", "id*"): Mat.identity(2)})
+    assert type(x.tact("id*", "*")) is SparseMat
+    assert x.sact("*", "id*").to_mat() == Mat.identity(2)
+    eta = Mat([[1], [0], [0], [1]])
+    eps = Mat([[1, 0, 0, 1]])
+    w = DualityWitness(x, x, {"*": eta}, {("*", "*", "*"): eps})
+    assert type(w.eta["*"]) is SparseMat and w.eta["*"].to_mat() == eta
+    assert type(w.eps[("*", "*", "*")]) is SparseMat
+    assert w.eps[("*", "*", "*")].to_mat() == eps
+    assert w.eta_blocks[("*", "*")].to_mat() == Mat.identity(2)
+    # a SparseMat given at construction is kept as it is
+    s = SparseMat.identity(2)
+    y = Profunctor(one, one, {("*", "*"): 2}, {("id*", "*"): s},
+                   {("*", "id*"): Mat.identity(2)})
+    assert y.tact("id*", "*") is s
 
 
 def test_witness_with_scaled_coevaluation_is_rejected():
@@ -644,7 +687,7 @@ def test_witness_rejects_evaluation_that_is_not_natural(obj, key, where):
     from tracelin.profcalc import DualityWitness, _check_eps_natural
     w = representable(object_functor(span(), obj))[2]
     eps = dict(w.eps)
-    data = [list(row) for row in eps[key].data]
+    data = [list(row) for row in eps[key].to_mat().data]
     data[0][0] += 1
     eps[key] = Mat(data)
     bad = DualityWitness(w.x, w.y, w.eta, eps, check=False)
@@ -715,7 +758,7 @@ def test_bicat_trace_rejects_evaluation_that_does_not_descend():
         A = w.x.src
         a = A.objects[0]
         eps = dict(w.eps)
-        row = list(eps[(a, "*", "*")].data[0])
+        row = list(eps[(a, "*", "*")].to_mat().data[0])
         row[0] += 1
         eps[(a, "*", "*")] = Mat([row])
         bad = DualityWitness(w.x, w.y, w.eta, eps, check=False)
