@@ -10,7 +10,7 @@ a finite EI shape to a strictly homotopy finite one.
 
 from . import fincat
 from .exactalg import (
-    F, ZERO, ONE, Mat, SparseMat, ChainComplex, ChainMap, block_diag, cokernel,
+    F, ZERO, ONE, Mat, SparseMat, ChainComplex, ChainMap, cokernel,
     factor_through, identity_chain_map, idempotent_image, kernel_basis, kron,
 )
 
@@ -206,23 +206,29 @@ def vect_to_chain(x, degree=0):
 # strict colimits of vector-space diagrams
 
 class ColimResult:
+    """A colimit as a cokernel: its dimension, the projection (a
+    SparseMat) from the direct sum of the values onto it, and the block
+    (offset, dimension) of each object in that sum."""
+
     def __init__(self, dim, proj, offsets):
         self.dim = dim
         self.proj = proj
         self.offsets = offsets
 
     def cocone(self, obj):
+        """The projection restricted to the block of obj, as a Mat."""
         off, d = self.offsets[obj]
-        cols = [self.proj.col(off + j) for j in range(d)]
-        return Mat.from_cols(cols, self.proj.rows) if cols else Mat.zeros(self.proj.rows, 0)
+        return Mat([[terms.get(j, 0) for j in range(off, off + d)]
+                    for terms in self.proj.terms], self.proj.rows, d)
 
 
 def colim_vect(x):
     """Colimit of a vector-space diagram as an explicit cokernel.
 
     The relation map sends v at source(arrow) to (image at target) minus
-    (v at source), over all nonidentity arrows; the returned projection
-    restricted to each object gives the cocone.
+    (v at source), over all nonidentity arrows: the diagram value in the
+    block of the target minus the identity in the block of the source.
+    The returned projection restricted to each object gives the cocone.
     """
     cat = x.base
     offsets = {}
@@ -230,19 +236,15 @@ def colim_vect(x):
     for o in cat.objects:
         offsets[o] = (total, x.dim(o))
         total += x.dim(o)
-    cols = []
+    at_t, at_s = [], []
+    j = 0
     for a in cat.nonidentity():
         s, t = cat.src[a], cat.dst[a]
-        m = x.mat(a)
-        for j in range(x.dim(s)):
-            col = [ZERO] * total
-            off_s = offsets[s][0]
-            off_t = offsets[t][0]
-            for i in range(x.dim(t)):
-                col[off_t + i] += m.data[i][j]
-            col[off_s + j] -= ONE
-            cols.append(col)
-    rel = Mat.from_cols(cols, total) if cols else Mat.zeros(total, 0)
+        at_t.append((offsets[t][0], j, SparseMat.from_mat(x.mat(a))))
+        at_s.append((offsets[s][0], j, SparseMat.identity(x.dim(s))))
+        j += x.dim(s)
+    rel = (SparseMat.from_blocks(total, j, at_t)
+           + SparseMat.from_blocks(total, j, at_s).smul(-1))
     dim, proj = cokernel(rel)
     return ColimResult(dim, proj, offsets)
 
@@ -250,8 +252,10 @@ def colim_vect(x):
 def induced_endo_colim(x, f):
     """Matrix induced by a natural endomorphism on the colimit cokernel."""
     res = colim_vect(x)
-    big = block_diag([f.at(o) for o in x.base.objects])
-    return res, factor_through(res.proj, res.proj @ big)
+    big = SparseMat.from_blocks(res.proj.cols, res.proj.cols, [
+        (off, off, SparseMat.from_mat(f.at(o)))
+        for o, (off, _d) in res.offsets.items()])
+    return res, factor_through(res.proj, res.proj @ big).to_mat()
 
 
 def weighted_colim_vect(weight, x):
@@ -286,16 +290,15 @@ def weighted_colim_vect(weight, x):
         j += m1.cols
     rel = [{c: v for c, v in row.items() if v} for row in rel]
     dim, proj = cokernel(SparseMat(rel, total, j))
-    return ColimResult(dim, proj.to_mat(), offsets)
+    return ColimResult(dim, proj, offsets)
 
 
 def weighted_colim_endo(weight, x, f):
     res = weighted_colim_vect(weight, x)
-    p = SparseMat.from_mat(res.proj)
-    big = SparseMat.from_blocks(p.cols, p.cols, [
+    big = SparseMat.from_blocks(res.proj.cols, res.proj.cols, [
         (off, off, kron(SparseMat.identity(weight.dim(o)), f.at(o)))
         for o, (off, _d) in res.offsets.items()])
-    return res, factor_through(p, p @ big)
+    return res, factor_through(res.proj, res.proj @ big).to_mat()
 
 
 def _same_objects_opposite(wcat, cat):

@@ -9,10 +9,11 @@ kernels, cokernels and solutions take it wherever they take a ``Mat``.
 ``kron`` is the one Kronecker product: it takes either kind, reads only
 the nonzeros and returns a ``SparseMat``, and every tensor map of the
 library (id (x) m, m (x) id, their block diagonals) is built with it.
-Chain complexes and chain maps keep each matrix in the form it was given
-and compose, add, compare and check on the sparse form; their dense
-``Mat`` reads are built on demand.  Matrices act on column vectors, so a
-map V -> W is a (dim W x dim V) matrix.
+Chain complexes and chain maps keep each matrix as a SparseMat, converted
+once when given as a Mat, and compose, add, compare and check on it;
+their dense ``Mat`` reads are built on each call.  ``factor_through``
+returns a SparseMat.  Matrices act on column vectors, so a map V -> W is
+a (dim W x dim V) matrix.
 """
 
 from bisect import bisect
@@ -99,6 +100,8 @@ class Mat:
                    self.rows, self.cols, coerce=False)
 
     def __matmul__(self, other):
+        if type(other) is not Mat:
+            return NotImplemented
         assert self.cols == other.rows, (self.cols, other.rows)
         od = other.data
         bterms = [None] * other.rows   # nonzero (j, value) pairs, read once
@@ -173,13 +176,6 @@ def hstack(mats):
     assert all(m.rows == rows for m in mats)
     data = [sum((m.data[i] for m in mats), []) for i in range(rows)]
     return Mat(data, rows, sum(m.cols for m in mats), coerce=False)
-
-
-def vstack(mats):
-    cols = mats[0].cols
-    assert all(m.cols == cols for m in mats)
-    data = [row[:] for m in mats for row in m.data]
-    return Mat(data, sum(m.rows for m in mats), cols, coerce=False)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +266,8 @@ class SparseMat:
                           for row in self.terms], self.rows, self.cols)
 
     def __matmul__(self, other):
+        if type(other) is not SparseMat:
+            return NotImplemented
         assert self.cols == other.rows, (self.cols, other.rows)
         bt = other.terms
         out = []
@@ -554,14 +552,14 @@ def _unit_columns(terms):
 
 
 def factor_through(p, m):
-    """The unique n with n @ p = m, for surjective p.
+    """The unique n with n @ p = m, for surjective p, as a SparseMat.
 
-    ``p`` and ``m`` are each a Mat or a SparseMat; n is a Mat.  A
-    projection from ``cokernel`` is the unit vector e_r at the free column
-    of each row r, so n is m read at those columns, and what is left is
-    the check n @ p = m, as a sparse product; only a p with no unit
-    column in some row is solved for.  Fails loudly when m does not kill
-    the kernel of p, i.e. when no factorization exists.
+    ``p`` and ``m`` are each a Mat or a SparseMat.  A projection from
+    ``cokernel`` is the unit vector e_r at the free column of each row r,
+    so n is m read at those columns, and what is left is the check
+    n @ p = m, as a sparse product; only a p with no unit column in some
+    row is solved for.  Fails loudly when m does not kill the kernel of
+    p, i.e. when no factorization exists.
     """
     assert p.cols == m.cols, (p.cols, m.cols)
     pt = _terms(p)
@@ -572,13 +570,14 @@ def factor_through(p, m):
                        for row in mt], m.rows, p.rows)
         if (n @ SparseMat(pt, p.rows, p.cols)).terms != mt:
             raise ValueError("map does not factor through the projection")
-        return n.to_mat()
-    res = solve_linear(p.transpose(), m.transpose())
+        return n
+    res = _solve(p.transpose(), m.transpose())
     if res is None:
         raise ValueError("map does not factor through the projection")
-    if not res.unique:
+    if not res[1]:
         raise ValueError("projection is not surjective; factorization ambiguous")
-    return res.solution.transpose()
+    return SparseMat([_sparse(num, den) for num, den in res[0]],
+                     m.rows, p.rows)
 
 
 def idempotent_image(e):
@@ -621,43 +620,20 @@ def idempotent_image(e):
 # ---------------------------------------------------------------------------
 # bounded chain complexes
 
-class _Graded:
-    """Matrices by degree, each kept in the form it was given, Mat or
-    SparseMat; the other form is built on its first read and kept.  A
-    degree with no matrix reads as zero."""
-
-    __slots__ = ("_given", "_other")
-
-    def _keep(self, mats):
-        self._given = {n: m for n, m in mats.items() if m.rows or m.cols}
-        self._other = {}
-
-    def _at(self, n, sparse):
-        """The matrix given at degree n, as a SparseMat when ``sparse`` is
-        set and as a Mat otherwise, or None."""
-        m = self._given.get(n)
-        if m is None or (type(m) is SparseMat) == sparse:
-            return m
-        other = self._other.get(n)
-        if other is None:
-            other = self._other[n] = (SparseMat.from_mat(m) if sparse
-                                      else m.to_mat())
-        return other
-
-
-class ChainComplex(_Graded):
+class ChainComplex:
     """Bounded complex of rational spaces; d[n] maps degree n to n-1.
 
-    A differential may be given as a Mat or a SparseMat.  ``diff(n)`` and
-    ``d`` are Mats, ``sparse_diff(n)`` is a SparseMat; the checks run on
-    the sparse form.
+    A differential may be given as a Mat or a SparseMat; it is kept as a
+    SparseMat, read by ``sparse_diff(n)``, and the checks run on it.
+    ``diff(n)`` and ``d`` are Mats, built on each read.
     """
 
-    __slots__ = ("dims",)
+    __slots__ = ("dims", "_d")
 
     def __init__(self, dims, d, check=True):
         self.dims = {n: dim for n, dim in dims.items() if dim}
-        self._keep(d)
+        self._d = {n: SparseMat.from_mat(m) for n, m in d.items()
+                   if m.rows or m.cols}
         if check:
             bad = self.violations()
             if bad:
@@ -677,28 +653,27 @@ class ChainComplex(_Graded):
         return range(lo, hi + 1)
 
     def diff(self, n):
-        return self._at(n, False) or Mat.zeros(self.dim(n - 1), self.dim(n))
+        return self.sparse_diff(n).to_mat()
 
     def sparse_diff(self, n):
-        return (self._at(n, True)
-                or SparseMat.zeros(self.dim(n - 1), self.dim(n)))
+        return self._d.get(n) or SparseMat.zeros(self.dim(n - 1), self.dim(n))
 
     @property
     def d(self):
         """The given differentials by degree, as Mats."""
-        return {n: self.diff(n) for n in self._given}
+        return {n: m.to_mat() for n, m in self._d.items()}
 
     def total_dim(self):
         return sum(self.dims.values())
 
     def violations(self):
         out = []
-        for n, m in self._given.items():
+        for n, m in self._d.items():
             if m.rows != self.dim(n - 1) or m.cols != self.dim(n):
                 out.append("differential at degree %d has shape %dx%d, expected %dx%d"
                            % (n, m.rows, m.cols, self.dim(n - 1), self.dim(n)))
         for n in self.dims:
-            a, b = self._at(n, True), self._at(n + 1, True)
+            a, b = self._d.get(n), self._d.get(n + 1)
             # pairs of the wrong shape are left to the shape check
             if (a is not None and b is not None and a.cols == b.rows
                     and not (a @ b).is_zero()):
@@ -708,46 +683,48 @@ class ChainComplex(_Graded):
     def __eq__(self, other):
         return (isinstance(other, ChainComplex) and self.dims == other.dims
                 and all(self.sparse_diff(n) == other.sparse_diff(n)
-                        for n in self._given.keys() | other._given.keys()))
+                        for n in self._d.keys() | other._d.keys()))
 
     def __repr__(self):
         return "ChainComplex(%r)" % (self.dims,)
 
 
-class ChainMap(_Graded):
+class ChainMap:
     """Degreewise matrices between two complexes, commuting with d.
 
-    A component may be given as a Mat or a SparseMat.  ``mat(n)`` and
-    ``mats`` are Mats, ``sparse_mat(n)`` is a SparseMat; composition,
-    sums, comparison and the commutation check run on the sparse form.
+    A component may be given as a Mat or a SparseMat; it is kept as a
+    SparseMat, read by ``sparse_mat(n)``, and composition, sums,
+    comparison and the commutation check run on it.  ``mat(n)`` and
+    ``mats`` are Mats, built on each read.
     """
 
-    __slots__ = ("src", "dst")
+    __slots__ = ("src", "dst", "_mats")
 
     def __init__(self, src, dst, mats, check=True):
         self.src = src
         self.dst = dst
-        self._keep(mats)
+        self._mats = {n: SparseMat.from_mat(m) for n, m in mats.items()
+                      if m.rows or m.cols}
         if check:
             bad = self.violations()
             if bad:
                 raise ValueError("; ".join(bad))
 
     def mat(self, n):
-        return self._at(n, False) or Mat.zeros(self.dst.dim(n), self.src.dim(n))
+        return self.sparse_mat(n).to_mat()
 
     def sparse_mat(self, n):
-        return (self._at(n, True)
+        return (self._mats.get(n)
                 or SparseMat.zeros(self.dst.dim(n), self.src.dim(n)))
 
     @property
     def mats(self):
         """The given components by degree, as Mats."""
-        return {n: self.mat(n) for n in self._given}
+        return {n: m.to_mat() for n, m in self._mats.items()}
 
     def violations(self):
         out = []
-        for n, m in self._given.items():
+        for n, m in self._mats.items():
             if m.rows != self.dst.dim(n) or m.cols != self.src.dim(n):
                 out.append("component at degree %d has shape %dx%d, expected %dx%d"
                            % (n, m.rows, m.cols, self.dst.dim(n), self.src.dim(n)))
@@ -763,26 +740,26 @@ class ChainMap(_Graded):
     def compose(self, other):
         """self after other (other first)."""
         assert other.dst is self.src or other.dst == self.src
-        degs = self._given.keys() | other._given.keys()
+        degs = self._mats.keys() | other._mats.keys()
         return ChainMap(other.src, self.dst,
                         {n: self.sparse_mat(n) @ other.sparse_mat(n)
                          for n in degs}, check=False)
 
     def __add__(self, other):
-        degs = self._given.keys() | other._given.keys()
+        degs = self._mats.keys() | other._mats.keys()
         return ChainMap(self.src, self.dst,
                         {n: self.sparse_mat(n) + other.sparse_mat(n)
                          for n in degs}, check=False)
 
     def smul(self, s):
         return ChainMap(self.src, self.dst,
-                        {n: self.sparse_mat(n).smul(s) for n in self._given},
+                        {n: m.smul(s) for n, m in self._mats.items()},
                         check=False)
 
     def __eq__(self, other):
         if not isinstance(other, ChainMap):
             return False
-        degs = self._given.keys() | other._given.keys()
+        degs = self._mats.keys() | other._mats.keys()
         return all(self.sparse_mat(n) == other.sparse_mat(n) for n in degs)
 
 
@@ -792,15 +769,12 @@ def identity_chain_map(c):
 
 
 def lefschetz(f):
-    """Alternating sum of degreewise traces of a chain endomorphism, read
-    off each component in the form it was given."""
+    """Alternating sum of degreewise traces of a chain endomorphism."""
     if f.src.dims != f.dst.dims:
         raise ValueError("lefschetz needs an endomorphism")
     tot = ZERO
-    for n in f.src.dims:
-        m = f._given.get(n)
-        if m is not None:
-            tot += trace(m) if n % 2 == 0 else -trace(m)
+    for n, m in f._mats.items():
+        tot += trace(m) if n % 2 == 0 else -trace(m)
     return tot
 
 
@@ -808,37 +782,38 @@ def shift(c, k):
     """Shifted complex with dim(n) = c.dim(n-k); d picks up the sign (-1)^k."""
     dims = {n + k: dim for n, dim in c.dims.items()}
     sign = ONE if k % 2 == 0 else -ONE
-    d = {n + k: m.smul(sign) for n, m in c._given.items()}
+    d = {n + k: m.smul(sign) for n, m in c._d.items()}
     return ChainComplex(dims, d, check=False)
 
 
 def shift_map(f, k):
     return ChainMap(shift(f.src, k), shift(f.dst, k),
-                    {n + k: m for n, m in f._given.items()}, check=False)
+                    {n + k: m for n, m in f._mats.items()}, check=False)
 
 
 def cone(f):
     """Mapping cone of f : X -> Y.
 
-    cone_n = Y_n (+) X_{n-1} with d(y, x) = (d y + f x, -d x).  Returns
-    (cone, include_Y, project_to_shifted_X).
+    cone_n = Y_n (+) X_{n-1} with d(y, x) = (d y + f x, -d x), i.e. the
+    block matrix [[d_Y, f], [0, -d_X]].  Returns (cone, include_Y,
+    project_to_shifted_X).
     """
     x, y = f.src, f.dst
     degs = set(y.dims) | {n + 1 for n in x.dims}
     dims = {n: y.dim(n) + x.dim(n - 1) for n in degs}
-    d = {}
-    for n in dims:
-        top = hstack([y.diff(n), f.mat(n - 1)])
-        bot = hstack([Mat.zeros(x.dim(n - 2), y.dim(n)), -x.diff(n - 1)])
-        d[n] = vstack([top, bot])
+    d = {n: SparseMat.from_blocks(
+            y.dim(n - 1) + x.dim(n - 2), dims[n],
+            [(0, 0, y.sparse_diff(n)), (0, y.dim(n), f.sparse_mat(n - 1)),
+             (y.dim(n - 1), y.dim(n), x.sparse_diff(n - 1).smul(-1))])
+         for n in dims}
     c = ChainComplex(dims, d)
-    inc = ChainMap(y, c, {n: vstack([Mat.identity(y.dim(n)),
-                                     Mat.zeros(x.dim(n - 1), y.dim(n))])
-                          for n in y.dims}, check=False)
+    inc = ChainMap(y, c, {n: SparseMat.from_blocks(
+        c.dim(n), y.dim(n), [(0, 0, SparseMat.identity(y.dim(n)))])
+        for n in y.dims}, check=False)
     sx = shift(x, 1)
-    proj = ChainMap(c, sx, {n: hstack([Mat.zeros(x.dim(n - 1), y.dim(n)),
-                                       Mat.identity(x.dim(n - 1))])
-                            for n in sx.dims}, check=False)
+    proj = ChainMap(c, sx, {n: SparseMat.from_blocks(
+        x.dim(n - 1), c.dim(n), [(0, y.dim(n), SparseMat.identity(sx.dim(n)))])
+        for n in sx.dims}, check=False)
     return c, inc, proj
 
 
@@ -847,15 +822,17 @@ def cone_endo(f, g_src, g_dst):
     c, _, _ = cone(f)
     mats = {}
     for n in c.dims:
-        mats[n] = block_diag([g_dst.mat(n), g_src.mat(n - 1)])
+        m = g_dst.sparse_mat(n)
+        mats[n] = SparseMat.from_blocks(c.dim(n), c.dim(n), [
+            (0, 0, m), (m.rows, m.cols, g_src.sparse_mat(n - 1))])
     return c, ChainMap(c, c, mats, check=False)
 
 
 def homology_dims(c):
     out = {}
     for n in c.support():
-        z = c.dim(n) - rank(c.diff(n))
-        b = rank(c.diff(n + 1))
+        z = c.dim(n) - rank(c.sparse_diff(n))
+        b = rank(c.sparse_diff(n + 1))
         if z - b:
             out[n] = z - b
     return out

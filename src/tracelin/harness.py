@@ -520,18 +520,18 @@ class SuiteReport:
 
 
 def _case(case_id, lhs, rhs, note="", witness=None):
+    """The result of comparing lhs with rhs; ``witness``, a callable of no
+    arguments, builds the failure payload and is called only on a
+    failure."""
     equal = lhs == rhs
     return CaseResult(case_id, lhs, rhs, equal, note,
-                      witness=None if equal else witness)
+                      witness=None if equal or witness is None else witness())
 
 
-def _witness_payload(dia, endo, extra=None):
+def _witness_payload(dia, endo):
     """Serialized category, diagram, and endomorphism for a failing case."""
     from . import serialize
-    payload = {"diagram": serialize.diagram_to_json(dia, endo)}
-    if extra:
-        payload.update(extra)
-    return payload
+    return {"diagram": serialize.diagram_to_json(dia, endo)}
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +556,7 @@ def verify_linearity_hofin(seed, case_no, max_objects=5, max_edges=8):
     lhs = lefschetz(res.induce(endo))
     rhs = linearity_rhs(phi, dia, endo)
     return _case("linearity:hofin:%d:%d" % (seed, case_no), lhs, rhs,
-                 note=cat.name, witness=_witness_payload(dia, endo))
+                 note=cat.name, witness=lambda: _witness_payload(dia, endo))
 
 
 def verify_linearity_group(seed, case_no, gname):
@@ -568,7 +568,7 @@ def verify_linearity_group(seed, case_no, gname):
     lhs = lefschetz(induced)
     rhs = linearity_rhs(phi, dia, endo)
     return _case("linearity:group:%s:%d:%d" % (gname, seed, case_no), lhs, rhs,
-                 witness=_witness_payload(dia, endo))
+                 witness=lambda: _witness_payload(dia, endo))
 
 
 def groupoid_chain_diagram(seed, name):
@@ -618,7 +618,7 @@ def verify_linearity_groupoid(seed, case_no, name):
     lhs = lefschetz(induced)
     rhs = linearity_rhs(phi, dia, endo)
     return _case("linearity:groupoid:%s:%d:%d" % (name, seed, case_no),
-                 lhs, rhs, witness=_witness_payload(dia, endo))
+                 lhs, rhs, witness=lambda: _witness_payload(dia, endo))
 
 
 def verify_linearity_ei(seed, case_no, name):
@@ -630,7 +630,7 @@ def verify_linearity_ei(seed, case_no, name):
     lhs = lefschetz(induced)
     rhs = linearity_rhs(coeffs.coeff_EI(cat), dia, endo)
     return _case("ei:linearity:%s:%d" % (name, case_no), lhs, rhs,
-                 witness=_witness_payload(dia, endo))
+                 witness=lambda: _witness_payload(dia, endo))
 
 
 def verify_cofiber(seed, case_no):
@@ -648,7 +648,7 @@ def verify_cofiber(seed, case_no):
     lhs = lefschetz(cendo)
     rhs = lefschetz(endo.at("b")) - lefschetz(endo.at("a"))
     return _case("cofiber:%d:%d" % (seed, case_no), lhs, rhs,
-                 witness=_witness_payload(dia, endo))
+                 witness=lambda: _witness_payload(dia, endo))
 
 
 def verify_pushout_vs_cone(seed, case_no):

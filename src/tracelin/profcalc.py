@@ -4,15 +4,15 @@ A profunctor from S to T assigns a space to each (t, s) pair, with a
 covariant S-action and a contravariant T-action that commute.  Composites
 and shadows are coends, always presented as explicit cokernels with their
 projections retained, so every structural map in a trace computation is a
-literal matrix.  Actions and witness components are kept as SparseMats,
-converted once when given as Mats; only a unit shadow's class basis and
-the maps factored through projections are Mats.  One routine writes the
-coend relations as a sparse matrix straight from the rows of the action
-matrices or of their sparse Kronecker products id (x) m and m (x) id,
-and the cokernel hands back a sparse projection; maps induced on a coend
-are the projection times a block diagonal of such products, the swap of
-tensor factors is a column permutation of a projection, and factoring
-through a projection reads its free columns.
+literal matrix.  Actions, witness components, a unit shadow's class
+basis and the maps factored through projections are all SparseMats;
+actions and witness components given as Mats are converted once.  One
+routine writes the coend relations as a sparse matrix straight from the
+rows of the action matrices or of their sparse Kronecker products
+id (x) m and m (x) id, and the cokernel hands back a sparse projection;
+maps induced on a coend are the projection times a block diagonal of
+such products, the swap of tensor factors is a column permutation of a
+projection, and factoring through a projection reads its free columns.
 Duality witnesses carry coevaluation and evaluation component matrices,
 and their checks multiply reshapes of those components and Kronecker
 products of the actions; traces run through the genuine quotient spaces
@@ -22,7 +22,7 @@ independent oracle against direct trace computations.
 
 from . import fincat
 from .exactalg import (
-    SparseMat, cokernel, factor_through, idempotent_image, inverse, kron,
+    F, SparseMat, cokernel, factor_through, idempotent_image, inverse, kron,
     rank,
 )
 
@@ -282,8 +282,8 @@ def unit_shadow(cat):
     for rep in classes.reps:
         a = cat.src[rep]
         cols.append(sh.include(a, _hom_map([rep], cat.hom(a, a), lambda u: u)))
-    class_matrix = _hstack(sh.dim, cols).to_mat()
-    to_class = inverse(class_matrix)
+    class_matrix = _hstack(sh.dim, cols)
+    to_class = SparseMat.from_mat(inverse(class_matrix))
     cat._unit_shadow = ShadowSpace(sh.offsets, sh.sparse_proj, classes,
                                    class_matrix, to_class)
     return cat._unit_shadow
@@ -376,7 +376,7 @@ def restriction_comparison(fun, h):
             if m.rows != m.cols or rank(m) != m.rows:
                 raise AssertionError("comparison is not invertible at (%r, %r)"
                                      % (d, a))
-            iso[(d, a)] = SparseMat.from_mat(m)
+            iso[(d, a)] = m
     for gamma in D.generating_arrows():
         d1, d2 = D.src[gamma], D.dst[gamma]
         for a in A.objects:
@@ -805,8 +805,8 @@ def bicat_trace(w, f):
     ev = _hstack(1, [w.eps[(a, "*", "*")] for a in A.objects])
     h4 = factor_through(p2, ev)
 
-    row = h4 @ h3 @ h2 @ h1 @ su.class_matrix
-    return {rep: row.data[0][i] for i, rep in enumerate(su.classes.reps)}
+    row = (h4 @ h3 @ h2 @ h1 @ su.class_matrix).terms[0]
+    return {rep: F(row.get(i, 0)) for i, rep in enumerate(su.classes.reps)}
 
 
 def _flat(m, off):
@@ -850,10 +850,11 @@ def coeff_vector_direct(w, endo=None):
     u1 = factor_through(p1, p1 @ _diag([kron(endo[a],
                                              SparseMat.identity(dy[a]))
                                         for a in A.objects]))
-    u1 = u1 @ (p1 @ w.eta["*"]).to_mat()
+    u1 = u1 @ (p1 @ w.eta["*"])
     # the evaluation at each (a, a) lands in the unit shadow's block of
     # hom(a, a)
     u3 = factor_through(p2, su.sparse_proj @ _diag(
         [w.eps[("*", a, a)] for a in A.objects]))
     vec_ = su.to_class @ (u3 @ u2 @ u1)
-    return {rep: vec_.data[i][0] for i, rep in enumerate(su.classes.reps)}
+    return {rep: F(terms.get(0, 0))
+            for terms, rep in zip(vec_.terms, su.classes.reps)}

@@ -148,7 +148,7 @@ def complex_from_json(obj, what):
 
 
 def chain_map_to_json(f):
-    return {str(n): mat_to_json(f.mat(n)) for n in sorted(f.mats)}
+    return {str(n): mat_to_json(m) for n, m in sorted(f.mats.items())}
 
 
 def chain_map_from_json(obj, src, dst):

@@ -288,6 +288,33 @@ def test_cli_verify_suite_error_is_failure(tmp_path, capsys, monkeypatch, exc):
         == [("sets:error", note, False)]
 
 
+def test_cli_verify_failing_case_writes_loadable_witness(tmp_path, capsys,
+                                                         monkeypatch):
+    from tracelin import coeffs
+    real = coeffs.coeff_hofin
+
+    def perturbed(cat):
+        # one entry off by one, so that linearity:hofin cases fail
+        phi = real(cat)
+        phi.values[phi.classes.reps[0]] += 1
+        return phi
+    monkeypatch.setattr(coeffs, "coeff_hofin", perturbed)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "linearity",
+                           "--seed", "0", "--cases", "4",
+                           "--artifacts", str(tmp_path))
+    assert code == 1 and "FAIL linearity:hofin:0:" in out
+    payload = serialize.load_json(tmp_path / "failures-seed0.json")
+    hofin = [c for c in payload["failures"]
+             if c["id"].startswith("linearity:hofin:")]
+    assert hofin
+    for c in hofin:
+        dia, endo = serialize.diagram_from_json(
+            c["witness"]["diagram"], lambda name: harness.corpus()[name]["cat"])
+        # the loaded diagram and endomorphism give the reported side back
+        rhs = harness.linearity_rhs(coeffs.coeff_hofin(dia.base), dia, endo)
+        assert str(rhs) == c["rhs"]
+
+
 def test_cli_diagram_missing_entry_is_input_error(tmp_path, capsys):
     obj = serialize.load_json(cli.data_dir() / "pushout_span.json")
     del obj["arrows"][sorted(obj["arrows"])[0]]

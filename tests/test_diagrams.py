@@ -112,6 +112,46 @@ def test_colim_cocone_commutes_and_covers():
     assert rank(hstack([res.cocone(o) for o in cat.objects])) == res.dim
 
 
+def _dense_colim_relations(x):
+    """The relation columns of colim_vect, filled in one by one."""
+    cat = x.base
+    offs, total = {}, 0
+    for o in cat.objects:
+        offs[o] = total
+        total += x.dim(o)
+    cols = []
+    for a in cat.nonidentity():
+        s, t = cat.src[a], cat.dst[a]
+        for j in range(x.dim(s)):
+            col = [F(0)] * total
+            for i in range(x.dim(t)):
+                col[offs[t] + i] += x.mat(a).data[i][j]
+            col[offs[s] + j] -= 1
+            cols.append(col)
+    return Mat.from_cols(cols, total) if cols else Mat.zeros(total, 0)
+
+
+def test_colim_projection_is_sparse_and_matches_dense_relations():
+    from tracelin.exactalg import SparseMat, cokernel
+    maps = {"a": Mat.identity(1), "b": Mat.identity(2), "c": Mat.identity(1),
+            "f": Mat([[1], [0]]), "g": Mat([[1]])}
+    xs = [VectDiagram(span(), {"a": 1, "b": 2, "c": 1}, maps),
+          VectDiagram(idem_cat(), {"x": 2}, {"x": Mat.identity(2),
+                                              "e": Mat([[0, 0], [1, 1]])}),
+          VectDiagram(bg_category(cyclic_group(2)), {"x": 2},
+                      {("g", 0): Mat.identity(2),
+                       ("g", 1): Mat([[0, 1], [1, 0]])})]
+    for x in xs:
+        res = colim_vect(x)
+        dim, proj = cokernel(_dense_colim_relations(x))
+        assert type(res.proj) is SparseMat
+        assert res.dim == dim and res.proj.to_mat() == proj
+        assert type(induced_endo_colim(x, identity_endo(x))[1]) is Mat
+    w = VectDiagram(opposite(span()), {"a": 1, "b": 1, "c": 1},
+                    {a: Mat.identity(1) for a in span().arrows})
+    assert type(weighted_colim_vect(w, xs[0]).proj) is SparseMat
+
+
 def test_idempotent_colim_trace_is_trace_against_idempotent():
     cat = idem_cat()
     e = Mat([[0, 0], [1, 1]])

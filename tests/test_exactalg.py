@@ -118,9 +118,27 @@ def test_solve_reports_unique_and_inconsistent():
 
 def test_factor_through_requires_descent():
     p = Mat([[1, -1]])
-    assert factor_through(p, Mat([[2, -2]])).data == [[F(2)]]
+    assert factor_through(p, Mat([[2, -2]])).to_mat().data == [[F(2)]]
     with pytest.raises(ValueError):
         factor_through(p, Mat([[1, 1]]))
+
+
+def test_factor_through_returns_a_sparse_mat_on_both_paths():
+    # unit-column path: the row of p is e_0 - e_1, with a unit column
+    n = factor_through(Mat([[1, -1]]), Mat([[2, -2]]))
+    assert type(n) is SparseMat and n.to_mat() == Mat([[2]])
+    # solved path: row 0 of p has no unit column
+    p, m = Mat([[2, 0], [0, 1]]), Mat([[4, 3], [1, 0]])
+    n = factor_through(p, m)
+    assert type(n) is SparseMat and n.to_mat() == Mat([[2, 3], [F(1, 2), 0]])
+    assert n @ SparseMat.from_mat(p) == SparseMat.from_mat(m)
+
+
+def test_mixed_products_raise_type_error():
+    for a, b in ((Mat.identity(2), SparseMat.identity(2)),
+                 (SparseMat.identity(2), Mat.identity(2))):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            a @ b
 
 
 def test_inverse():
@@ -193,6 +211,63 @@ def test_cone_of_zero_map_is_shifted_source():
     cc, _inc, _proj = cone(f)
     assert cc.dims == shift(c, 1).dims
     assert homology_dims(cc) == homology_dims(shift(c, 1))
+
+
+def _vstack(mats):
+    return Mat([row for m in mats for row in m.data],
+               sum(m.rows for m in mats), mats[0].cols)
+
+
+def dense_cone(f):
+    """cone(f)'s dimensions, differentials, inclusion and projection,
+    built by stacking dense Mat blocks."""
+    x, y = f.src, f.dst
+    degs = set(y.dims) | {n + 1 for n in x.dims}
+    dims = {n: y.dim(n) + x.dim(n - 1) for n in degs}
+    d = {n: _vstack([hstack([y.diff(n), f.mat(n - 1)]),
+                     hstack([Mat.zeros(x.dim(n - 2), y.dim(n)),
+                             -x.diff(n - 1)])]) for n in dims}
+    inc = {n: _vstack([Mat.identity(y.dim(n)),
+                       Mat.zeros(x.dim(n - 1), y.dim(n))]) for n in y.dims}
+    proj = {n + 1: hstack([Mat.zeros(x.dim(n), y.dim(n + 1)),
+                           Mat.identity(x.dim(n))]) for n in x.dims}
+    return dims, d, inc, proj
+
+
+def _nonempty(mats):
+    return {n: m for n, m in mats.items() if m.rows or m.cols}
+
+
+def test_cone_matches_dense_block_reference():
+    from tracelin import diagrams, harness
+    rng = random.Random(29)
+    c = sample_complex()
+    pairs = [(identity_chain_map(c), identity_chain_map(c),
+              identity_chain_map(c))]
+    while len(pairs) < 21:
+        x, y = harness.random_complex(rng), harness.random_complex(rng)
+        f = harness.random_chain_map(rng, x, y)
+        if all(m.is_zero() for m in f.mats.values()):
+            continue
+        dia = diagrams.ChainDiagram(
+            harness.arrow_category(), {"a": x, "b": y},
+            {"a": identity_chain_map(x), "b": identity_chain_map(y), "f": f})
+        endo = harness.random_endo(rng, dia)
+        pairs.append((f, endo.at("a"), endo.at("b")))
+    for f, g_src, g_dst in pairs:
+        dims, d, inc, proj = dense_cone(f)
+        cc, ci, cp = cone(f)
+        assert cc.dims == {n: k for n, k in dims.items() if k}
+        assert cc.d == _nonempty(d)
+        assert ci.mats == _nonempty(inc) and cp.mats == _nonempty(proj)
+        assert not ci.violations() and not cp.violations()
+        c2, ce = cone_endo(f, g_src, g_dst)
+        assert c2 == cc
+        assert ce.mats == _nonempty({n: block_diag([g_dst.mat(n),
+                                                    g_src.mat(n - 1)])
+                                     for n in cc.dims})
+        assert not ce.violations()
+        assert lefschetz(ce) == lefschetz(g_dst) - lefschetz(g_src)
 
 
 def chain_endos(rng, c, count):
@@ -494,7 +569,7 @@ def test_sparse_factor_through_matches_dense(monkeypatch):
             del calls[:]
             got = factor_through(p_, good_)
             assert calls == []
-            assert got == n == ref.transpose() and _all_fractions(got)
+            assert n == ref.transpose() and got == SparseMat.from_mat(n)
             counts["unique"] += 1
         if bad is not None:
             for p_, bad_ in _operand_forms(p, bad):

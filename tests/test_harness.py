@@ -225,3 +225,17 @@ def test_named_case_verifiers():
 def test_generated_dag_categories_validate():
     cat = harness.gen_hofin_category(4, max_objects=4, max_edges=4)
     assert fincat.validate(cat) == []
+
+
+def test_passing_case_builds_no_witness(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "_witness_payload",
+                        lambda *args: calls.append(args))
+    assert harness.verify_linearity_hofin(1, 0).equal
+    assert harness.verify_linearity_group(1, 0, "C3").equal
+    assert harness.verify_linearity_groupoid(1, 0, "gpd_conn_C2").equal
+    assert harness.verify_linearity_ei(1, 0, "orbit_C4").equal
+    assert harness.verify_cofiber(1, 0).equal
+    assert calls == []
+    case = harness._case("x", 1, 1, witness=lambda: calls.append("built"))
+    assert case.witness is None and calls == []

@@ -58,3 +58,49 @@ def test_every_private_module_function_and_class_is_read(path):
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and node.name.startswith("_") and node.name not in read]
     assert not unread, unread
+
+
+# Inside the library every matrix is a SparseMat; a dense Mat is built
+# only where the API hands one out.  Each function allowed to call
+# ``.to_mat()``, with its reason:
+TO_MAT_ALLOWED = {
+    ("exactalg.py", "ChainComplex.diff"): "dense API read",
+    ("exactalg.py", "ChainComplex.d"): "dense API read",
+    ("exactalg.py", "ChainMap.mat"): "dense API read",
+    ("exactalg.py", "ChainMap.mats"): "dense API read",
+    ("exactalg.py", "idempotent_image"): "a Mat in gives Mats out",
+    ("diagrams.py", "induced_endo_colim"): "API return",
+    ("diagrams.py", "weighted_colim_endo"): "API return",
+}
+
+
+def _to_mat_calls(tree):
+    """(line, enclosing function as Class.name or name) per call of a
+    ``to_mat`` method; calls outside any function have None."""
+    owner = {}
+    for node in tree.body:
+        defs = ([(node.name + "." + d.name, d) for d in node.body
+                 if isinstance(d, ast.FunctionDef)]
+                if isinstance(node, ast.ClassDef)
+                else [(node.name, node)] if isinstance(node, ast.FunctionDef)
+                else [])
+        for name, d in defs:
+            for sub in ast.walk(d):
+                owner[id(sub)] = name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "to_mat"):
+            yield node.lineno, owner.get(id(node))
+
+
+def test_to_mat_is_called_only_at_the_api_edges():
+    bad, used = [], set()
+    for path in SRC:
+        for line, name in _to_mat_calls(ast.parse(path.read_text())):
+            if (path.name, name) in TO_MAT_ALLOWED:
+                used.add((path.name, name))
+            else:
+                bad.append("%s line %d: %s" % (path.name, line, name))
+    assert not bad, bad
+    # an entry whose function no longer converts is stale
+    assert used == set(TO_MAT_ALLOWED), set(TO_MAT_ALLOWED) - used

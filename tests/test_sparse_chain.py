@@ -511,7 +511,6 @@ def test_dense_reads_of_sparse_stores_are_fraction_mats():
     d1 = SparseMat([{0: 1}, {}], 2, 1)
     cx = ChainComplex({0: 2, 1: 1, 2: 0}, {1: d1})
     assert _fraction_mat(cx.diff(1)) and cx.diff(1) == d1.to_mat()
-    assert cx.diff(1) is cx.diff(1)
     assert _fraction_mat(cx.diff(0)) and cx.diff(0).rows == 0
     assert list(cx.d) == [1] and _fraction_mat(cx.d[1])
     f = ChainMap(cx, cx, {0: SparseMat([{1: F(1, 2)}, {0: 3}], 2, 2),
@@ -520,6 +519,25 @@ def test_dense_reads_of_sparse_stores_are_fraction_mats():
     assert all(_fraction_mat(m) for m in f.mats.values())
     assert f.mat(0) == Mat([[0, F(1, 2)], [3, 0]])
     assert lefschetz(f) == -1 and type(lefschetz(f)) is F
+
+
+def test_mats_given_dense_are_kept_sparse():
+    """Given Mats are converted once, at construction: the sparse reads
+    are one object each, and a later write to a given Mat changes
+    nothing."""
+    d1 = Mat([[1], [0]])
+    cx = ChainComplex({0: 2, 1: 1}, {1: d1})
+    m0 = Mat([[0, F(1, 2)], [3, 0]])
+    f = ChainMap(cx, cx, {0: m0, 1: Mat.identity(1)}, check=False)
+    d1.data[1][0] = m0.data[0][0] = F(5)
+    assert type(cx.sparse_diff(1)) is SparseMat
+    assert cx.sparse_diff(1) is cx.sparse_diff(1)
+    assert cx.sparse_diff(1).terms == [{0: 1}, {}]
+    assert cx.diff(1) == Mat([[1], [0]])
+    assert type(f.sparse_mat(0)) is SparseMat
+    assert f.sparse_mat(0) is f.sparse_mat(0)
+    assert f.sparse_mat(0).terms == [{1: F(1, 2)}, {0: 3}]
+    assert f.mat(0) == Mat([[0, F(1, 2)], [3, 0]])
 
 
 # ---------------------------------------------------------------------------
