@@ -39,6 +39,7 @@ class FinCat:
         self._gens = None
         self._classes = None        # filled by conjugacy_classes
         self._unit_shadow = None    # filled by profcalc.unit_shadow
+        self._paired_coends = {}    # filled by profcalc._paired_coend
 
     def __repr__(self):
         return "FinCat(%s: %d objects, %d arrows)" % (

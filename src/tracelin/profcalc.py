@@ -14,10 +14,14 @@ maps induced on a coend are the projection times a block diagonal of
 such products, the swap of tensor factors is a column permutation of a
 projection, and factoring through a projection reads its free columns.
 Duality witnesses carry coevaluation and evaluation component matrices,
-and their checks multiply reshapes of those components and Kronecker
-products of the actions; traces run through the genuine quotient spaces
-rather than through any shortcut formula, so they can serve as an
-independent oracle against direct trace computations.
+and their checks multiply reshapes of those components, and write each
+evaluation times a Kronecker product of actions from the evaluation's
+nonzeros; traces run through the genuine quotient spaces rather than
+through any shortcut formula, so they can serve as an independent oracle
+against direct trace computations.  A category keeps, for its lifetime,
+each pair of coends its traces build, keyed by the variance, dimensions
+and action entries; the checks of the endomorphism and of the witness
+still run on every call.
 """
 
 from . import fincat
@@ -512,6 +516,25 @@ def _triangle_two(w, a, b):
     return total
 
 
+def _times_kron(m, t, s):
+    """m @ kron(t, s) as a SparseMat, written from the nonzeros of m and
+    the rows of t and s that each one picks, without building kron(t, s).
+    """
+    sc = s.cols
+    out = []
+    for terms in m.terms:
+        acc = {}
+        for k, v in terms.items():
+            i, j = divmod(k, s.rows)
+            srow = s.terms[j].items()
+            for c1, v1 in t.terms[i].items():
+                base, vv = c1 * sc, v * v1
+                for c2, v2 in srow:
+                    acc[base + c2] = acc.get(base + c2, 0) + vv * v2
+        out.append({c: v for c, v in acc.items() if v})
+    return SparseMat(out, m.rows, t.cols * sc)
+
+
 def _check_eps_descends(w):
     """Evaluation must agree on the two routes of every coend relation:
     ev (T (x) id) = ev (id (x) S), T and S the actions of the arrow."""
@@ -523,10 +546,10 @@ def _check_eps_descends(w):
         for bp in B.objects:
             s = x.sact(bp, g)
             for b in B.objects:
-                lhs = eps[(a1, bp, b)] @ kron(
-                    y.tact(g, b), SparseMat.identity(x.dim(bp, a1)))
-                rhs = eps[(a2, bp, b)] @ kron(
-                    SparseMat.identity(y.dim(a2, b)), s)
+                lhs = _times_kron(eps[(a1, bp, b)], y.tact(g, b),
+                                  SparseMat.identity(x.dim(bp, a1)))
+                rhs = _times_kron(eps[(a2, bp, b)],
+                                  SparseMat.identity(y.dim(a2, b)), s)
                 if lhs != rhs:
                     raise AssertionError(
                         "evaluation does not kill the coend relation at %r" % (g,))
@@ -546,15 +569,15 @@ def _check_eps_natural(w):
             for b in B.objects:
                 # contravariant slot: precompose with g on x and on homs
                 lhs = unit.tact(g, b) @ eps[(a, b2, b)]
-                rhs = eps[(a, b1, b)] @ kron(SparseMat.identity(y.dim(a, b)),
-                                             xg)
+                rhs = _times_kron(eps[(a, b1, b)],
+                                  SparseMat.identity(y.dim(a, b)), xg)
                 if lhs != rhs:
                     raise AssertionError(
                         "evaluation not natural (contravariant) at %r" % (g,))
                 # covariant slot: postcompose with g on y and on homs
                 lhs = unit.sact(b, g) @ eps[(a, b, b1)]
-                rhs = eps[(a, b, b2)] @ kron(yg,
-                                             SparseMat.identity(x.dim(b, a)))
+                rhs = _times_kron(eps[(a, b, b2)], yg,
+                                  SparseMat.identity(x.dim(b, a)))
                 if lhs != rhs:
                     raise AssertionError(
                         "evaluation not natural (covariant) at %r" % (g,))
@@ -731,8 +754,21 @@ def _paired_coend(cat, d1, act1, d2, act2, first_covariant):
     map on coends induced by M1 (x) M2 -> M2 (x) M1, found by factoring
     p2, its columns permuted into the M1 (x) M2 layout, through p1.  The
     projections are SparseMats.
+
+    The result depends only on ``first_covariant``, the dimensions and
+    the nonzero entries of both actions at every generating arrow, so it
+    is kept on cat, keyed by exactly those values, for as long as cat
+    lives: a later call with equal values returns the kept tuple and
+    builds neither coend.
     """
     objs = cat.objects
+    key = (first_covariant, tuple(d1[a] for a in objs),
+           tuple(d2[a] for a in objs),
+           tuple(_entries(act(g)) for g in cat.generating_arrows()
+                 for act in (act1, act2)))
+    got = cat._paired_coends.get(key)
+    if got is not None:
+        return got
     offsets, p1 = _coend(objs, lambda a: d1[a] * d2[a],
                          _tensor_rels(cat, d1, act1, d2, act2, first_covariant))
     _offsets, p2 = _coend(objs, lambda a: d2[a] * d1[a],
@@ -743,7 +779,15 @@ def _paired_coend(cat, d1, act1, d2, act2, first_covariant):
           for a in objs for j in range(d2[a]) for i in range(d1[a])]
     swapped = SparseMat([{to[k]: v for k, v in terms.items()}
                          for terms in p2.terms], p2.rows, p2.cols)
-    return offsets, p1, p2, factor_through(p1, swapped)
+    got = cat._paired_coends[key] = (offsets, p1, p2,
+                                     factor_through(p1, swapped))
+    return got
+
+
+def _entries(m):
+    """The nonzero entries of the SparseMat m, row by row, each row sorted
+    by column: a hashable form that ignores dict insertion order."""
+    return tuple(tuple(sorted(terms.items())) for terms in m.terms)
 
 
 def bicat_trace(w, f):

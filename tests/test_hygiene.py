@@ -1,5 +1,6 @@
 """Static checks over the library's source: the run time needs only the
-standard library, and no module imports a name it never reads."""
+standard library, no module imports a name it never reads, and every
+cache kept on a category is declared where the category is built."""
 
 import ast
 import sys
@@ -104,3 +105,90 @@ def test_to_mat_is_called_only_at_the_api_edges():
     assert not bad, bad
     # an entry whose function no longer converts is stale
     assert used == set(TO_MAT_ALLOWED), set(TO_MAT_ALLOWED) - used
+
+
+# A per-category cache is a private attribute of FinCat that another
+# module fills in; each is declared in FinCat.__init__, so that it lives
+# exactly as long as its category and no cache is attached lazily.
+MUTATORS = {"setdefault", "update", "append", "extend", "pop", "clear",
+            "__setitem__"}
+
+
+def _store_roots(target):
+    """The objects an assignment target stores into: each element of a
+    tuple target, and the container of a subscript target."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _store_roots(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _store_roots(target.value)
+    else:
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        yield target
+
+
+def _stored_private_attributes(tree):
+    """(line, attribute) per private attribute stored on an object other
+    than ``self``: assigned, deleted, assigned into by subscript, or
+    changed by a mutating method."""
+    def owned(node):
+        return (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id == "self"))
+
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS):
+            targets = [node.func.value]
+        else:
+            continue
+        for t in targets:
+            for root in _store_roots(t):
+                if owned(root):
+                    yield node.lineno, root.attr
+
+
+def _fincat_init_attributes():
+    tree = ast.parse((SRC[0].parent / "fincat.py").read_text())
+    cls = next(n for n in tree.body
+               if isinstance(n, ast.ClassDef) and n.name == "FinCat")
+    init = next(n for n in cls.body
+                if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    return {t.attr for n in ast.walk(init) if isinstance(n, ast.Assign)
+            for t in n.targets if isinstance(t, ast.Attribute)
+            and isinstance(t.value, ast.Name) and t.value.id == "self"}
+
+
+def test_private_attributes_stored_from_outside_are_declared_by_fincat():
+    declared = _fincat_init_attributes()
+    seen, bad = set(), []
+    for path in SRC:
+        tree = ast.parse(path.read_text())
+        for line, attr in _stored_private_attributes(tree):
+            seen.add(attr)
+            if attr not in declared:
+                bad.append("%s line %d: %s" % (path.name, line, attr))
+        # __dict__, setattr and vars would attach attributes unseen
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                    or isinstance(node, ast.Name)
+                    and node.id in ("setattr", "vars")):
+                bad.append("%s line %d: %s" % (
+                    path.name, node.lineno,
+                    getattr(node, "attr", None) or node.id))
+    assert not bad, bad
+    assert seen >= {"_classes", "_unit_shadow", "_paired_coends"}, seen
+
+
+def test_stored_private_attributes_are_found():
+    src = ("cat._memo = {}\ncat._memo[k][j] = v\ncat._memo.setdefault(k, v)\n"
+           "a, cat._pair = 1, 2\ndel cat._gone\n"
+           "self._own = 1\nx = cat._read\ncat.public = 2\nd[cat._key] = 3\n")
+    assert sorted(_stored_private_attributes(ast.parse(src))) == [
+        (1, "_memo"), (2, "_memo"), (3, "_memo"), (4, "_pair"), (5, "_gone")]

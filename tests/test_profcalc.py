@@ -5,10 +5,12 @@ import weakref
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracelin import diagrams, fincat, harness, profcalc
 from tracelin.diagrams import NatEndo, VectDiagram, nat_endo_basis
-from tracelin.exactalg import Mat, inverse, rank, trace
+from tracelin.exactalg import Mat, SparseMat, inverse, rank, trace
 from tracelin.fincat import (
     Functor, bg_category, cyclic_group, opposite, symmetric_group,
 )
@@ -711,6 +713,17 @@ def _rejection_witnesses():
     return [dual_of_pointwise(prof_from_diagram(d)) for d in (const, perm)]
 
 
+def _count_eliminations(monkeypatch):
+    """A list that grows by one on each exactalg._eliminate call."""
+    from tracelin import exactalg
+    calls = []
+    real = exactalg._eliminate
+    monkeypatch.setattr(exactalg, "_eliminate",
+                        lambda rows, limit: calls.append(limit)
+                        or real(rows, limit))
+    return calls
+
+
 @pytest.mark.parametrize("name", ["orbit_S3", "BS3", "delta3op"])
 def test_bicat_trace_eliminates_once_per_coend(monkeypatch, name):
     """With the unit shadow cached, the only eliminations left are the
@@ -722,12 +735,7 @@ def test_bicat_trace_eliminates_once_per_coend(monkeypatch, name):
     dia = harness.random_vect_diagram(rng, cat, max_dim=3)
     endo = harness.random_endo(rng, dia)
     w = dual_of_pointwise(prof_from_diagram(dia))
-    from tracelin import exactalg
-    calls = []
-    real = exactalg._eliminate
-    monkeypatch.setattr(exactalg, "_eliminate",
-                        lambda rows, limit: calls.append(limit)
-                        or real(rows, limit))
+    calls = _count_eliminations(monkeypatch)
     got = bicat_trace(w, {a: endo.at(a) for a in cat.objects})
     assert len(calls) == 2
     for rep, v in got.items():
@@ -784,3 +792,153 @@ def test_bicat_trace_rejects_endomorphism_that_is_not_natural():
                     for i in range(d)])
         with pytest.raises(ValueError, match="^endomorphism is not natural at"):
             bicat_trace(w, f)
+
+
+# ---------------------------------------------------------------------------
+# the coends of bicat_trace, kept on the category
+
+def _trace_fresh(dia, f):
+    """bicat_trace through a new profunctor and witness of dia."""
+    return bicat_trace(dual_of_pointwise(prof_from_diagram(dia)), f)
+
+
+def _copy_diagram(dia):
+    """A new VectDiagram with new matrices holding equal entries."""
+    return VectDiagram(dia.base, dict(dia.dims),
+                       {g: Mat([list(row) for row in m.data], m.rows, m.cols)
+                        for g, m in dia.mats.items()})
+
+
+@pytest.mark.parametrize("name", ["orbit_S3", "BS3", "delta3op"])
+def test_bicat_trace_reuses_coends_of_equal_action_values(monkeypatch, name):
+    """A diagram built again with equal entries hits the category's kept
+    coends: no elimination runs, and the traces are the direct ones."""
+    cat = harness.corpus()[name]["cat"]
+    rng = random.Random(5)
+    dia = harness.random_vect_diagram(rng, cat, max_dim=3)
+    endo = harness.random_endo(rng, dia)
+    other = harness.random_endo(rng, dia)
+    first = _trace_fresh(dia, {a: endo.at(a) for a in cat.objects})
+    calls = _count_eliminations(monkeypatch)
+    again = _trace_fresh(_copy_diagram(dia),
+                         {a: endo.at(a) for a in cat.objects})
+    assert calls == []
+    assert again == first
+    # a second endomorphism of the same values reads the same coends
+    got = _trace_fresh(_copy_diagram(dia),
+                       {a: other.at(a) for a in cat.objects})
+    assert calls == []
+    for rep, v in got.items():
+        assert v == trace(other.at(cat.src[rep]) @ dia.mat(rep))
+
+
+def test_bicat_trace_rebuilds_coends_when_one_action_entry_changes(
+        monkeypatch):
+    """On the free pushout shape any matrices form a diagram, so one
+    entry of one arrow can change alone; the coends are then built and
+    eliminated again, once each."""
+    cat = harness.corpus()["pushout"]["cat"]
+    dia = harness.random_vect_diagram(random.Random(1), cat, max_dim=3)
+    ident = {a: Mat.identity(dia.dim(a)) for a in cat.objects}
+    _trace_fresh(dia, ident)
+    g = next(g for g in cat.generating_arrows()
+             if dia.mat(g).rows and dia.mat(g).cols)
+    changed = _copy_diagram(dia)
+    changed.mats[g].data[0][0] += 1
+    calls = _count_eliminations(monkeypatch)
+    got = _trace_fresh(changed, ident)
+    assert len(calls) == 2
+    for rep, v in got.items():
+        assert v == trace(changed.mat(rep))
+    _trace_fresh(changed, ident)
+    assert len(calls) == 2
+
+
+def test_bicat_trace_runs_every_check_on_a_kept_coend(monkeypatch):
+    """The checks of the endomorphism and of the witness run on every
+    call, also when the coends are read from the category."""
+    from tracelin.profcalc import DualityWitness, Profunctor
+    for w in _rejection_witnesses():
+        A = w.x.src
+        a = A.objects[-1]
+        ident = {b: Mat.identity(w.x.dim("*", b)) for b in A.objects}
+        bicat_trace(w, ident)
+        calls = _count_eliminations(monkeypatch)
+        # an endomorphism that is not natural
+        d = w.x.dim("*", a)
+        f = dict(ident)
+        f[a] = Mat([[F(i + 2) if i == j else F(0) for j in range(d)]
+                    for i in range(d)])
+        with pytest.raises(ValueError, match="^endomorphism is not natural at"):
+            bicat_trace(w, f)
+        # a coevaluation that is not natural, through the kept p1
+        tacts = dict(w.y.tacts)
+        tacts[(A.idarr(a), "*")] = w.y.tact(A.idarr(a), "*").smul(2)
+        y2 = Profunctor(w.y.src, w.y.tgt, w.y.dims, tacts, w.y.sacts,
+                        check=False)
+        bad = DualityWitness(w.x, y2, w.eta, w.eps, check=False)
+        with pytest.raises(AssertionError,
+                           match="^coevaluation is not natural at"):
+            bicat_trace(bad, ident)
+        # an evaluation that does not descend, through the kept p2
+        eps = dict(w.eps)
+        row = list(eps[(a, "*", "*")].to_mat().data[0])
+        row[0] += 1
+        eps[(a, "*", "*")] = Mat([row])
+        bad = DualityWitness(w.x, w.y, w.eta, eps, check=False)
+        with pytest.raises(ValueError, match="^map does not factor through"):
+            bicat_trace(bad, ident)
+        assert calls == []
+        monkeypatch.undo()
+
+
+def _fresh_copy(cat):
+    """A new FinCat with cat's table, and so with nothing kept yet."""
+    return fincat.FinCat(cat.objects,
+                         [(g, cat.src[g], cat.dst[g]) for g in cat.arrows],
+                         cat.identities, cat.compose, name=cat.name)
+
+
+_MEMO_SHAPES = {name: harness.corpus()[name]["cat"]
+                for name in ("pushout", "par3", "BC2", "delta1op")}
+
+
+@st.composite
+def _coend_inputs(draw):
+    """A shape, constant dimensions n1 and n2, one action act1, and
+    (first_covariant, act2) for two actions act2 under one variance and
+    the first of them under both, in a drawn order; the square matrices
+    fit either variance."""
+    cat = _MEMO_SHAPES[draw(st.sampled_from(sorted(_MEMO_SHAPES)))]
+    n1 = draw(st.integers(1, 2))
+    n2 = draw(st.integers(1, 2))
+
+    def act(n):
+        return {g: SparseMat.from_mat(Mat([[draw(st.integers(-1, 2))
+                                            for _ in range(n)]
+                                           for _ in range(n)]))
+                for g in cat.generating_arrows()}
+
+    act1 = act(n1)
+    cov = draw(st.booleans())
+    one, two = act(n2), act(n2)
+    rest = draw(st.permutations([(cov, one), (not cov, one), (cov, two)]))
+    return cat, n1, n2, act1, rest
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_coend_inputs())
+def test_paired_coend_on_a_used_category_equals_a_fresh_one(inputs):
+    """Inputs that share dimensions and act1 but differ in act2 or in
+    first_covariant each get their own coends from the kept memo."""
+    from tracelin.profcalc import _paired_coend
+    cat, n1, n2, act1, rest = inputs
+    used = _fresh_copy(cat)
+    d1 = {a: n1 for a in cat.objects}
+    d2 = {a: n2 for a in cat.objects}
+    for cov, act2 in rest:
+        got = _paired_coend(used, d1, act1.__getitem__, d2, act2.__getitem__,
+                            cov)
+        want = _paired_coend(_fresh_copy(cat), d1, act1.__getitem__,
+                             d2, act2.__getitem__, cov)
+        assert got == want
