@@ -201,7 +201,7 @@ def cmd_bicat_trace(args):
     if endo is None:
         f = {a: Mat.identity(vd.dim(a)) for a in cat.objects}
     else:
-        f = {a: endo.at(a).mat(0) for a in cat.objects}
+        f = {a: endo.at(a).sparse_mat(0) for a in cat.objects}
     got = profcalc.bicat_trace(w, f)
     payload = {str(k): str(v) for k, v in got.items()}
     emit(args, payload, ["%s: %s" % (k, v) for k, v in payload.items()])
@@ -218,7 +218,7 @@ def _degree_zero_vect(dia):
             return None
         dims[o] = c.dim(0)
     for a in cat.arrows:
-        mats[a] = dia.map(a).mat(0)
+        mats[a] = dia.map(a).sparse_mat(0)
     return diagrams.VectDiagram(cat, dims, mats, check=False)
 
 

@@ -10,18 +10,22 @@ a finite EI shape to a strictly homotopy finite one.
 
 from . import fincat
 from .exactalg import (
-    F, ZERO, ONE, Mat, SparseMat, ChainComplex, ChainMap, cokernel,
-    factor_through, identity_chain_map, idempotent_image, kernel_basis, kron,
+    F, Mat, SparseMat, ChainComplex, ChainMap, cokernel, factor_through,
+    identity_chain_map, idempotent_image, kernel_basis, kron,
 )
 
 
 class VectDiagram:
-    """Functor from a finite category to rational vector spaces."""
+    """Functor from a finite category to rational vector spaces.
+
+    Each value may be given as a Mat or a SparseMat; it is kept as a
+    SparseMat, which ``mat(a)`` returns and the checks run on.
+    """
 
     def __init__(self, base, dims, mats, check=True):
         self.base = base
         self.dims = dict(dims)
-        self.mats = dict(mats)
+        self.mats = {a: SparseMat.from_mat(m) for a, m in mats.items()}
         if check:
             bad = self.violations()
             if bad:
@@ -34,8 +38,11 @@ class VectDiagram:
         return self.mats[arr]
 
     def violations(self):
-        out = []
         cat = self.base
+        out = ["no dimension for object %r" % (o,)
+               for o in cat.objects if o not in self.dims]
+        if out:
+            return out
         for a in cat.arrows:
             m = self.mats.get(a)
             if m is None:
@@ -130,11 +137,17 @@ class FinSetDiagram:
 
 
 class NatEndo:
-    """Natural endomorphism of a diagram: per-object matrix or chain map."""
+    """Natural endomorphism of a diagram: per-object matrix or chain map.
+
+    Over a VectDiagram a component may be given as a Mat or a SparseMat;
+    it is kept as a SparseMat, which ``at(o)`` returns.
+    """
 
     def __init__(self, diagram, components, check=True):
         self.diagram = diagram
-        self.components = dict(components)
+        vect = isinstance(diagram, VectDiagram)
+        self.components = {o: SparseMat.from_mat(m) if vect else m
+                           for o, m in components.items()}
         if check:
             bad = self.violations()
             if bad:
@@ -144,10 +157,20 @@ class NatEndo:
         return self.components[obj]
 
     def violations(self):
-        out = []
         d = self.diagram
         cat = d.base
+        out = ["no component for object %r" % (o,)
+               for o in cat.objects if o not in self.components]
+        if out:
+            return out
         if isinstance(d, VectDiagram):
+            for o in cat.objects:
+                m, n = self.components[o], d.dim(o)
+                if (m.rows, m.cols) != (n, n):
+                    out.append("component at %r has shape %dx%d, expected %dx%d"
+                               % (o, m.rows, m.cols, n, n))
+            if out:
+                return out
             for a in cat.arrows:
                 s, t = cat.src[a], cat.dst[a]
                 if d.mat(a) @ self.components[s] != self.components[t] @ d.mat(a):
@@ -165,7 +188,7 @@ def identity_endo(x):
     """Identity natural endomorphism of a vector-space or chain diagram."""
     objs = x.base.objects
     if isinstance(x, VectDiagram):
-        return NatEndo(x, {o: Mat.identity(x.dim(o)) for o in objs},
+        return NatEndo(x, {o: SparseMat.identity(x.dim(o)) for o in objs},
                        check=False)
     return NatEndo(x, {o: identity_chain_map(x.cx(o)) for o in objs},
                    check=False)
@@ -175,7 +198,7 @@ def identity_endo(x):
 # linearization of set diagrams
 
 def linearize(d):
-    """Free rational space on each set; functions become 0/1 matrices.
+    """Free rational space on each set; functions become 0/1 SparseMats.
 
     The trace of a linearized endofunction counts its fixed points.
     """
@@ -185,10 +208,10 @@ def linearize(d):
     mats = {}
     for a in cat.arrows:
         s, t = cat.src[a], cat.dst[a]
-        m = [[ZERO] * dims[s] for _ in range(dims[t])]
+        rows = [{} for _ in range(dims[t])]
         for x in d.sets[s]:
-            m[index[t][d.funcs[a][x]]][index[s][x]] = ONE
-        mats[a] = Mat(m, dims[t], dims[s], coerce=False)
+            rows[index[t][d.funcs[a][x]]][index[s][x]] = 1
+        mats[a] = SparseMat(rows, dims[t], dims[s])
     return VectDiagram(cat, dims, mats, check=False)
 
 
@@ -240,7 +263,7 @@ def colim_vect(x):
     j = 0
     for a in cat.nonidentity():
         s, t = cat.src[a], cat.dst[a]
-        at_t.append((offsets[t][0], j, SparseMat.from_mat(x.mat(a))))
+        at_t.append((offsets[t][0], j, x.mat(a)))
         at_s.append((offsets[s][0], j, SparseMat.identity(x.dim(s))))
         j += x.dim(s)
     rel = (SparseMat.from_blocks(total, j, at_t)
@@ -253,8 +276,7 @@ def induced_endo_colim(x, f):
     """Matrix induced by a natural endomorphism on the colimit cokernel."""
     res = colim_vect(x)
     big = SparseMat.from_blocks(res.proj.cols, res.proj.cols, [
-        (off, off, SparseMat.from_mat(f.at(o)))
-        for o, (off, _d) in res.offsets.items()])
+        (off, off, f.at(o)) for o, (off, _d) in res.offsets.items()])
     return res, factor_through(res.proj, res.proj @ big).to_mat()
 
 
@@ -322,9 +344,10 @@ def _commuting_solutions(blocks, eqs):
     vec(A X_p - X_q B) = (A (x) I) vec(X_p) - (I (x) B^T) vec(X_q), so
     each entry (i, j) of A X_p - X_q B is one row of those two sparse
     Kronecker products, shifted to the columns of X_p and of X_q, and is
-    skipped when it is zero.  Returns one {key: Mat} per vector of the
-    echelon kernel basis, which depends only on the row space and on the
-    order of the blocks.
+    skipped when it is zero.  Returns one {key: SparseMat} per vector of
+    the echelon kernel basis, which depends only on the row space and on
+    the order of the blocks; those vectors are the rows of the cokernel
+    projection of the transposed system.
     """
     offsets = {}
     total = 0
@@ -351,15 +374,17 @@ def _commuting_solutions(blocks, eqs):
                     del terms[c]
             if terms:
                 rows.append(terms)
-    basis = kernel_basis(SparseMat(rows, len(rows), total))
+    _dim, basis = cokernel(SparseMat(rows, len(rows), total).transpose())
+    where = [(k, i, j) for k, (_key, r, c) in enumerate(blocks)
+             for i in range(r) for j in range(c)]
     out = []
-    for vec in basis.transpose().data:
-        sol = {}
-        for key, r, c in blocks:
-            off = offsets[key]
-            sol[key] = Mat([vec[off + i * c:off + (i + 1) * c]
-                            for i in range(r)], r, c, coerce=False)
-        out.append(sol)
+    for vec in basis.terms:
+        sol = [[{} for _ in range(r)] for _key, r, _c in blocks]
+        for g, v in vec.items():
+            k, i, j = where[g]
+            sol[k][i][j] = v
+        out.append({key: SparseMat(terms, r, c)
+                    for (key, r, c), terms in zip(blocks, sol)})
     return out
 
 

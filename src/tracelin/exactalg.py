@@ -11,9 +11,11 @@ the nonzeros and returns a ``SparseMat``, and every tensor map of the
 library (id (x) m, m (x) id, their block diagonals) is built with it.
 Chain complexes and chain maps keep each matrix as a SparseMat, converted
 once when given as a Mat, and compose, add, compare and check on it;
-their dense ``Mat`` reads are built on each call.  ``factor_through``
-returns a SparseMat.  Matrices act on column vectors, so a map V -> W is
-a (dim W x dim V) matrix.
+their dense ``Mat`` reads are built on each call.  ``cokernel``,
+``idempotent_image`` and ``factor_through`` return SparseMats for either
+kind of input; ``kernel_basis``, ``image_basis``, ``solve_linear`` and
+``inverse`` return Mats.  Matrices act on column vectors, so a map
+V -> W is a (dim W x dim V) matrix.
 """
 
 from bisect import bisect
@@ -469,16 +471,13 @@ def image_basis(m):
 def cokernel(m):
     """(dimension, projection) of W / image(m) for m : V -> W.
 
-    The projection is a surjective (dim x W) matrix with proj @ m = 0; its
-    rows span the left null space of m.  It is a SparseMat when m is one,
-    its rows taken straight from the back-substituted vectors.
+    ``m`` is a Mat or a SparseMat.  The projection is a surjective
+    (dim x W) SparseMat with proj @ m = 0; its rows span the left null
+    space of m, taken straight from the back-substituted vectors.
     """
     left = _kernel_vectors(m.transpose())
-    if type(m) is SparseMat:
-        return len(left), SparseMat([_sparse(num, den) for num, den in left],
-                                    len(left), m.rows)
-    return len(left), Mat([_dense(num, den, m.rows) for num, den in left],
-                          len(left), m.rows, coerce=False)
+    return len(left), SparseMat([_sparse(num, den) for num, den in left],
+                                len(left), m.rows)
 
 
 class SolveResult:
@@ -583,7 +582,7 @@ def factor_through(p, m):
 def idempotent_image(e):
     """(i, p) with p @ i = id, i @ p = e, columns of i a basis of im(e).
 
-    ``e`` is a Mat or a SparseMat, and i and p are of the same kind; the
+    ``e`` is a Mat or a SparseMat; i and p are SparseMats, and the
     checks, the pivot columns and the solve for p run on sparse rows.
     """
     if e.rows != e.cols:
@@ -612,9 +611,7 @@ def idempotent_image(e):
             rows[k][j] = v
     p = SparseMat(rows, i.cols, s.cols)
     assert (p @ i).is_identity()
-    if type(e) is SparseMat:
-        return i, p
-    return i.to_mat(), p.to_mat()
+    return i, p
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ from tracelin.diagrams import (
     vect_to_chain, weighted_colim_vect, weighted_colim_endo,
 )
 from tracelin.exactalg import (
-    ChainComplex, ChainMap, Mat, block_diag, cone, cone_endo, hstack,
-    homology_dims, identity_chain_map, inverse, lefschetz, rank, trace,
+    ChainComplex, ChainMap, Mat, SparseMat, block_diag, cone, cone_endo,
+    hstack, homology_dims, identity_chain_map, inverse, kernel_basis,
+    lefschetz, rank, trace,
 )
 from tracelin.fincat import bg_category, cyclic_group, opposite
 
@@ -106,7 +107,7 @@ def test_colim_cocone_commutes_and_covers():
     res = colim_vect(x)
     for arr in cat.nonidentity():
         s, t = cat.src[arr], cat.dst[arr]
-        assert res.cocone(t) @ x.mat(arr) == res.cocone(s)
+        assert res.cocone(t) @ x.mat(arr).to_mat() == res.cocone(s)
     stacked = Mat.zeros(res.dim, 0)
     from tracelin.exactalg import hstack
     assert rank(hstack([res.cocone(o) for o in cat.objects])) == res.dim
@@ -122,10 +123,11 @@ def _dense_colim_relations(x):
     cols = []
     for a in cat.nonidentity():
         s, t = cat.src[a], cat.dst[a]
+        m = x.mat(a).to_mat()
         for j in range(x.dim(s)):
             col = [F(0)] * total
             for i in range(x.dim(t)):
-                col[offs[t] + i] += x.mat(a).data[i][j]
+                col[offs[t] + i] += m.data[i][j]
             col[offs[s] + j] -= 1
             cols.append(col)
     return Mat.from_cols(cols, total) if cols else Mat.zeros(total, 0)
@@ -145,7 +147,7 @@ def test_colim_projection_is_sparse_and_matches_dense_relations():
         res = colim_vect(x)
         dim, proj = cokernel(_dense_colim_relations(x))
         assert type(res.proj) is SparseMat
-        assert res.dim == dim and res.proj.to_mat() == proj
+        assert res.dim == dim and res.proj == proj
         assert type(induced_endo_colim(x, identity_endo(x))[1]) is Mat
     w = VectDiagram(opposite(span()), {"a": 1, "b": 1, "c": 1},
                     {a: Mat.identity(1) for a in span().arrows})
@@ -254,8 +256,64 @@ def _kron_nullity(blocks, eqs):
 def _vect_nullity(x):
     cat = x.base
     return _kron_nullity([(o, x.dim(o), x.dim(o)) for o in cat.objects],
-                         [(x.mat(a), cat.src[a], cat.dst[a], x.mat(a))
-                          for a in cat.arrows])
+                         [(x.mat(a).to_mat(), cat.src[a], cat.dst[a],
+                           x.mat(a).to_mat()) for a in cat.arrows])
+
+
+def _dense_solutions(blocks, eqs):
+    """The echelon kernel basis of {X : A X_p - X_q B = 0 for all eqs}
+    (A, B Mats), from the dense row-major system (A (x) I) vec(X_p) -
+    (I (x) B^T) vec(X_q), each kernel column cut into {key: SparseMat}."""
+    rows = []
+    for a, p, q, b in eqs:
+        parts = []
+        for key, r, c in blocks:
+            m = Mat.zeros(a.rows * b.cols, r * c)
+            if key == p:
+                m = m + _dense_kron(a, Mat.identity(c))
+            if key == q:
+                m = m - _dense_kron(Mat.identity(r), b.transpose())
+            parts.append(m)
+        if parts:
+            rows.extend(hstack(parts).data)
+    total = sum(r * c for _, r, c in blocks)
+    out = []
+    for vec in kernel_basis(Mat(rows, len(rows), total)).transpose().data:
+        sol, off = {}, 0
+        for key, r, c in blocks:
+            sol[key] = SparseMat.from_mat(Mat(
+                [vec[off + i * c:off + (i + 1) * c] for i in range(r)], r, c))
+            off += r * c
+        out.append(sol)
+    return out
+
+
+def _chain_solution_inputs():
+    """(blocks, eqs, solutions) for nat_endo_basis of seeded chain
+    diagrams and chain_map_space of seeded pairs of complexes, with the
+    unknowns in the order those functions lay them out."""
+    for seed in range(3):
+        cat = harness.gen_hofin_category(seed)
+        dia = harness.gen_chain_diagram(seed, cat)[0]
+        cx = {o: dia.cx(o) for o in cat.objects}
+        blocks = [((o, n), cx[o].dim(n), cx[o].dim(n))
+                  for o in cat.objects for n in cx[o].dims]
+        eqs = [(cx[o].diff(n), (o, n), (o, n - 1), cx[o].diff(n))
+               for o in cat.objects for n in cx[o].dims]
+        eqs += [(dia.map(a).mat(n), (cat.src[a], n), (cat.dst[a], n),
+                 dia.map(a).mat(n))
+                for a in cat.arrows for n in cx[cat.src[a]].dims]
+        yield blocks, eqs, [{(o, n): b.at(o).sparse_mat(n)
+                             for (o, n), _r, _c in blocks}
+                            for b in nat_endo_basis(dia)]
+    rng = random.Random(43)
+    for _ in range(6):
+        src, dst = harness.random_complex(rng), harness.random_complex(rng)
+        blocks = [(n, dst.dim(n), src.dim(n))
+                  for n in sorted(set(src.dims) & set(dst.dims))]
+        eqs = [(dst.diff(n), n, n - 1, src.diff(n)) for n in src.dims]
+        yield blocks, eqs, [{n: f.sparse_mat(n) for n, _r, _c in blocks}
+                            for f in chain_map_space(src, dst)]
 
 
 def _rational_vect_diagrams():
@@ -273,19 +331,32 @@ def _rational_vect_diagrams():
                          else F(int(i == j)) for j in range(dia.dim(a))]
                         for i in range(dia.dim(a))]) for a in cat.objects}
         yield VectDiagram(cat, dia.dims,
-                          {g: conj[cat.dst[g]] @ dia.mat(g)
+                          {g: conj[cat.dst[g]] @ dia.mat(g).to_mat()
                            @ inverse(conj[cat.src[g]]) for g in cat.arrows})
 
 
 def test_nat_endo_basis_rational_entries_against_kron_system():
     for x in _rational_vect_diagrams():
+        cat = x.base
         basis = nat_endo_basis(x)
         for b in basis:
             assert NatEndo(x, b.components).violations() == []
         assert len(basis) == _vect_nullity(x)
-        vecs = [[v for o in x.base.objects for row in b.at(o).data
+        vecs = [[v for o in cat.objects for row in b.at(o).to_mat().data
                  for v in row] for b in basis]
         assert not basis or rank(Mat(vecs)) == len(basis)
+        # each solution is the dense system's kernel column, kept sparse
+        assert all(type(b.at(o)) is SparseMat
+                   for b in basis for o in cat.objects)
+        assert [b.components for b in basis] == _dense_solutions(
+            [(o, x.dim(o), x.dim(o)) for o in cat.objects],
+            [(x.mat(a).to_mat(), cat.src[a], cat.dst[a], x.mat(a).to_mat())
+             for a in cat.arrows])
+    sizes = []
+    for blocks, eqs, got in _chain_solution_inputs():
+        assert got == _dense_solutions(blocks, eqs)
+        sizes.append(len(got))
+    assert min(sizes) == 0 and max(sizes) > 3
 
 
 def test_nat_endo_basis_vector_case_is_chain_case_in_degree_zero():
@@ -300,7 +371,55 @@ def test_nat_endo_basis_vector_case_is_chain_case_in_degree_zero():
         assert len(vect) == len(chain)
         for bv, bc in zip(vect, chain):
             for o in x.base.objects:
-                assert bv.at(o) == bc.at(o).mat(0)
+                assert bv.at(o) == bc.at(o).sparse_mat(0)
+
+
+def test_vect_values_and_components_given_as_mats_are_kept_sparse():
+    """Given Mats are converted once, at construction: each read is one
+    SparseMat, and a later write to a given Mat changes nothing."""
+    e = Mat([[0, 0], [1, 1]])
+    x = VectDiagram(idem_cat(), {"x": 2}, {"x": Mat.identity(2), "e": e})
+    f = Mat([[1, 0], [F(1, 2), F(3, 2)]])
+    endo = NatEndo(x, {"x": f})
+    e.data[0][0] = f.data[0][0] = F(7)
+    assert type(x.mat("e")) is SparseMat and x.mat("e") is x.mat("e")
+    assert x.mat("e").terms == [{}, {0: 1, 1: 1}]
+    assert type(endo.at("x")) is SparseMat and endo.at("x") is endo.at("x")
+    assert endo.at("x").terms == [{0: 1}, {0: F(1, 2), 1: F(3, 2)}]
+    assert x.violations() == [] and endo.violations() == []
+    assert type(identity_endo(x).at("x")) is SparseMat
+    lin = linearize(FinSetDiagram(idem_cat(), {"x": [0, 1]},
+                                  {"x": {0: 0, 1: 1}, "e": {0: 1, 1: 1}}))
+    assert type(lin.mat("e")) is SparseMat
+    assert lin.mat("e").terms == [{}, {0: 1, 1: 1}]
+
+
+def _discrete_identity():
+    return VectDiagram(discrete2(), {"o0": 1, "o1": 2},
+                       {"o0": Mat.identity(1), "o1": Mat.identity(2)})
+
+
+def test_vect_diagram_without_a_dimension_is_rejected():
+    with pytest.raises(ValueError, match=r"^no dimension for object 'o1'$"):
+        VectDiagram(discrete2(), {"o0": 1},
+                    {"o0": Mat.identity(1), "o1": Mat.identity(1)})
+
+
+def test_nat_endo_without_a_component_is_rejected():
+    x = _discrete_identity()
+    for dia, comp in ((x, Mat.identity(1)),
+                      (vect_to_chain(x), identity_chain_map(
+                          vect_to_chain(x).cx("o0")))):
+        with pytest.raises(ValueError,
+                           match=r"^no component for object 'o1'$"):
+            NatEndo(dia, {"o0": comp})
+
+
+def test_nat_endo_with_a_misshaped_component_is_rejected():
+    with pytest.raises(ValueError, match=r"^component at 'o1' has shape "
+                       r"1x2, expected 2x2$"):
+        NatEndo(_discrete_identity(),
+                {"o0": Mat.identity(1), "o1": Mat([[1, 0]])})
 
 
 def test_identity_endo_of_vect_and_chain_diagrams():
@@ -494,7 +613,8 @@ def disk_sphere_diagram(cat, a0, a1, s=1, scale=None):
         src, dst = cat.src[a], cat.dst[a]
         k = scale[dst] / scale[src] if scale else 1
         maps[a] = ChainMap(complexes[src], complexes[dst],
-                           {0: block_diag([r.mat(a), t.mat(a)]).smul(k),
+                           {0: block_diag([r.mat(a).to_mat(),
+                                           t.mat(a).to_mat()]).smul(k),
                             1: r.mat(a).smul(k)})
     return ChainDiagram(cat, complexes, maps)
 

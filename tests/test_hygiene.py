@@ -69,15 +69,25 @@ TO_MAT_ALLOWED = {
     ("exactalg.py", "ChainComplex.d"): "dense API read",
     ("exactalg.py", "ChainMap.mat"): "dense API read",
     ("exactalg.py", "ChainMap.mats"): "dense API read",
-    ("exactalg.py", "idempotent_image"): "a Mat in gives Mats out",
     ("diagrams.py", "induced_endo_colim"): "API return",
     ("diagrams.py", "weighted_colim_endo"): "API return",
 }
 
 
-def _to_mat_calls(tree):
-    """(line, enclosing function as Class.name or name) per call of a
-    ``to_mat`` method; calls outside any function have None."""
+# diagrams and profcalc keep every value of a diagram, an endomorphism
+# or a profunctor as a SparseMat; each function allowed to build a Mat
+# there (``Mat(...)``, ``Mat.zeros``, ``Mat.identity``, ``Mat.from_cols``),
+# with its reason:
+MAT_BUILD_ALLOWED = {
+    ("diagrams.py", "ColimResult.cocone"): "API return",
+    ("diagrams.py", "invariant_dims"):
+        "dense reference of the coinvariant tests (ROADMAP item 7)",
+}
+
+
+def _calls(tree, match):
+    """(line, enclosing function as Class.name or name) per call whose
+    callee ``match`` accepts; calls outside any function have None."""
     owner = {}
     for node in tree.body:
         defs = ([(node.name + "." + d.name, d) for d in node.body
@@ -89,22 +99,50 @@ def _to_mat_calls(tree):
             for sub in ast.walk(d):
                 owner[id(sub)] = name
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "to_mat"):
+        if isinstance(node, ast.Call) and match(node.func):
             yield node.lineno, owner.get(id(node))
 
 
-def test_to_mat_is_called_only_at_the_api_edges():
+def _is_to_mat(func):
+    return isinstance(func, ast.Attribute) and func.attr == "to_mat"
+
+
+def _builds_mat(func):
+    if isinstance(func, ast.Attribute):
+        return (func.attr in ("zeros", "identity", "from_cols")
+                and isinstance(func.value, ast.Name) and func.value.id == "Mat")
+    return isinstance(func, ast.Name) and func.id == "Mat"
+
+
+def _check_allowed(allowed, match, paths):
     bad, used = [], set()
-    for path in SRC:
-        for line, name in _to_mat_calls(ast.parse(path.read_text())):
-            if (path.name, name) in TO_MAT_ALLOWED:
+    for path in paths:
+        for line, name in _calls(ast.parse(path.read_text()), match):
+            if (path.name, name) in allowed:
                 used.add((path.name, name))
             else:
                 bad.append("%s line %d: %s" % (path.name, line, name))
     assert not bad, bad
-    # an entry whose function no longer converts is stale
-    assert used == set(TO_MAT_ALLOWED), set(TO_MAT_ALLOWED) - used
+    # an entry whose function no longer makes the call is stale
+    assert used == set(allowed), set(allowed) - used
+
+
+def test_to_mat_is_called_only_at_the_api_edges():
+    _check_allowed(TO_MAT_ALLOWED, _is_to_mat, SRC)
+
+
+def test_diagrams_and_profcalc_build_mats_only_at_the_api_edges():
+    _check_allowed(MAT_BUILD_ALLOWED, _builds_mat,
+                   [p for p in SRC if p.name in ("diagrams.py", "profcalc.py")])
+
+
+def test_mat_builds_are_found():
+    src = ("def f():\n    return Mat([[1]])\n"
+           "class C:\n    def g(self):\n        return Mat.zeros(1, 1)\n"
+           "def h():\n    return SparseMat.identity(1), m.identity(2)\n"
+           "x = Mat.from_cols([], 0)\n")
+    assert sorted(_calls(ast.parse(src), _builds_mat),
+                  key=lambda c: c[0]) == [(2, "f"), (5, "C.g"), (8, None)]
 
 
 # A per-category cache is a private attribute of FinCat that another

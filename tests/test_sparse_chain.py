@@ -382,12 +382,12 @@ def seeded_idempotents(seed, count):
 def test_idempotent_image_matches_dense_reference():
     for e in seeded_idempotents(71, 40):
         ref_i, ref_p = dense_idempotent_image(e)
+        # a Mat in gives the SparseMats that a SparseMat in gives
         i, p = idempotent_image(e)
-        assert (i, p) == (ref_i, ref_p)
-        assert _fraction_mat(i) and _fraction_mat(p)
-        si, sp = idempotent_image(SparseMat.from_mat(e))
-        assert type(si) is SparseMat and type(sp) is SparseMat
-        assert (si.to_mat(), sp.to_mat()) == (ref_i, ref_p)
+        assert type(i) is SparseMat and type(p) is SparseMat
+        assert (i, p) == (SparseMat.from_mat(ref_i), SparseMat.from_mat(ref_p))
+        assert (i.to_mat(), p.to_mat()) == (ref_i, ref_p)
+        assert idempotent_image(SparseMat.from_mat(e)) == (i, p)
 
 
 @pytest.mark.parametrize("e, message", [

@@ -113,7 +113,7 @@ def test_tracer_sees_the_hocolim_path():
     out = _run_traced(SCRIPT)
     names = set(out["names"])
     for span in ("diagrams.hocolim_hofin", "diagrams.nat_endo_basis",
-                 "exactalg.kernel_basis", "exactalg.ChainComplex.violations",
+                 "exactalg.cokernel", "exactalg.ChainComplex.violations",
                  "exactalg.lefschetz"):
         assert span in names
     assert out["hocolim_s"] > 0
