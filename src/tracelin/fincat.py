@@ -14,28 +14,40 @@ class FinCat:
 
     ``compose[(f, g)]`` is the composite "f then g" (g after f), defined
     exactly for pairs with dst(f) == src(g).  Instances are immutable by
-    convention; all derived structure is precomputed.
+    convention; all derived structure is precomputed.  ``src``, ``dst``,
+    ``arrow_index``, the hom lists and the nonidentity arrows out of each
+    object are filled in one pass over ``arrows``, in stored order; a
+    repeated arrow keeps its last endpoints and index.
     """
 
     def __init__(self, objects, arrows, identities, compose, name=None):
         self.name = name
         self.objects = tuple(objects)
-        self.arrows = tuple(a for a, _, _ in arrows)
-        self.src = {a: s for a, s, _ in arrows}
-        self.dst = {a: t for a, _, t in arrows}
         self.identities = dict(identities)
         self.compose = dict(compose)
-        self.arrow_index = {a: i for i, a in enumerate(self.arrows)}
         self.obj_index = {o: i for i, o in enumerate(self.objects)}
-        self._ids = set(self.identities.values())
-        self._hom = {}
-        for a in self.arrows:
-            self._hom.setdefault((self.src[a], self.dst[a]), []).append(a)
-        self._out = {o: [] for o in self.objects}
-        for a in self.arrows:
-            if a not in self._ids:
+        self._ids = ids = set(self.identities.values())
+        names, src, dst, index, hom = [], {}, {}, {}, {}
+        out = {o: [] for o in self.objects}
+        for i, (a, s, t) in enumerate(arrows):
+            names.append(a)
+            src[a] = s
+            dst[a] = t
+            index[a] = i
+            hom.setdefault((s, t), []).append(a)
+            if a not in ids:
                 # an unknown source is left to table_violations to report
-                self._out.setdefault(self.src[a], []).append(a)
+                out.setdefault(s, []).append(a)
+        if len(index) < len(names):
+            # a repeated arrow is filed under its last endpoints
+            hom, out = {}, {o: [] for o in self.objects}
+            for a in names:
+                hom.setdefault((src[a], dst[a]), []).append(a)
+                if a not in ids:
+                    out.setdefault(src[a], []).append(a)
+        self.arrows = tuple(names)
+        self.src, self.dst, self.arrow_index = src, dst, index
+        self._hom, self._out = hom, out
         self._gens = None
         self._classes = None        # filled by conjugacy_classes
         self._unit_shadow = None    # filled by profcalc.unit_shadow
@@ -274,8 +286,9 @@ def lambda_cat(cat):
     (x then x', z' then z), but the composition table is not built: the
     returned category has an empty ``compose``.  Returns the category
     together with the map from objects to connected-component indices,
-    found by union-find over its morphisms; the number of components
-    equals the number of conjugacy classes.
+    found by union-find over its morphisms on the objects' positions and
+    numbered in order of first sighting; the number of components equals
+    the number of conjugacy classes.
 
     The morphisms out of (f, g) are found by solving: each x out of a and
     z into b fix g', and f' ranges over the preimages of f under
@@ -296,9 +309,10 @@ def lambda_cat(cat):
         out_of[cat.src[h]].append((i, h))
         into[cat.dst[h]].append((i, h))
     arrows = []
-    uf = UnionFind(objs)
+    uf = UnionFind(range(len(objs)))
     preimages = {}      # (x, z) -> {x then f' then z: [f', ...]}
-    for (f, g) in objs:
+    for s, o in enumerate(objs):
+        f, g = o
         zs = [(zi, z, cat.src[z], table[(z, g)]) for zi, z in into[cat.dst[f]]]
         found = []
         for xi, x in out_of[cat.src[f]]:
@@ -317,16 +331,17 @@ def lambda_cat(cat):
                         found.append((obj_index[(f2, g2)], xi, zi, x, z))
         found.sort()
         for t, _xi, _zi, x, z in found:
-            arrows.append((((f, g), objs[t], x, z), (f, g), objs[t]))
-            uf.union((f, g), objs[t])
+            arrows.append(((o, objs[t], x, z), o, objs[t]))
+        for t in {m[0] for m in found}:
+            uf.union(s, t)
     identities = {(f, g): ((f, g), (f, g), cat.idarr(cat.src[f]),
                            cat.idarr(cat.dst[f])) for (f, g) in objs}
     lcat = FinCat(objs, arrows, identities, {},
                   name=("lambda(%s)" % cat.name) if cat.name else None)
     comp_index = {}
     comps = {}
-    for o in objs:
-        r = uf.find(o)
+    for s, o in enumerate(objs):
+        r = uf.find(s)
         if r not in comps:
             comps[r] = len(comps)
         comp_index[o] = comps[r]
@@ -772,68 +787,65 @@ def orbit_category(group, subgroups, name=None):
     """Transitive actions of a group on coset sets, with equivariant maps.
 
     ``subgroups`` is a list of FinGroups over subsets of the group's
-    elements; one object per subgroup.  A map from cosets of H to cosets
-    of K is right multiplication by g with g^-1 H g inside K; maps are
-    identified when they agree on every coset.
+    elements; one object per subgroup, and a ValueError if one is not a
+    subgroup.  The cosets xH of each subgroup are numbered in order of
+    their least element, in ``group.index`` order.  A map from cosets of
+    H to cosets of K is right multiplication by g with g^-1 H g inside K,
+    stored as the tuple of the coset indices it sends each coset to; maps
+    are identified when the tuples agree, and a dict from (source,
+    target, tuple) to the arrow finds identities and composites.
     """
     G = group
-    cosets = {}
+    members = [set(H.elements) for H in subgroups]
     for idx, H in enumerate(subgroups):
-        helems = set(H.elements)
-        seen = set()
-        cs = []
+        hset = members[idx]
+        bad = next((repr(x) + " is not in the group" for x in H.elements
+                    if x not in G.index), None)
+        if bad is None and G.identity not in hset:
+            bad = "it lacks the identity"
+        if bad is None:
+            bad = next(("%r * %r is not in it" % (x, y) for x in H.elements
+                        for y in H.elements if G.mul(x, y) not in hset), None)
+        if bad is not None:
+            raise ValueError("subgroup %d is not a subgroup of the group: %s"
+                             % (idx, bad))
+    coset_of = []       # per subgroup: element -> index of its coset
+    reps = []           # per subgroup: the least element of each coset
+    for H in subgroups:
+        where, least = {}, []
         for x in G.elements:
-            coset = frozenset(G.mul(x, h) for h in helems)
-            if coset not in seen:
-                seen.add(coset)
-                cs.append(coset)
-        cosets[idx] = cs
+            if x not in where:
+                for h in H.elements:
+                    where[G.mul(x, h)] = len(least)
+                least.append(x)
+        coset_of.append(where)
+        reps.append(least)
     objs = list(range(len(subgroups)))
-
-    def coset_of(idx, x):
-        for c in cosets[idx]:
-            if x in c:
-                return c
-        raise AssertionError
-
     arrows = []
-    maps = {}
+    by_map = {}         # (i, j, map) -> arrow
+    out = {i: [] for i in objs}     # i -> [(arrow, map)], in stored order
     for i in objs:
+        conj = [(g, {G.mul(G.mul(G.inv(g), h), g) for h in members[i]})
+                for g in G.elements]
         for j in objs:
-            seen = set()
-            hi = set(subgroups[i].elements)
-            kj = set(subgroups[j].elements)
-            for g in G.elements:
-                if any(G.mul(G.mul(G.inv(g), h), g) not in kj for h in hi):
-                    continue
-                fn = {c: coset_of(j, G.mul(sorted(c, key=G.index.get)[0], g))
-                      for c in cosets[i]}
-                key = tuple(fn[c] for c in cosets[i])
-                if key not in seen:
-                    seen.add(key)
-                    aid = ("o", i, j, len(seen) - 1)
-                    arrows.append((aid, i, j))
-                    maps[aid] = fn
-    identities = {}
-    for i in objs:
-        for (aid, s, t) in arrows:
-            if s == i and t == i and all(maps[aid][c] == c for c in cosets[i]):
-                identities[i] = aid
-                break
+            count = 0
+            for g, hg in conj:
+                if hg <= members[j]:
+                    fn = tuple(coset_of[j][G.mul(x, g)] for x in reps[i])
+                    if (i, j, fn) not in by_map:
+                        aid = ("o", i, j, count)
+                        count += 1
+                        arrows.append((aid, i, j))
+                        by_map[(i, j, fn)] = aid
+                        out[i].append((aid, fn))
+    identities = {i: by_map[(i, i, tuple(range(len(reps[i]))))]
+                  for i in objs}
     compose = {}
-    for (f, fs, ft) in arrows:
-        for (g, gs, gt) in arrows:
-            if ft != gs:
-                continue
-            comp = {c: maps[g][maps[f][c]] for c in cosets[fs]}
-            hit = None
-            for (h, hs, ht) in arrows:
-                if hs == fs and ht == gt and maps[h] == comp:
-                    hit = h
-                    break
-            if hit is None:
-                raise AssertionError("composite escapes the arrow set")
-            compose[(f, g)] = hit
+    for i in objs:
+        for f, mf in out[i]:
+            for g, mg in out[f[2]]:
+                compose[(f, g)] = by_map[(i, g[2],
+                                          tuple(map(mg.__getitem__, mf)))]
     return FinCat(objs, arrows, identities, compose,
                   name=name or "orbit_category")
 

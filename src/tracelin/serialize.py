@@ -70,6 +70,20 @@ def _check_fields(obj, required, what, optional=()):
         raise ValueError("unknown fields in %s: %s" % (what, sorted(extra)))
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               int: "a number", float: "a number", bool: "a boolean",
+               type(None): "null"}
+
+
+def _check_type(value, kind, field, *args):
+    """Raise ValueError, naming the category field ``field % args``, unless
+    value has the JSON type of ``kind`` (dict, list or str)."""
+    if not isinstance(value, kind):
+        raise ValueError("category field %s must be %s, not %s"
+                         % (field % args, _JSON_TYPES[kind],
+                            _JSON_TYPES.get(type(value), type(value).__name__)))
+
+
 def _entry(obj, field, key):
     """obj[field][str(key)] of a diagram, or a ValueError naming it."""
     table = obj.get(field, {})
@@ -96,13 +110,25 @@ def cat_from_json(obj, name=None, check=True):
     composite is a ValueError naming the first such violation."""
     _check_fields(obj, ["objects", "arrows", "identities", "compose"],
                   "category")
+    _check_type(obj["objects"], list, "objects")
+    for i, o in enumerate(obj["objects"]):
+        _check_type(o, str, "objects[%d]", i)
+    _check_type(obj["arrows"], list, "arrows")
     arrows = []
-    for a in obj["arrows"]:
+    for i, a in enumerate(obj["arrows"]):
         _check_fields(a, ["id", "src", "dst"], "arrow")
+        for k in ("id", "src", "dst"):
+            _check_type(a[k], str, "arrows[%d].%s", i, k)
         arrows.append((a["id"], a["src"], a["dst"]))
+    _check_type(obj["identities"], dict, "identities")
+    for o, a in obj["identities"].items():
+        _check_type(a, str, "identities.%s", o)
+    _check_type(obj["compose"], list, "compose")
     compose = {}
-    for c in obj["compose"]:
+    for i, c in enumerate(obj["compose"]):
         _check_fields(c, ["f", "g", "gf"], "compose entry")
+        for k in ("f", "g", "gf"):
+            _check_type(c[k], str, "compose[%d].%s", i, k)
         compose[(c["f"], c["g"])] = c["gf"]
     cat = fincat.FinCat(obj["objects"], arrows, obj["identities"], compose,
                         name=name)

@@ -440,6 +440,42 @@ def test_cli_unknown_endpoint_is_input_error(tmp_path, capsys):
         "composite entry ('g', 'g') is not composable"]
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("objects", 3, "objects must be an array, not a number"),
+    ("identities", None, "identities must be an object, not null"),
+    ("compose", 5, "compose must be an array, not a number"),
+])
+@pytest.mark.parametrize("command", ["classes", "validate"])
+def test_cli_wrong_json_type_is_input_error(tmp_path, capsys, command, field,
+                                            value, message):
+    obj = serialize.load_json(cli.data_dir() / "BC2.json")
+    obj[field] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: category field " + message]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda o: o["objects"].__setitem__(0, ["x"]),
+     "objects[0] must be a string, not an array"),
+    (lambda o: o["arrows"][1].__setitem__("id", 1),
+     "arrows[1].id must be a string, not a number"),
+    (lambda o: o["identities"].__setitem__("x", {}),
+     "identities.x must be a string, not an object"),
+    (lambda o: o["compose"][2].__setitem__("gf", True),
+     "compose[2].gf must be a string, not a boolean"),
+], ids=["object", "arrow_id", "identity", "composite"])
+def test_category_ids_must_be_strings(edit, message):
+    obj = serialize.load_json(cli.data_dir() / "BC2.json")
+    edit(obj)
+    with pytest.raises(ValueError) as exc:
+        serialize.cat_from_json(obj)
+    assert str(exc.value) == "category field " + message
+
+
 @pytest.mark.parametrize("command", ["trace", "hocolim", "bicat-trace"])
 def test_cli_broken_inline_category_is_input_error(tmp_path, capsys, command):
     obj = serialize.load_json(cli.data_dir() / "idem_diagram.json")

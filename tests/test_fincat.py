@@ -416,6 +416,194 @@ def test_orbit_category_validates_and_is_ei():
     assert len(aut_group(cat, 2)) == 1
 
 
+def _orbit_category_reference(group, subgroups):
+    """(objects, arrows, identities, compose) of the orbit category as it
+    was built before its tables were indexed: cosets as frozensets, maps
+    as dicts, each coset's image found by scanning the cosets, and each
+    identity and composite by scanning the arrows."""
+    G = group
+    cosets = {}
+    for idx, H in enumerate(subgroups):
+        helems = set(H.elements)
+        seen = set()
+        cs = []
+        for x in G.elements:
+            coset = frozenset(G.mul(x, h) for h in helems)
+            if coset not in seen:
+                seen.add(coset)
+                cs.append(coset)
+        cosets[idx] = cs
+    objs = list(range(len(subgroups)))
+
+    def coset_of(idx, x):
+        for c in cosets[idx]:
+            if x in c:
+                return c
+        raise AssertionError
+
+    arrows = []
+    maps = {}
+    for i in objs:
+        for j in objs:
+            seen = set()
+            hi = set(subgroups[i].elements)
+            kj = set(subgroups[j].elements)
+            for g in G.elements:
+                if any(G.mul(G.mul(G.inv(g), h), g) not in kj for h in hi):
+                    continue
+                fn = {c: coset_of(j, G.mul(sorted(c, key=G.index.get)[0], g))
+                      for c in cosets[i]}
+                key = tuple(fn[c] for c in cosets[i])
+                if key not in seen:
+                    seen.add(key)
+                    aid = ("o", i, j, len(seen) - 1)
+                    arrows.append((aid, i, j))
+                    maps[aid] = fn
+    identities = {}
+    for i in objs:
+        for (aid, s, t) in arrows:
+            if s == i and t == i and all(maps[aid][c] == c for c in cosets[i]):
+                identities[i] = aid
+                break
+    compose = {}
+    for (f, fs, ft) in arrows:
+        for (g, gs, gt) in arrows:
+            if ft != gs:
+                continue
+            comp = {c: maps[g][maps[f][c]] for c in cosets[fs]}
+            hit = None
+            for (h, hs, ht) in arrows:
+                if hs == fs and ht == gt and maps[h] == comp:
+                    hit = h
+                    break
+            assert hit is not None, "composite escapes the arrow set"
+            compose[(f, g)] = hit
+    return objs, arrows, identities, compose
+
+
+def _generated_subgroup(group, gens):
+    els = {group.identity}
+    todo = [group.identity]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = group.mul(x, g)
+            if y not in els:
+                els.add(y)
+                todo.append(y)
+    return subgroup(group, sorted(els, key=group.index.get))
+
+
+def _orbit_reference_cases():
+    """Subgroup lists by generators: the benchmark's S4, D4 and small
+    lists, which include the coefficient tests' orbit shapes, and the
+    corpus's orbit_S3 (orbit_C4 is the C4 list)."""
+    s3, s4 = symmetric_group(3), symmetric_group(4)
+    d4 = _generated_subgroup(s4, [(1, 2, 3, 0), (1, 0, 3, 2)])
+    lists = [
+        ("S4a", s4, [(), [(1, 0, 2, 3)], [(1, 2, 0, 3)],
+                     [(1, 0, 2, 3), (1, 2, 0, 3)],
+                     [(1, 2, 0, 3), (1, 0, 3, 2)]]),
+        ("S4b", s4, [(), [(1, 0, 3, 2)], [(1, 2, 3, 0)],
+                     [(1, 0, 3, 2), (2, 3, 0, 1)],
+                     [(1, 2, 3, 0), (1, 0, 3, 2)]]),
+        ("S4c", s4, [(), [(1, 0, 2, 3)], [(1, 0, 3, 2)], [(1, 2, 0, 3)],
+                     [(1, 2, 3, 0)]]),
+        ("D4a", d4, [(), [(1, 0, 3, 2)], [(1, 2, 3, 0)],
+                     [(1, 2, 3, 0), (1, 0, 3, 2)]]),
+        ("D4b", d4, [(), [(2, 3, 0, 1)], [(1, 0, 3, 2), (2, 3, 0, 1)],
+                     [(1, 2, 3, 0), (1, 0, 3, 2)]]),
+        ("S3", s3, [(), [(1, 0, 2)], [(1, 2, 0)], [(1, 0, 2), (1, 2, 0)]]),
+        ("C6", cyclic_group(6), [(), [3], [2], [1]]),
+        ("C4", cyclic_group(4), [(), [2], [1]]),
+        ("orbit_S3", s3, [(), [(1, 2, 0)], [(1, 0, 2), (1, 2, 0)]]),
+    ]
+    return [pytest.param(g, [_generated_subgroup(g, gens) for gens in subs],
+                         id=name) for name, g, subs in lists]
+
+
+@pytest.mark.parametrize("group, subs", _orbit_reference_cases())
+def test_orbit_category_matches_reference(group, subs):
+    cat = orbit_category(group, subs)
+    objs, arrows, identities, compose = _orbit_category_reference(group, subs)
+    assert list(cat.objects) == objs
+    assert [(a, cat.src[a], cat.dst[a]) for a in cat.arrows] == arrows
+    assert list(cat.identities.items()) == list(identities.items())
+    assert list(cat.compose.items()) == list(compose.items())
+
+
+def test_orbit_category_rejects_a_foreign_element():
+    c4 = cyclic_group(4)
+    z2 = fincat.FinGroup([0, 5], {(a, b): (a + b) % 10 for a in (0, 5)
+                                  for b in (0, 5)}, 0)
+    with pytest.raises(ValueError, match="subgroup 1 is not a subgroup of "
+                                         "the group: 5 is not in the group"):
+        orbit_category(c4, [subgroup(c4, [0]), z2])
+
+
+def test_orbit_category_rejects_an_unclosed_subset():
+    c4 = cyclic_group(4)
+    with pytest.raises(ValueError, match=r"subgroup 0 is not a subgroup of "
+                                         r"the group: 1 \* 1 is not in it"):
+        orbit_category(c4, [subgroup(c4, [0, 1]), c4])
+
+
+def _definitional_attributes(objects, arrows, identities):
+    """arrows, src, dst, arrow_index, obj_index, _hom and _out of a FinCat
+    on the given data, each as its definition builds it."""
+    names = tuple(a for a, _, _ in arrows)
+    src = {a: s for a, s, _ in arrows}
+    dst = {a: t for a, _, t in arrows}
+    ids = set(identities.values())
+    hom = {}
+    for a in names:
+        hom.setdefault((src[a], dst[a]), []).append(a)
+    out = {o: [] for o in objects}
+    for a in names:
+        if a not in ids:
+            out.setdefault(src[a], []).append(a)
+    return [names, list(src.items()), list(dst.items()),
+            list({a: i for i, a in enumerate(names)}.items()),
+            [(o, i) for i, o in enumerate(objects)],
+            list(hom.items()), list(out.items())]
+
+
+def _attributes(cat):
+    return [cat.arrows, list(cat.src.items()), list(cat.dst.items()),
+            list(cat.arrow_index.items()), list(cat.obj_index.items()),
+            list(cat._hom.items()), list(cat._out.items())]
+
+
+def _attribute_cases():
+    cases = [pytest.param(entry["cat"], id=name)
+             for name, entry in harness.corpus().items()]
+    cases.append(pytest.param(lambda_cat(bg_category(cyclic_group(4)))[0],
+                              id="lambda_BC4"))
+    cases.append(pytest.param(delta_prime_op(4), id="delta4op"))
+    return cases
+
+
+@pytest.mark.parametrize("cat", _attribute_cases())
+def test_fincat_attributes_match_definition(cat):
+    arrows = [(a, cat.src[a], cat.dst[a]) for a in cat.arrows]
+    assert _attributes(cat) == _definitional_attributes(
+        cat.objects, arrows, cat.identities)
+
+
+def test_fincat_repeated_arrow_keeps_its_last_entry():
+    """A repeated arrow id keeps its last endpoints and index, and each
+    of its entries is filed under those endpoints."""
+    objects = ["a", "b"]
+    arrows = [("f", "a", "b"), ("i", "a", "a"), ("f", "b", "a"),
+              ("j", "b", "b"), ("f", "b", "b"), ("k", "c", "a")]
+    identities = {"a": "i", "b": "j"}
+    cat = FinCat(objects, arrows, identities, {})
+    assert _attributes(cat) == _definitional_attributes(objects, arrows,
+                                                        identities)
+    assert cat.hom("b", "b") == ["f", "f", "j", "f"]
+    assert cat.arrow_index["f"] == 4
+
+
 def test_generating_arrows_are_the_indecomposables_on_delta_prime():
     for n, (gens, arrows) in {3: (9, 22), 4: (14, 52), 5: (20, 114)}.items():
         cat = delta_prime_op(n)
