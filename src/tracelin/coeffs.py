@@ -120,7 +120,7 @@ def _class_of_first_components(cat, a, aut_of_a_classes, conj_class):
     """Class index of the first components of a stabilizer conjugacy class.
 
     All first components must land in one class of the object's
-    automorphism group; anything else is an inconsistency.
+    automorphism group; anything else is an inconsistent table (ValueError).
     """
     hits = set()
     for g in conj_class:
@@ -130,7 +130,7 @@ def _class_of_first_components(cat, a, aut_of_a_classes, conj_class):
                 hits.add(i)
                 break
     if len(hits) != 1:
-        raise AssertionError("class restriction at %r is not well defined" % (a,))
+        raise ValueError("class restriction at %r is not well defined" % (a,))
     return hits.pop()
 
 

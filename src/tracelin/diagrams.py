@@ -339,42 +339,46 @@ def _commuting_solutions(blocks, eqs):
     """Basis of the unknown matrices X with A X_p - X_q B = 0 for all eqs.
 
     ``blocks`` lists the unknowns as (key, rows, cols), each laid out
-    row-major in that order; ``eqs`` lists (A, p, q, B), each a Mat or a
-    SparseMat.  A side whose key is not a block drops out.  Row-major,
-    vec(A X_p - X_q B) = (A (x) I) vec(X_p) - (I (x) B^T) vec(X_q), so
-    each entry (i, j) of A X_p - X_q B is one row of those two sparse
-    Kronecker products, shifted to the columns of X_p and of X_q, and is
-    skipped when it is zero.  Returns one {key: SparseMat} per vector of
-    the echelon kernel basis, which depends only on the row space and on
-    the order of the blocks; those vectors are the rows of the cokernel
-    projection of the transposed system.
+    row-major in that order; ``eqs`` lists (A, p, q, B) as SparseMats.  A
+    side whose key is not a block drops out.  The system is written once,
+    transposed, from the nonzeros of A and B: one row per unknown, one
+    column per entry (i, j) of each A X_p - X_q B, where X_p[k, j] has
+    A[i, k] and X_q[i, k] has -B[k, j]; when p = q, entries that cancel
+    are deleted.  Returns one {key: SparseMat} per vector of the echelon
+    kernel basis, which depends only on the row space and on the order of
+    the blocks; those vectors are the rows of the cokernel projection of
+    the transposed system.
     """
     offsets = {}
     total = 0
     for key, r, c in blocks:
         offsets[key] = total
         total += r * c
-    rows = []
+    system = [{} for _ in range(total)]
+    rel = 0
     for a, p, q, b in eqs:
-        n = a.rows * b.cols
-        left = right = [{}] * n
+        ar, br, bc = a.rows, b.rows, b.cols
         if p in offsets:
-            left = kron(a, SparseMat.identity(b.cols)).terms
+            off = offsets[p]
+            for i, terms in enumerate(a.terms):
+                for k, v in terms.items():
+                    u, c = off + k * bc, rel + i * bc
+                    for j in range(bc):
+                        system[u + j][c + j] = v
         if q in offsets:
-            right = kron(SparseMat.identity(a.rows), b.transpose()).terms
-        off_p, off_q = offsets.get(p), offsets.get(q)
-        for lterms, rterms in zip(left, right):
-            terms = {off_p + c: v for c, v in lterms.items()}
-            for c, v in rterms.items():
-                c += off_q
-                w = terms.get(c, 0) - v
-                if w:
-                    terms[c] = w
-                else:
-                    del terms[c]
-            if terms:
-                rows.append(terms)
-    _dim, basis = cokernel(SparseMat(rows, len(rows), total).transpose())
+            off = offsets[q]
+            for k, terms in enumerate(b.terms):
+                for j, v in terms.items():
+                    for i in range(ar):
+                        row = system[off + i * br + k]
+                        c = rel + i * bc + j
+                        w = row.get(c, 0) - v
+                        if w:
+                            row[c] = w
+                        else:
+                            del row[c]
+        rel += ar * bc
+    _dim, basis = cokernel(SparseMat(system, total, rel))
     where = [(k, i, j) for k, (_key, r, c) in enumerate(blocks)
              for i in range(r) for j in range(c)]
     out = []
@@ -462,6 +466,39 @@ class HocolimResult:
                          for n, b in blocks.items()}, check=False)
 
 
+def _string_faces(cat):
+    """The strings of a strictly homotopy finite category, in level order,
+    and per string its faces as (target string position, sign, first arrow
+    or None): face 0 applies the first arrow, faces i > 0 are identities
+    with sign (-1)^i.  A face whose target is no string is left out, and
+    identity faces with one target (only a table that is not a category
+    has them) are merged by adding their signs, so each entry of the
+    differential is written once.  Kept on the category; a base that is
+    not strictly homotopy finite raises a ValueError and stores nothing.
+    """
+    if cat._strings is not None:
+        return cat._strings
+    if not fincat.is_strictly_homotopy_finite(cat):
+        raise ValueError("base category is not strictly homotopy finite")
+    strings = [s for level in fincat.enumerate_strings(cat) for s in level]
+    where = {s: p for p, s in enumerate(strings)}
+    faces = []
+    for start, arrs in strings:
+        k = len(arrs)
+        signs = {}      # identity faces: target position -> sign
+        for i in range(1, k + 1):
+            mid = (cat.then(arrs[i - 1], arrs[i]),) if i < k else ()
+            t = where.get((start, arrs[:i - 1] + mid + arrs[i + 1:]))
+            if t is not None:
+                signs[t] = signs.get(t, 0) + (-1) ** i
+        first = ([(where[(cat.dst[arrs[0]], arrs[1:])], 1, arrs[0])]
+                 if k else [])
+        faces.append(first + [(t, sign, None) for t, sign in signs.items()
+                              if sign])
+    cat._strings = (strings, faces)
+    return cat._strings
+
+
 def hocolim_hofin(x, check=True):
     """Homotopy colimit of a chain diagram over a strictly homotopy finite base.
 
@@ -469,84 +506,64 @@ def hocolim_hofin(x, check=True):
     length-k strings of nonidentity arrows; the level differential
     alternates face maps (apply the first arrow / compose adjacent
     arrows / drop the last), and the total differential adds the internal
-    one with sign (-1)^k.  The differential is written as sparse rows, the
-    identity faces as diagonals, and the complex keeps it sparse; with
-    ``check`` the complex tests d o d = 0 on those rows.
+    one with sign (-1)^k.  The strings and faces come from the base
+    (``_string_faces``); each summand's rows are written at its offset,
+    the identity faces as diagonals; with ``check`` the complex tests
+    d o d = 0 on those rows.
     """
-    cat = x.base
-    if not fincat.is_strictly_homotopy_finite(cat):
-        raise ValueError("base category is not strictly homotopy finite")
-    levels = fincat.enumerate_strings(cat)
+    strings, faces = _string_faces(x.base)
     index = {}
     dims = {}
-    for k, level in enumerate(levels):
-        for s in level:
-            for m, dm in x.cx(s[0]).dims.items():
-                n = k + m
-                off = dims.get(n, 0)
-                index[(s, m)] = (n, off)
-                dims[n] = off + dm
+    place = []      # per string: {internal degree: (total degree, offset)}
+    for s in strings:
+        at = {}
+        for m, dm in x.cx(s[0]).dims.items():
+            n = len(s[1]) + m
+            off = dims.get(n, 0)
+            at[m] = index[(s, m)] = (n, off)
+            dims[n] = off + dm
+        place.append(at)
     dims = {n: d for n, d in dims.items() if d}
     # d[n] as sparse rows; a block lands in d[n] only when its target
     # summand sits in degree n - 1, so dims[n - 1] > 0
     diff = {n: [{} for _ in range(dims[n - 1])] for n in dims if n - 1 in dims}
-    blocks = {}    # (tag, object or arrow, degree) -> sparse rows
+    blocks = {}    # (tag, object or arrow, degree, sign) -> signed rows
 
-    def sparse(key, read):
+    def add_block(rows, roff, coff, key, read):
         terms = blocks.get(key)
         if terms is None:
-            terms = blocks[key] = read(key[2]).terms
-        return terms
+            sign = key[3]
+            terms = blocks[key] = [{j: v if sign > 0 else -v
+                                    for j, v in t.items() if v}
+                                   for t in read(key[2]).terms]
+        for row, t in zip(rows[roff:roff + len(terms)], terms):
+            for j, v in t.items():
+                row[j + coff] = v
 
-    def add_block(n, roff, coff, terms, sign):
-        tgt = diff[n]
-        for i, row in enumerate(terms):
-            trow = tgt[roff + i]
-            for j, v in row.items():
-                j += coff
-                trow[j] = trow.get(j, 0) + (v if sign > 0 else -v)
-
-    def add_diagonal(n, roff, coff, size, sign):
-        tgt = diff[n]
-        for i in range(size):
-            trow = tgt[roff + i]
-            trow[coff + i] = trow.get(coff + i, 0) + sign
-
-    for (s, m), (n, off) in index.items():
-        start, arrs = s
-        k = len(arrs)
+    for (start, arrs), at, fs in zip(strings, place, faces):
         cx0 = x.cx(start)
-        # internal differential with sign (-1)^k
-        if (s, m - 1) in index:
-            add_block(n, index[(s, m - 1)][1], off,
-                      sparse(("d", start, m), cx0.sparse_diff),
-                      1 if k % 2 == 0 else -1)
-        # face maps with sign (-1)^i: apply the first arrow, then identities
-        # that compose adjacent arrows or drop the last
-        faces = []
-        if k:
-            faces = ([(cat.dst[arrs[0]], arrs[1:])]
-                     + [(start, arrs[:i - 1]
-                         + (cat.then(arrs[i - 1], arrs[i]),) + arrs[i + 1:])
-                        for i in range(1, k)]
-                     + [(start, arrs[:k - 1])])
-        for i, tgt_s in enumerate(faces):
-            if (tgt_s, m) not in index:
-                continue
-            roff = index[(tgt_s, m)][1]
-            sign = 1 if i % 2 == 0 else -1
-            if i == 0:
-                fm = sparse(("f", arrs[0], m), x.map(arrs[0]).sparse_mat)
-                add_block(n, roff, off, fm, sign)
-            else:
-                add_diagonal(n, roff, off, cx0.dim(m), sign)
+        for m, (n, off) in at.items():
+            rows, dm = diff.get(n), cx0.dims[m]
+            # internal differential with sign (-1)^k
+            if m - 1 in at:
+                add_block(rows, at[m - 1][1], off,
+                          ("d", start, m, -1 if len(arrs) % 2 else 1),
+                          cx0.sparse_diff)
+            for t, sign, arr in fs:
+                tgt = place[t].get(m)
+                if tgt is None:
+                    continue
+                if arr is not None:
+                    add_block(rows, tgt[1], off, ("f", arr, m, sign),
+                              x.map(arr).sparse_mat)
+                    continue
+                for i, row in enumerate(rows[tgt[1]:tgt[1] + dm], off):
+                    row[i] = sign
 
     total = ChainComplex(
-        dims, {n: SparseMat([{j: v for j, v in row.items() if v}
-                             for row in rows], dims[n - 1], dims[n])
+        dims, {n: SparseMat(rows, dims[n - 1], dims[n])
                for n, rows in diff.items()}, check=check)
-    strings = [s for level in levels for s in level]
-    return HocolimResult(total, index, strings, x)
+    return HocolimResult(total, index, list(strings), x)
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +736,21 @@ def _chains_category(chains):
     return fincat.FinCat(objs, arrows, identities, compose, name="chains")
 
 
+def _ei_chain_data(cat):
+    """(skeleton, its chains, their chain category, each chain's string
+    classes) of a finite EI category, computed once and kept on it; a base
+    that is not EI raises a ValueError and stores nothing."""
+    if cat._ei_chains is None:
+        if not fincat.is_EI(cat):
+            raise ValueError("base category is not EI")
+        scat = fincat.skeletalize(cat).cat
+        chains = _chains_of_poset(fincat.poset_reflection(scat)[0])
+        cat._ei_chains = (scat, chains, _chains_category(chains),
+                          {c: fincat.string_iso_classes(scat, c)
+                           for c in chains})
+    return cat._ei_chains
+
+
 def hocolim_EI(x, f, check=True):
     """Homotopy colimit over a finite EI category, with induced endo.
 
@@ -727,27 +759,18 @@ def hocolim_EI(x, f, check=True):
     it, the coinvariants of the first object's value under the string
     stabilizer acting through first components; transport the subchain
     face maps along chosen orbit representatives; run the strictly
-    homotopy finite construction over the chain category.
+    homotopy finite construction over the chain category.  The category
+    data is kept on the base by ``_ei_chain_data``.
 
     Returns (HocolimResult over the chain category, induced endo).
     """
-    cat = x.base
-    if not fincat.is_EI(cat):
-        raise ValueError("base category is not EI")
-    skel = fincat.skeletalize(cat)
-    scat = skel.cat
-    pos, _ = fincat.poset_reflection(scat)
-    chains = _chains_of_poset(pos)
-    dcat = _chains_category(chains)
+    scat, chains, dcat, cls = _ei_chain_data(x.base)
 
-    # per chain: iso classes of strings, coinvariant pieces
-    cls = {}
+    # per chain: per iso class of strings, its coinvariant piece
     piece = {}
     for c in chains:
-        sc = fincat.string_iso_classes(scat, c)
-        cls[c] = sc
         pieces = []
-        for k in sc.classes:
+        for k in cls[c].classes:
             # the string stabilizer acts through first components
             e = group_action_idempotent(x, c[0],
                                         [g[0] for g in k["aut"].elements])

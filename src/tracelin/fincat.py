@@ -52,6 +52,8 @@ class FinCat:
         self._classes = None        # filled by conjugacy_classes
         self._unit_shadow = None    # filled by profcalc.unit_shadow
         self._paired_coends = {}    # filled by profcalc._paired_coend
+        self._strings = None        # filled by diagrams._string_faces
+        self._ei_chains = None      # filled by diagrams._ei_chain_data
 
     def __repr__(self):
         return "FinCat(%s: %d objects, %d arrows)" % (
@@ -532,15 +534,14 @@ def delta_prime_op(n):
                 arrows.append((("i", k, m, img), "[%d]" % k, "[%d]" % m))
     identities = {"[%d]" % k: ("i", k, k, tuple(range(k + 1)))
                   for k in range(n + 1)}
+    by_src = {}
+    for (g, gs, _gd) in arrows:
+        by_src.setdefault(gs, []).append(g)
     compose = {}
-    for (f, fs, fd) in arrows:
-        (_, k, m, img1) = f
-        for (g, gs, gd) in arrows:
-            if gs != fd:
-                continue
-            (_, m2, p, img2) = g
-            comp_img = tuple(img1[i] for i in img2)
-            compose[(f, g)] = ("i", k, p, comp_img)
+    for (f, _fs, fd) in arrows:
+        (_, k, _m, img1) = f
+        for g in by_src[fd]:
+            compose[(f, g)] = ("i", k, g[2], tuple(img1[i] for i in g[3]))
     return FinCat(objs, arrows, identities, compose, name="delta'%d_op" % n)
 
 

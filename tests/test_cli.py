@@ -440,6 +440,22 @@ def test_cli_unknown_endpoint_is_input_error(tmp_path, capsys):
         "composite entry ('g', 'g') is not composable"]
 
 
+def test_cli_inconsistent_ei_table_is_input_error(tmp_path, capsys):
+    """orbit_S3 with the composite of (a3, a0) sent to a0 passes the load
+    checks, but its stabilizer classes do not restrict to one class at
+    o0: ``coeffs --method ei`` exits 2 with one line, not a traceback."""
+    obj = serialize.load_json(cli.data_dir() / "orbit_S3.json")
+    entry = next(c for c in obj["compose"] if (c["f"], c["g"]) == ("a3", "a0"))
+    entry["gf"] = "a0"
+    path = tmp_path / "orbit_mut.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "coeffs", "--method", "ei", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: class restriction at 'o0' is not well defined"]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("objects", 3, "objects must be an array, not a number"),
     ("identities", None, "identities must be an object, not null"),

@@ -1,9 +1,11 @@
+import functools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from tracelin import diagrams, fincat, harness
+from tracelin import diagrams, exactalg, fincat, harness
 from tracelin.diagrams import (
     ChainDiagram, FinSetDiagram, NatEndo, VectDiagram, chain_map_space,
     coinvariants_group, colim_fin_set, colim_vect, hocolim_EI,
@@ -451,6 +453,112 @@ def test_chain_map_space_against_kron_system():
         assert len(basis) == _kron_nullity(blocks, eqs)
 
 
+def _kron_commuting_solutions(blocks, eqs):
+    """Reference for ``diagrams._commuting_solutions``: each relation row
+    of A X_p - X_q B read from the sparse Kronecker products (A (x) I) and
+    (I (x) B^T), shifted to the columns of X_p and X_q, summed, and kept
+    when nonzero; the kernel basis is read from the cokernel of the
+    transposed system, and cut into blocks."""
+    offsets, total = {}, 0
+    for key, r, c in blocks:
+        offsets[key] = total
+        total += r * c
+    rows = []
+    for a, p, q, b in eqs:
+        left = right = [{}] * (a.rows * b.cols)
+        if p in offsets:
+            left = exactalg.kron(a, SparseMat.identity(b.cols)).terms
+        if q in offsets:
+            right = exactalg.kron(SparseMat.identity(a.rows),
+                                  b.transpose()).terms
+        for lterms, rterms in zip(left, right):
+            terms = {offsets[p] + c: v for c, v in lterms.items()}
+            for c, v in rterms.items():
+                c += offsets[q]
+                terms[c] = terms.get(c, 0) - v
+            terms = {c: v for c, v in terms.items() if v}
+            if terms:
+                rows.append(terms)
+    _dim, basis = exactalg.cokernel(
+        SparseMat(rows, len(rows), total).transpose())
+    out = []
+    for vec in basis.terms:
+        sol, off = {}, 0
+        for key, r, c in blocks:
+            sol[key] = SparseMat([{j: vec[off + i * c + j] for j in range(c)
+                                   if off + i * c + j in vec}
+                                  for i in range(r)], r, c)
+            off += r * c
+        out.append(sol)
+    return out
+
+
+def _solution_builder_cases():
+    """Vector diagrams (a linearized representable at every object of
+    every corpus shape, seeded ones, and Fraction-valued ones) and chain
+    diagrams (seeded, and the disk over delta'(3))."""
+    rng = random.Random(53)
+    for name, entry in sorted(harness.corpus().items()):
+        cat = entry["cat"]
+        for o in cat.objects:
+            yield linearize(harness.rep_set_diagram(cat, o))
+        yield harness.random_vect_diagram(rng, cat)
+    yield from _rational_vect_diagrams()
+    for seed in range(4):
+        yield harness.gen_chain_diagram(
+            seed, harness.gen_hofin_category(seed))[0]
+    yield hocolim_case("delta3")
+    yield hocolim_case("rational")
+
+
+def test_solution_builder_matches_kron_reference(monkeypatch):
+    """nat_endo_basis and chain_map_space give the same bases, vector for
+    vector, whether the relations are written transposed from the
+    nonzeros or read from the rows of the Kronecker products."""
+    cases = list(_solution_builder_cases())
+    got = [nat_endo_basis(x) for x in cases]
+    maps = [chain_map_space(x.cx(s), x.cx(t)) for x in cases
+            if isinstance(x, ChainDiagram)
+            for s in x.base.objects for t in x.base.objects]
+    monkeypatch.setattr(diagrams, "_commuting_solutions",
+                        _kron_commuting_solutions)
+    ref = [nat_endo_basis(x) for x in cases]
+    assert [[b.components for b in basis] for basis in got] == [
+        [b.components for b in basis] for basis in ref]
+    assert maps == [chain_map_space(x.cx(s), x.cx(t)) for x in cases
+                    if isinstance(x, ChainDiagram)
+                    for s in x.base.objects for t in x.base.objects]
+    assert sum(map(len, got)) > 100 and sum(map(len, maps)) > 20
+    assert any(v.denominator != 1 for basis in got for b in basis
+               for o in b.diagram.base.objects if hasattr(b.at(o), "terms")
+               for row in b.at(o).terms for v in row.values())
+
+
+def test_solution_builder_cancels_entries_of_an_endo_arrow():
+    """On an endomorphism arrow p = q: A X - X A on the permutation
+    matrix of C3 and on a Fraction-valued idempotent, where the two sides
+    share entries (i, i) of X that cancel, and blocks missing on one
+    side."""
+    perm = SparseMat([{2: 1}, {0: 1}, {1: 1}], 3, 3)
+    half = SparseMat([{0: F(1, 2), 1: F(1, 2)}, {0: F(1, 2), 1: F(1, 2)}],
+                     2, 2)
+    for a in (perm, half, SparseMat.identity(2)):
+        n = a.rows
+        blocks = [("x", n, n), ("y", n, 1)]
+        for eqs in ([(a, "x", "x", a)],
+                    [(a, "x", "x", a), (a, "y", "z", SparseMat.zeros(1, 1))],
+                    [(a, "z", "x", a)]):
+            got = diagrams._commuting_solutions(blocks, eqs)
+            assert got == _kron_commuting_solutions(blocks, eqs)
+    # X commuting with a 3-cycle: the circulants, plus the free y block
+    assert len(diagrams._commuting_solutions(
+        [("x", 3, 3), ("y", 3, 1)], [(perm, "x", "x", perm)])) == 3 + 3
+    # everything commutes with the identity: every entry cancels
+    assert len(diagrams._commuting_solutions(
+        [("x", 2, 2)], [(SparseMat.identity(2), "x", "x",
+                         SparseMat.identity(2))])) == 4
+
+
 # ---------------------------------------------------------------------------
 # homotopy colimits, strictly homotopy finite shapes
 
@@ -676,6 +784,55 @@ def test_hocolim_rejects_bad_base():
                         ("g", 1): identity_chain_map(cx)})
     with pytest.raises(ValueError):
         hocolim_hofin(dia)
+
+
+def _constant_diagram(cat, cx):
+    return ChainDiagram(cat, {o: cx for o in cat.objects},
+                        {a: identity_chain_map(cx) for a in cat.arrows},
+                        check=False)
+
+
+def test_bad_bases_are_refused_on_every_call():
+    """The string and chain data are stored only for a base that passes
+    its check, so a refused base is refused again."""
+    cx = ChainComplex({0: 1}, {})
+    not_hofin = _constant_diagram(bg_category(cyclic_group(2)), cx)
+    not_ei = _constant_diagram(idem_cat(), cx)
+    endo = identity_endo(not_ei)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^base category is not "
+                           "strictly homotopy finite$"):
+            hocolim_hofin(not_hofin)
+        with pytest.raises(ValueError, match="^base category is not EI$"):
+            hocolim_EI(not_ei, endo)
+    assert not_hofin.base._strings is None
+    assert not_ei.base._ei_chains is None
+
+
+@pytest.mark.parametrize("fg", ["h", "ia", "f"])
+def test_hocolim_over_a_table_that_is_not_a_category(monkeypatch, fg):
+    """f: a -> b then g: b -> c recorded as h (a category), as the
+    identity ia (the face that composes f and g is no string and is
+    skipped), or as f (two faces of (f, g) meet one string with opposite
+    signs and cancel): the differential is the dense reference's, built
+    without its d o d check."""
+    arrows = [("ia", "a", "a"), ("ib", "b", "b"), ("ic", "c", "c"),
+              ("f", "a", "b"), ("g", "b", "c"), ("h", "a", "c")]
+    ids = {"a": "ia", "b": "ib", "c": "ic"}
+    compose = {(x, y): x if y in ids.values() else y
+               for x, _s, t in arrows for y, s, _t in arrows if t == s}
+    compose[("f", "g")] = fg
+    cat = fincat.FinCat(["a", "b", "c"], arrows, ids, compose)
+    assert (fincat.validate(cat) == []) == (fg == "h")
+    cx = ChainComplex({0: 2, 1: 1}, {1: Mat([[1], [0]])})
+    dia = _constant_diagram(cat, cx)
+    ours = hocolim_hofin(dia, check=False)
+    monkeypatch.setattr(sys.modules[__name__], "ChainComplex",
+                        functools.partial(ChainComplex, check=False))
+    ref, index = dense_hocolim_hofin(dia)
+    assert ours.index == index
+    assert ours.complex == ref
+    assert bool(ours.complex.violations()) == (fg != "h")
 
 
 # ---------------------------------------------------------------------------

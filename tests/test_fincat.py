@@ -359,6 +359,29 @@ def test_delta_prime_op_hom_counts_are_binomial():
         assert len(d.hom("[3]", "[%d]" % m)) == comb(4, m + 1)
 
 
+def _delta_prime_compose_reference(cat):
+    """The composition table of delta'(n) by testing every ordered pair
+    of arrows, f in arrow order, then g in arrow order."""
+    compose = {}
+    for f in cat.arrows:
+        (_, k, _m, img1) = f
+        for g in cat.arrows:
+            if cat.src[g] != cat.dst[f]:
+                continue
+            (_, _m2, p, img2) = g
+            compose[(f, g)] = ("i", k, p, tuple(img1[i] for i in img2))
+    return compose
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_delta_prime_op_compose_matches_all_pairs_reference(n):
+    cat = delta_prime_op(n)
+    ref = _delta_prime_compose_reference(cat)
+    assert list(cat.compose.items()) == list(ref.items())
+    if n == 5:
+        assert len(ref) == 966
+
+
 def test_alternating_string_sums_delta():
     for n in range(6):
         cat = delta_prime_op(n)

@@ -333,6 +333,41 @@ def test_ei_matches_dense_reference(name):
             identity_chain_map(ref))
 
 
+def test_category_data_is_reused_across_diagrams():
+    """Three diagrams over one category, then one over a second category
+    of the same kind: each call reuses what its own base keeps, and each
+    result equals the dense reference built from scratch."""
+    d3 = fincat.delta_prime_op(3)
+    scale = {o: F(1, i + 2) for i, o in enumerate(d3.objects)}
+    hofin = [disk_sphere_diagram(d3, "[3]", "[2]"),
+             disk_sphere_diagram(d3, "[3]", "[1]", F(3, 2), scale),
+             disk_sphere_diagram(d3, "[2]", "[0]"),
+             disk_sphere_diagram(fincat.delta_prime_op(2), "[2]", "[1]")]
+    for dia in hofin:
+        res = hocolim_hofin(dia)
+        ref, index = dense_hocolim_hofin(dia)
+        assert res.index == index
+        assert res.strings == [s for lv in fincat.enumerate_strings(dia.base)
+                               for s in lv]
+        assert_same_complex(res.complex, ref)
+        assert diagrams._string_faces(dia.base) is dia.base._strings
+    corp = harness.corpus()
+    first, second = corp["orbit_S3"]["cat"], corp["orbit_C4"]["cat"]
+    bases = []
+    for seed, cat in enumerate([first, first, first, second]):
+        dia, _ = harness._ei_chain_case(harness.seeded_rng("reuse", seed, 0),
+                                        cat)
+        endo = endo_for(dia, seed)
+        res, induced = hocolim_EI(dia, endo)
+        ref, index, ref_induced = dense_hocolim_EI(dia, endo)
+        assert res.index == index
+        assert_same_complex(res.complex, ref)
+        assert_same_map(induced, ref_induced)
+        bases.append(res.diagram.base)
+    assert bases[0] is bases[1] is bases[2] is first._ei_chains[2]
+    assert bases[3] is second._ei_chains[2] and bases[3] is not bases[0]
+
+
 @pytest.mark.parametrize("name", ["gpd_conn_C2", "gpd_C2_C3"])
 def test_groupoid_matches_dense_reference(name):
     for seed in range(3):
