@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from . import coeffs, diagrams, fincat, harness, profcalc, serialize
-from .exactalg import Mat, lefschetz
+from .exactalg import SparseMat, lefschetz
 
 
 def data_dir():
@@ -199,7 +199,7 @@ def cmd_bicat_trace(args):
     prof = profcalc.prof_from_diagram(vd)
     w = profcalc.dual_of_pointwise(prof)
     if endo is None:
-        f = {a: Mat.identity(vd.dim(a)) for a in cat.objects}
+        f = {a: SparseMat.identity(vd.dim(a)) for a in cat.objects}
     else:
         f = {a: endo.at(a).sparse_mat(0) for a in cat.objects}
     got = profcalc.bicat_trace(w, f)

@@ -9,7 +9,7 @@ them.
 """
 
 from . import fincat
-from .exactalg import F, ONE, ZERO, Mat, solve_linear, kernel_basis
+from .exactalg import F, ONE, ZERO, SparseMat, solve_linear, kernel_basis
 
 
 class CoeffVector:
@@ -298,19 +298,17 @@ def leinster_weighting(cat):
     """
     objs = list(cat.objects)
     n = len(objs)
-    mat = Mat([[F(len(cat.hom(a, b))) for b in objs] for a in objs], n, n)
-    rhs = Mat([[ONE]] * n, n, 1)
-    res = solve_linear(mat, rhs)
+    mat = SparseMat([{j: k for j, b in enumerate(objs)
+                      if (k := len(cat.hom(a, b)))} for a in objs], n, n)
+    res = solve_linear(mat, SparseMat([{0: 1} for _ in objs], n, 1))
     if res is None:
-        left = kernel_basis(mat.transpose())
-        for j in range(left.cols):
-            pairing = sum((left.data[i][j] for i in range(n)), ZERO)
-            if pairing:
-                cert = [left.data[i][j] for i in range(n)]
-                return NoWeighting(cat, cert)
+        # the left null vectors, as the rows of the transposed basis
+        for vec in kernel_basis(mat.transpose()).transpose().terms:
+            if sum(vec.values()):
+                return NoWeighting(cat, [F(vec.get(i, 0)) for i in range(n)])
         raise AssertionError("inconsistent system without certificate")
-    values = {o: res.solution.data[i][0] for i, o in enumerate(objs)}
-    return Weighting(cat, values)
+    return Weighting(cat, {o: F(res.solution.terms[i].get(0, 0))
+                           for i, o in enumerate(objs)})
 
 
 def weighting_from_coeffs(cat, coeff):

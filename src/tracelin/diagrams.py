@@ -18,8 +18,8 @@ from .exactalg import (
 class VectDiagram:
     """Functor from a finite category to rational vector spaces.
 
-    Each value may be given as a Mat or a SparseMat; it is kept as a
-    SparseMat, which ``mat(a)`` returns and the checks run on.
+    Each value is kept as a SparseMat (a Mat given is converted once,
+    here), which ``mat(a)`` returns and the checks run on.
     """
 
     def __init__(self, base, dims, mats, check=True):
@@ -139,8 +139,8 @@ class FinSetDiagram:
 class NatEndo:
     """Natural endomorphism of a diagram: per-object matrix or chain map.
 
-    Over a VectDiagram a component may be given as a Mat or a SparseMat;
-    it is kept as a SparseMat, which ``at(o)`` returns.
+    Over a VectDiagram a component is kept as a SparseMat (a Mat given is
+    converted once, here), which ``at(o)`` returns.
     """
 
     def __init__(self, diagram, components, check=True):
@@ -239,10 +239,11 @@ class ColimResult:
         self.offsets = offsets
 
     def cocone(self, obj):
-        """The projection restricted to the block of obj, as a Mat."""
+        """The projection restricted to the block of obj."""
         off, d = self.offsets[obj]
-        return Mat([[terms.get(j, 0) for j in range(off, off + d)]
-                    for terms in self.proj.terms], self.proj.rows, d)
+        return SparseMat([{j - off: v for j, v in terms.items()
+                           if off <= j < off + d}
+                          for terms in self.proj.terms], self.proj.rows, d)
 
 
 def colim_vect(x):
@@ -277,7 +278,7 @@ def induced_endo_colim(x, f):
     res = colim_vect(x)
     big = SparseMat.from_blocks(res.proj.cols, res.proj.cols, [
         (off, off, f.at(o)) for o, (off, _d) in res.offsets.items()])
-    return res, factor_through(res.proj, res.proj @ big).to_mat()
+    return res, factor_through(res.proj, res.proj @ big)
 
 
 def weighted_colim_vect(weight, x):
@@ -320,7 +321,7 @@ def weighted_colim_endo(weight, x, f):
     big = SparseMat.from_blocks(res.proj.cols, res.proj.cols, [
         (off, off, kron(SparseMat.identity(weight.dim(o)), f.at(o)))
         for o, (off, _d) in res.offsets.items()])
-    return res, factor_through(res.proj, res.proj @ big).to_mat()
+    return res, factor_through(res.proj, res.proj @ big)
 
 
 def _same_objects_opposite(wcat, cat):

@@ -1,21 +1,19 @@
 """Exact rational matrices and bounded chain complexes.
 
-Everything here is exact: ``Mat`` is dense with ``fractions.Fraction``
-entries, and no floating point appears anywhere.  Kernels, images,
-cokernels, ranks and solutions all come from one elimination core on
-sparse integer rows ({column: int}, each row rescaled by the lcm of its
-denominators).  ``SparseMat`` holds the nonzero entries of each row;
-kernels, cokernels and solutions take it wherever they take a ``Mat``.
-``kron`` is the one Kronecker product: it takes either kind, reads only
-the nonzeros and returns a ``SparseMat``, and every tensor map of the
+Everything here is exact, and no floating point appears anywhere.
+Matrices have one stored form, ``SparseMat``: the nonzero entries of each
+row, each an int or a Fraction.  Every function here computes on it and
+returns its matrices in it; a ``Mat`` (dense, with ``fractions.Fraction``
+entries, the record that files and dense reads exchange) given to one is
+converted once, where it enters.  Kernels, images, cokernels, ranks and solutions
+all come from one elimination core on sparse integer rows
+({column: int}, each row rescaled by the lcm of its denominators).
+``kron`` is the one Kronecker product, and every tensor map of the
 library (id (x) m, m (x) id, their block diagonals) is built with it.
-Chain complexes and chain maps keep each matrix as a SparseMat, converted
-once when given as a Mat, and compose, add, compare and check on it;
-their dense ``Mat`` reads are built on each call.  ``cokernel``,
-``idempotent_image`` and ``factor_through`` return SparseMats for either
-kind of input; ``kernel_basis``, ``image_basis``, ``solve_linear`` and
-``inverse`` return Mats.  Matrices act on column vectors, so a map
-V -> W is a (dim W x dim V) matrix.
+Chain complexes and chain maps keep each matrix as a SparseMat and
+compose, add, compare and check on it; their dense ``Mat`` reads are
+built on each call.  Matrices act on column vectors, so a map V -> W is
+a (dim W x dim V) matrix.
 """
 
 from bisect import bisect
@@ -38,7 +36,8 @@ def _exact(v):
 
 
 class Mat:
-    """Dense matrix over Fraction.  Treat instances as immutable."""
+    """Dense matrix over Fraction: the record that files and dense reads
+    exchange.  Treat instances as immutable."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -81,12 +80,16 @@ class Mat:
         return "Mat(%d x %d)%r" % (self.rows, self.cols, self.data)
 
     def __add__(self, other):
+        if type(other) is not Mat:
+            return NotImplemented
         assert self.rows == other.rows and self.cols == other.cols
         return Mat([[a + b for a, b in zip(r1, r2)]
                     for r1, r2 in zip(self.data, other.data)],
                    self.rows, self.cols, coerce=False)
 
     def __sub__(self, other):
+        if type(other) is not Mat:
+            return NotImplemented
         assert self.rows == other.rows and self.cols == other.cols
         return Mat([[a - b for a, b in zip(r1, r2)]
                     for r1, r2 in zip(self.data, other.data)],
@@ -136,48 +139,48 @@ class Mat:
 
 
 def trace(m):
-    """Sum of diagonal entries of a square Mat or SparseMat."""
+    """Sum of diagonal entries of a square matrix, as a Fraction."""
+    m = SparseMat.from_mat(m)
     if m.rows != m.cols:
         raise ValueError("trace of a non-square matrix (%d x %d)" % (m.rows, m.cols))
-    if type(m) is SparseMat:
-        return F(sum(terms.get(i, 0) for i, terms in enumerate(m.terms)))
-    return sum((m.data[i][i] for i in range(m.rows)), ZERO)
+    return F(sum(terms.get(i, 0) for i, terms in enumerate(m.terms)))
 
 
 def kron(a, b):
-    """Kronecker product of two Mats or SparseMats, as a SparseMat.
+    """Kronecker product of two matrices.
 
     Entry (i1*b.rows+i2, j1*b.cols+j2) is a[i1][j1]*b[i2][j2].  Only the
     nonzero entries are read, and integral entries are kept as ints.
     """
-    ai = _items(a)
-    bi = _items(b)
+    a, b = SparseMat.from_mat(a), SparseMat.from_mat(b)
+    bi = [list(t.items()) for t in b.terms]
     bc = b.cols
-    return SparseMat([{j1 * bc + j2: x * y for j1, x in arow for j2, y in brow}
-                      for arow in ai for brow in bi],
+    return SparseMat([{j1 * bc + j2: x * y for j1, x in arow.items()
+                       for j2, y in brow}
+                      for arow in a.terms for brow in bi],
                      a.rows * b.rows, a.cols * bc)
 
 
 def block_diag(mats):
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = [[ZERO] * cols for _ in range(rows)]
-    r0 = c0 = 0
+    """The block diagonal matrix of a list of matrices."""
+    blocks = []
+    rows = cols = 0
     for m in mats:
-        for i, row in enumerate(m.data):
-            orow = out[r0 + i]
-            for j, v in enumerate(row):
-                orow[c0 + j] = v
-        r0 += m.rows
-        c0 += m.cols
-    return Mat(out, rows, cols, coerce=False)
+        blocks.append((rows, cols, SparseMat.from_mat(m)))
+        rows += m.rows
+        cols += m.cols
+    return SparseMat.from_blocks(rows, cols, blocks)
 
 
-def hstack(mats):
-    rows = mats[0].rows
+def hstack(rows, mats):
+    """The matrices ``mats``, each with ``rows`` rows, side by side."""
     assert all(m.rows == rows for m in mats)
-    data = [sum((m.data[i] for m in mats), []) for i in range(rows)]
-    return Mat(data, rows, sum(m.cols for m in mats), coerce=False)
+    blocks = []
+    cols = 0
+    for m in mats:
+        blocks.append((0, cols, SparseMat.from_mat(m)))
+        cols += m.cols
+    return SparseMat.from_blocks(rows, cols, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +250,8 @@ class SparseMat:
     __hash__ = None
 
     def __add__(self, other):
+        if type(other) is not SparseMat:
+            return NotImplemented
         assert self.rows == other.rows and self.cols == other.cols
         out = []
         for a, b in zip(self.terms, other.terms):
@@ -302,24 +307,9 @@ def _integral(terms):
     return {j: v.numerator * (l // v.denominator) for j, v in terms.items()}
 
 
-def _terms(m):
-    """The nonzero entries of each row of a Mat or SparseMat, as dicts."""
-    if type(m) is SparseMat:
-        return m.terms
-    return [{j: v for j, v in enumerate(row) if v} for row in m.data]
-
-
-def _items(m):
-    """The nonzero (column, entry) pairs of each row of a Mat or SparseMat,
-    as lists; a Mat's integral entries become ints."""
-    if type(m) is SparseMat:
-        return [list(t.items()) for t in m.terms]
-    return [[(j, _exact(v)) for j, v in enumerate(row) if v] for row in m.data]
-
-
 def _int_rows(m):
-    """Sparse integer rows of a Mat or SparseMat."""
-    return [_integral(t) for t in _terms(m)]
+    """Sparse integer rows of a SparseMat."""
+    return [_integral(t) for t in m.terms]
 
 
 def _eliminate(rows, limit):
@@ -410,20 +400,21 @@ def _back_substitute(system, num, rhs=None):
     return num, den
 
 
-def _dense(num, den, n):
-    """The vector num / den as a list of n Fractions."""
-    vec = [ZERO] * n
-    for j, x in num.items():
-        if x:
-            vec[j] = F(x, den)
-    return vec
-
-
 def _sparse(num, den):
     """The vector num / den as {column: entry}, integral entries as ints."""
     if den == 1:
         return {j: x for j, x in num.items() if x}
     return {j: _exact(F(x, den)) for j, x in num.items() if x}
+
+
+def _columns(vectors, n):
+    """The (n x len(vectors)) SparseMat whose columns are the (num, den)
+    vectors."""
+    rows = [{} for _ in range(n)]
+    for j, (num, den) in enumerate(vectors):
+        for k, v in _sparse(num, den).items():
+            rows[k][j] = v
+    return SparseMat(rows, n, len(vectors))
 
 
 def _kernel_vectors(m):
@@ -440,41 +431,41 @@ def _kernel_vectors(m):
 
 
 def rank(m):
+    m = SparseMat.from_mat(m)
     return len(_eliminate(_int_rows(m), m.cols)[0])
 
 
 def kernel_basis(m):
-    """Matrix whose columns form a basis of {v : m v = 0}.
-
-    ``m`` is a Mat or a SparseMat.
-    """
-    basis = [_dense(num, den, m.cols) for num, den in _kernel_vectors(m)]
-    return Mat.from_cols(basis, m.cols) if basis else Mat.zeros(m.cols, 0)
+    """Matrix whose columns form a basis of {v : m v = 0}."""
+    m = SparseMat.from_mat(m)
+    return _columns(_kernel_vectors(m), m.cols)
 
 
-def _pivots(m):
-    """The pivot columns of the echelon form of a Mat or SparseMat."""
-    return [pc for pc, _ in _eliminate(_int_rows(m), m.cols)[0]]
-
-
-def image_basis(m):
-    """(basis matrix, column indices): independent columns of m.
+def _image(s):
+    """(the independent columns of the SparseMat s, their indices).
 
     Row reduction does not change column dependencies, so the pivot
     columns of the echelon form index a basis of the column space.
     """
-    pivots = _pivots(m)
-    cols = [m.col(j) for j in pivots]
-    return (Mat.from_cols(cols, m.rows) if cols else Mat.zeros(m.rows, 0)), pivots
+    pivots = [pc for pc, _ in _eliminate(_int_rows(s), s.cols)[0]]
+    col = {pc: k for k, pc in enumerate(pivots)}
+    return SparseMat([{col[j]: v for j, v in terms.items() if j in col}
+                      for terms in s.terms], s.rows, len(col)), pivots
+
+
+def image_basis(m):
+    """(basis matrix, column indices): independent columns of m."""
+    return _image(SparseMat.from_mat(m))
 
 
 def cokernel(m):
     """(dimension, projection) of W / image(m) for m : V -> W.
 
-    ``m`` is a Mat or a SparseMat.  The projection is a surjective
-    (dim x W) SparseMat with proj @ m = 0; its rows span the left null
-    space of m, taken straight from the back-substituted vectors.
+    The projection is a surjective (dim x W) matrix with proj @ m = 0;
+    its rows span the left null space of m, taken straight from the
+    back-substituted vectors.
     """
+    m = SparseMat.from_mat(m)
     left = _kernel_vectors(m.transpose())
     return len(left), SparseMat([_sparse(num, den) for num, den in left],
                                 len(left), m.rows)
@@ -490,12 +481,12 @@ class SolveResult:
 
 def _solve(a, b):
     """(one (num, den) vector per column of b, unique) solving a @ x = b
-    with the free variables at zero (see ``_back_substitute``), or None
-    when inconsistent."""
+    for SparseMats a and b, with the free variables at zero (see
+    ``_back_substitute``), or None when inconsistent."""
     assert a.rows == b.rows
     n = a.cols
     rows = []
-    for ta, tb in zip(_terms(a), _terms(b)):
+    for ta, tb in zip(a.terms, b.terms):
         row = dict(ta)
         for j, v in tb.items():
             row[n + j] = v
@@ -512,23 +503,20 @@ def _solve(a, b):
 def solve_linear(a, b):
     """Solve a @ x = b exactly for a matrix of right-hand columns.
 
-    ``a`` and ``b`` are each a Mat or a SparseMat.  Returns None when
-    inconsistent, otherwise a SolveResult whose ``solution`` (a Mat) sets
-    all free variables to zero and whose ``unique`` flag reports whether
-    the solution is the only one.
+    Returns None when inconsistent, otherwise a SolveResult whose
+    ``solution`` sets all free variables to zero and whose ``unique``
+    flag reports whether the solution is the only one.
     """
-    res = _solve(a, b)
+    res = _solve(SparseMat.from_mat(a), SparseMat.from_mat(b))
     if res is None:
         return None
     sols, unique = res
-    return SolveResult(Mat.from_cols([_dense(num, den, a.cols)
-                                      for num, den in sols], a.cols),
-                       unique=unique)
+    return SolveResult(_columns(sols, a.cols), unique=unique)
 
 
 def inverse(m):
     assert m.rows == m.cols
-    res = solve_linear(m, Mat.identity(m.rows))
+    res = solve_linear(m, SparseMat.identity(m.rows))
     if res is None or not res.unique:
         raise ValueError("matrix is not invertible")
     return res.solution
@@ -551,23 +539,21 @@ def _unit_columns(terms):
 
 
 def factor_through(p, m):
-    """The unique n with n @ p = m, for surjective p, as a SparseMat.
+    """The unique n with n @ p = m, for surjective p.
 
-    ``p`` and ``m`` are each a Mat or a SparseMat.  A projection from
-    ``cokernel`` is the unit vector e_r at the free column of each row r,
-    so n is m read at those columns, and what is left is the check
-    n @ p = m, as a sparse product; only a p with no unit column in some
-    row is solved for.  Fails loudly when m does not kill the kernel of
-    p, i.e. when no factorization exists.
+    A projection from ``cokernel`` is the unit vector e_r at the free
+    column of each row r, so n is m read at those columns, and what is
+    left is the check n @ p = m, as a sparse product; only a p with no
+    unit column in some row is solved for.  Fails loudly when m does not
+    kill the kernel of p, i.e. when no factorization exists.
     """
+    p, m = SparseMat.from_mat(p), SparseMat.from_mat(m)
     assert p.cols == m.cols, (p.cols, m.cols)
-    pt = _terms(p)
-    unit = _unit_columns(pt)
+    unit = _unit_columns(p.terms)
     if unit is not None:
-        mt = _terms(m)
         n = SparseMat([{unit[c]: v for c, v in row.items() if c in unit}
-                       for row in mt], m.rows, p.rows)
-        if (n @ SparseMat(pt, p.rows, p.cols)).terms != mt:
+                       for row in m.terms], m.rows, p.rows)
+        if (n @ p) != m:
             raise ValueError("map does not factor through the projection")
         return n
     res = _solve(p.transpose(), m.transpose())
@@ -582,8 +568,8 @@ def factor_through(p, m):
 def idempotent_image(e):
     """(i, p) with p @ i = id, i @ p = e, columns of i a basis of im(e).
 
-    ``e`` is a Mat or a SparseMat; i and p are SparseMats, and the
-    checks, the pivot columns and the solve for p run on sparse rows.
+    The checks, the pivot columns and the solve for p run on sparse
+    rows.
     """
     if e.rows != e.cols:
         raise ValueError("idempotent must be square")
@@ -599,17 +585,10 @@ def idempotent_image(e):
                    s.rows, s.cols)
     if not (le @ le == le.smul(l)):
         raise ValueError("matrix is not idempotent")
-    # the pivot columns of e are a basis of its column space
-    col = {pc: k for k, pc in enumerate(_pivots(s))}
-    i = SparseMat([{col[j]: v for j, v in terms.items() if j in col}
-                   for terms in s.terms], s.rows, len(col))
+    i, _ = _image(s)
     res = _solve(i, s)
     assert res is not None and res[1]
-    rows = [{} for _ in range(i.cols)]
-    for j, (num, den) in enumerate(res[0]):
-        for k, v in _sparse(num, den).items():
-            rows[k][j] = v
-    p = SparseMat(rows, i.cols, s.cols)
+    p = _columns(res[0], i.cols)
     assert (p @ i).is_identity()
     return i, p
 
@@ -620,8 +599,8 @@ def idempotent_image(e):
 class ChainComplex:
     """Bounded complex of rational spaces; d[n] maps degree n to n-1.
 
-    A differential may be given as a Mat or a SparseMat; it is kept as a
-    SparseMat, read by ``sparse_diff(n)``, and the checks run on it.
+    A differential is kept as a SparseMat (a Mat given is converted once,
+    here), read by ``sparse_diff(n)``, and the checks run on it.
     ``diff(n)`` and ``d`` are Mats, built on each read.
     """
 
@@ -689,9 +668,9 @@ class ChainComplex:
 class ChainMap:
     """Degreewise matrices between two complexes, commuting with d.
 
-    A component may be given as a Mat or a SparseMat; it is kept as a
-    SparseMat, read by ``sparse_mat(n)``, and composition, sums,
-    comparison and the commutation check run on it.  ``mat(n)`` and
+    A component is kept as a SparseMat (a Mat given is converted once,
+    here), read by ``sparse_mat(n)``, and composition, sums, comparison
+    and the commutation check run on it.  ``mat(n)`` and
     ``mats`` are Mats, built on each read.
     """
 
@@ -844,28 +823,26 @@ def homology_endo_traces(f):
     c = f.src
     out = {}
     for n in c.support():
-        zmat = kernel_basis(c.diff(n))
-        bmat, _ = image_basis(c.diff(n + 1))
+        dim = c.dim(n)
+        # basis vectors as the rows of the transposed basis matrices
+        cycles = kernel_basis(c.sparse_diff(n)).transpose().terms
+        bounds = image_basis(c.sparse_diff(n + 1))[0].transpose().terms
         # extend the boundary basis to a basis of the cycles
-        chosen = []
-        acc = bmat
-        for j in range(zmat.cols):
-            cand = hstack([acc, Mat.from_cols([zmat.col(j)], zmat.rows)])
-            if rank(cand) > rank(acc):
-                chosen.append(j)
-                acc = cand
+        acc = list(bounds)
+        for z in cycles:
+            if rank(SparseMat(acc + [z], len(acc) + 1, dim)) > len(acc):
+                acc.append(z)
+        chosen = len(acc) - len(bounds)
         if not chosen:
             out[n] = ZERO
             continue
-        cmat = Mat.from_cols([zmat.col(j) for j in chosen], zmat.rows)
-        full = hstack([bmat, cmat])
-        res = solve_linear(full, f.mat(n) @ cmat)
+        cmat = SparseMat(acc[len(bounds):], chosen, dim).transpose()
+        full = SparseMat(acc, len(acc), dim).transpose()
+        res = solve_linear(full, f.sparse_mat(n) @ cmat)
         assert res is not None and res.unique
-        coords = res.solution
-        t = ZERO
-        for i in range(len(chosen)):
-            t += coords.data[bmat.cols + i][i]
-        out[n] = t
+        coords = res.solution.terms
+        out[n] = F(sum(coords[len(bounds) + i].get(i, 0)
+                       for i in range(chosen)))
     return out
 
 

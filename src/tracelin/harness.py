@@ -11,7 +11,7 @@ import random
 
 from . import coeffs, diagrams, fincat, profcalc
 from .exactalg import (
-    F, ONE, ZERO, ChainComplex, ChainMap, Mat, block_diag, cone_endo,
+    F, ZERO, ChainComplex, ChainMap, SparseMat, block_diag, cone_endo,
     identity_chain_map, inverse, kron, lefschetz, rank, solve_linear, trace,
 )
 
@@ -139,15 +139,21 @@ def corpus():
 # ---------------------------------------------------------------------------
 # representations over exact rationals
 
-def _perm_matrix(n, perm):
-    m = Mat.zeros(n, n)
+def _map_matrix(n, images):
+    """The n x n matrix sending basis vector i to basis vector images[i]."""
+    rows = [{} for _ in range(n)]
     for i in range(n):
-        m.data[perm[i]][i] = ONE
-    return m
+        rows[images[i]][i] = 1
+    return SparseMat(rows, n, n)
+
+
+def _scalar(v):
+    """The 1 x 1 matrix (v)."""
+    return SparseMat([{0: v}], 1, 1)
 
 
 def rep_trivial(group):
-    return {g: Mat.identity(1) for g in group.elements}
+    return {g: SparseMat.identity(1) for g in group.elements}
 
 
 def rep_regular(group):
@@ -155,7 +161,7 @@ def rep_regular(group):
     out = {}
     for g in group.elements:
         perm = [group.index[group.mul(g, h)] for h in group.elements]
-        out[g] = _perm_matrix(n, perm)
+        out[g] = _map_matrix(n, perm)
     return out
 
 
@@ -164,13 +170,13 @@ def rep_rotation(group):
     3 or 4, with integer matrices."""
     n = len(group)
     if n == 3:
-        gen = Mat([[0, -1], [1, -1]])
+        gen = SparseMat([{1: -1}, {0: 1, 1: -1}], 2, 2)
     elif n == 4:
-        gen = Mat([[0, -1], [1, 0]])
+        gen = SparseMat([{1: -1}, {0: 1}], 2, 2)
     else:
         raise ValueError("no integral rotation representation of order %d" % n)
     out = {}
-    acc = Mat.identity(2)
+    acc = SparseMat.identity(2)
     for k in range(n):
         out[k] = acc
         acc = gen @ acc
@@ -182,20 +188,19 @@ def rep_sign_s3(group):
     for p in group.elements:
         inversions = sum(1 for i in range(3) for j in range(i + 1, 3)
                          if p[i] > p[j])
-        out[p] = Mat([[ONE if inversions % 2 == 0 else -ONE]])
+        out[p] = _scalar(1 if inversions % 2 == 0 else -1)
     return out
 
 
 def rep_standard_perm(group):
     """Permutation representation restricted to the sum-zero subspace."""
     n = len(group.elements[0])
-    basis = Mat.zeros(n, n - 1)
-    for j in range(n - 1):
-        basis.data[j][j] = ONE
-        basis.data[j + 1][j] = -ONE
+    # column j is e_j - e_(j+1)
+    basis = SparseMat([{j: v for j, v in ((i - 1, -1), (i, 1))
+                        if 0 <= j < n - 1} for i in range(n)], n, n - 1)
     out = {}
     for p in group.elements:
-        perm = _perm_matrix(n, p)
+        perm = _map_matrix(n, p)
         res = solve_linear(basis, perm @ basis)
         assert res is not None and res.unique
         out[p] = res.solution
@@ -205,11 +210,12 @@ def rep_standard_perm(group):
 def reps_for(gname):
     g = GROUPS[gname]
     if gname == "C2":
-        return [rep_trivial(g), {0: Mat([[1]]), 1: Mat([[-1]])}, rep_regular(g)]
+        return [rep_trivial(g), {0: _scalar(1), 1: _scalar(-1)},
+                rep_regular(g)]
     if gname == "C3":
         return [rep_trivial(g), rep_rotation(g), rep_regular(g)]
     if gname == "C4":
-        return [rep_trivial(g), {k: Mat([[(-1) ** k]]) for k in g.elements},
+        return [rep_trivial(g), {k: _scalar((-1) ** k) for k in g.elements},
                 rep_rotation(g), rep_regular(g)]
     return [rep_trivial(g), rep_sign_s3(g), rep_standard_perm(g)]
 
@@ -265,11 +271,12 @@ def random_complex(rng, max_dim=3, lo=0, hi=2):
         if dims[deg] > max_dim:
             dims[deg] = max_dim
     for deg, pairs in blocks.items():
-        m = Mat.zeros(dims.get(deg - 1, 0), dims.get(deg, 0))
+        rows, cols = dims.get(deg - 1, 0), dims.get(deg, 0)
+        terms = [{} for _ in range(rows)]
         for (j, i) in pairs:
-            if i < m.rows and j < m.cols:
-                m.data[i][j] = ONE
-        d[deg] = m
+            if i < rows and j < cols:
+                terms[i][j] = 1
+        d[deg] = SparseMat(terms, rows, cols)
     return ChainComplex(dims, d)
 
 
@@ -371,31 +378,26 @@ def group_chain_diagram(seed, gname, max_pieces=2):
             off[deg - 1] = run[deg - 1]
             run[deg - 1] += d0
         offsets.append(off)
+    # each disk's identity differential, and each piece's representation
+    # in its degree and, for a disk, one below, as blocks at its offsets
     dd = {}
-    for (piece, off) in zip(pieces, offsets):
-        (rep, deg, disk) = piece
+    for (rep, deg, disk), off in zip(pieces, offsets):
         if disk:
             d0 = rep[g.identity].rows
-            m = dd.setdefault(deg, Mat.zeros(dims.get(deg - 1, 0),
-                                             dims.get(deg, 0)))
-            for i in range(d0):
-                m.data[off[deg - 1] + i][off[deg] + i] = ONE
-    cx = ChainComplex(dims, dd)
+            dd.setdefault(deg, []).append(
+                (off[deg - 1], off[deg], SparseMat.identity(d0)))
+    cx = ChainComplex(dims, {
+        deg: SparseMat.from_blocks(dims[deg - 1], dims[deg], blocks)
+        for deg, blocks in dd.items()})
     maps = {}
     for x in g.elements:
-        mats = {}
-        for n in dims:
-            mats[n] = Mat.zeros(dims[n], dims[n])
-        for (piece, off) in zip(pieces, offsets):
-            (rep, deg, disk) = piece
-            m = rep[x]
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    mats[deg].data[off[deg] + i][off[deg] + j] = m.data[i][j]
-                    if disk:
-                        mats[deg - 1].data[off[deg - 1] + i][off[deg - 1] + j] \
-                            = m.data[i][j]
-        maps[("g", x)] = ChainMap(cx, cx, mats, check=False)
+        blocks = {n: [] for n in dims}
+        for (rep, deg, disk), off in zip(pieces, offsets):
+            for n in ((deg, deg - 1) if disk else (deg,)):
+                blocks[n].append((off[n], off[n], rep[x]))
+        maps[("g", x)] = ChainMap(
+            cx, cx, {n: SparseMat.from_blocks(dims[n], dims[n], b)
+                     for n, b in blocks.items()}, check=False)
     dia = diagrams.ChainDiagram(cat, {"x": cx}, maps)
     return dia, random_endo(rng, dia)
 
@@ -449,16 +451,18 @@ def random_vect_diagram(rng, cat, max_dim=4):
         r = rng.randint(0, d)
         p = None
         while p is None or rank(p) < d:    # redraw a singular p
-            p = Mat.identity(d)
+            rows = [{i: 1} for i in range(d)]
             for _ in range(2):
                 i = rng.randrange(d)
                 j = rng.randrange(d)
                 if i != j:
-                    p.data[i][j] = F(rng.randint(-1, 1))
-        e = p @ block_diag([Mat.identity(r), Mat.zeros(d - r, d - r)]) \
-            @ inverse(p)
+                    rows[i][j] = rng.randint(-1, 1)
+            p = SparseMat([{j: v for j, v in row.items() if v}
+                           for row in rows], d, d)
+        proj = SparseMat([{i: 1} if i < r else {} for i in range(d)], d, d)
+        e = p @ proj @ inverse(p)
         return diagrams.VectDiagram(cat, {"x": d},
-                                    {"x": Mat.identity(d), "e": e})
+                                    {"x": SparseMat.identity(d), "e": e})
     parts = []
     budget = max_dim
     objs = list(cat.objects)
@@ -672,12 +676,18 @@ def verify_pushout_vs_cone(seed, case_no):
     return _case("pushout_vs_cone:%d:%d" % (seed, case_no), lhs, rhs)
 
 
+def _random_square(rng, n):
+    """An n x n matrix of seeded entries in -3..3, drawn row by row."""
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    return SparseMat([{j: v for j, v in enumerate(row) if v} for row in rows],
+                     n, n)
+
+
 def verify_multiplicativity(seed, case_no):
     rng = seeded_rng("mult", seed, case_no)
     n1 = rng.randint(1, 3)
     n2 = rng.randint(1, 3)
-    a = Mat([[F(rng.randint(-3, 3)) for _ in range(n1)] for _ in range(n1)])
-    b = Mat([[F(rng.randint(-3, 3)) for _ in range(n2)] for _ in range(n2)])
+    a, b = _random_square(rng, n1), _random_square(rng, n2)
     return _case("mult:%d:%d" % (seed, case_no), trace(kron(a, b)),
                  trace(a) * trace(b))
 
@@ -926,11 +936,9 @@ def verify_set_formulas(seed, case_no):
     lin = diagrams.linearize(dia)
     endo_mats = {}
     for o, fn in (("a", u), ("b", fy), ("c", gz)):
-        n = len(dia.sets[o])
-        m = Mat.zeros(n, n)
-        for i, z in enumerate(dia.sets[o]):
-            m.data[dia.sets[o].index(fn[z])][i] = ONE
-        endo_mats[o] = m
+        elems = dia.sets[o]
+        endo_mats[o] = _map_matrix(len(elems),
+                                   [elems.index(fn[z]) for z in elems])
     _res, ind = diagrams.induced_endo_colim(
         lin, diagrams.NatEndo(lin, endo_mats))
     second = _case("sets:linearized-fix:%d" % case_no, trace(ind), F(fixed))

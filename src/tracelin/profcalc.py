@@ -4,15 +4,16 @@ A profunctor from S to T assigns a space to each (t, s) pair, with a
 covariant S-action and a contravariant T-action that commute.  Composites
 and shadows are coends, always presented as explicit cokernels with their
 projections retained, so every structural map in a trace computation is a
-literal matrix.  Actions, witness components, a unit shadow's class
-basis and the maps factored through projections are all SparseMats;
-actions and witness components given as Mats are converted once.  One
-routine writes the coend relations as a sparse matrix straight from the
-rows of the action matrices or of their sparse Kronecker products
-id (x) m and m (x) id, and the cokernel hands back a sparse projection;
-maps induced on a coend are the projection times a block diagonal of
-such products, the swap of tensor factors is a column permutation of a
-projection, and factoring through a projection reads its free columns.
+literal matrix.  Matrices have one stored form: actions, witness
+components, a unit shadow's class basis and the maps factored through
+projections are all SparseMats, and a Mat given is converted once, where
+it enters.  One routine writes the coend relations as a sparse matrix
+straight from the rows of the action matrices or of their sparse
+Kronecker products id (x) m and m (x) id, and the cokernel hands back a
+sparse projection; maps induced on a coend are the projection times a
+block diagonal of such products, the swap of tensor factors is a column
+permutation of a projection, and factoring through a projection reads
+its free columns.
 Duality witnesses carry coevaluation and evaluation component matrices,
 and their checks multiply reshapes of those components, and write each
 evaluation times a Kronecker product of actions from the evaluation's
@@ -26,8 +27,8 @@ still run on every call.
 
 from . import fincat
 from .exactalg import (
-    F, SparseMat, cokernel, factor_through, idempotent_image, inverse, kron,
-    rank,
+    F, SparseMat, block_diag, cokernel, factor_through, hstack,
+    idempotent_image, inverse, kron, rank,
 )
 
 
@@ -37,8 +38,8 @@ class Profunctor:
     ``dims[(t, s)]`` is the value dimension; ``tact(beta, s)`` for
     beta: t -> t' is the contravariant map value(t', s) -> value(t, s);
     ``sact(t, alpha)`` for alpha: s -> s' maps value(t, s) -> value(t, s').
-    The actions may be given as Mats or SparseMats; they are kept, and
-    returned, as SparseMats.
+    The actions are kept, and returned, as SparseMats; a Mat given is
+    converted once, here.
     """
 
     def __init__(self, src, tgt, dims, tacts, sacts, check=True):
@@ -235,27 +236,6 @@ def _tensor_rels(cat, du, u, dw, w, u_covariant):
     return rels
 
 
-def _diag(mats):
-    """The block diagonal SparseMat of a list of SparseMats."""
-    blocks = []
-    rows = cols = 0
-    for m in mats:
-        blocks.append((rows, cols, m))
-        rows += m.rows
-        cols += m.cols
-    return SparseMat.from_blocks(rows, cols, blocks)
-
-
-def _hstack(rows, mats):
-    """The SparseMats ``mats``, each with ``rows`` rows, side by side."""
-    blocks = []
-    cols = 0
-    for m in mats:
-        blocks.append((0, cols, m))
-        cols += m.cols
-    return SparseMat.from_blocks(rows, cols, blocks)
-
-
 def shadow(h):
     """Coend of an endo-profunctor over the diagonal, as a ShadowSpace."""
     cat = h.src
@@ -286,8 +266,8 @@ def unit_shadow(cat):
     for rep in classes.reps:
         a = cat.src[rep]
         cols.append(sh.include(a, _hom_map([rep], cat.hom(a, a), lambda u: u)))
-    class_matrix = _hstack(sh.dim, cols)
-    to_class = SparseMat.from_mat(inverse(class_matrix))
+    class_matrix = hstack(sh.dim, cols)
+    to_class = inverse(class_matrix)
     cat._unit_shadow = ShadowSpace(sh.offsets, sh.sparse_proj, classes,
                                    class_matrix, to_class)
     return cat._unit_shadow
@@ -328,7 +308,7 @@ def compose_prof(h, k):
     for beta in C.arrows:
         c1, c2 = C.src[beta], C.dst[beta]
         for a in A.objects:
-            pre = projs[(c1, a)] @ _diag([
+            pre = projs[(c1, a)] @ block_diag([
                 kron(SparseMat.identity(h.dim(b, a)), k.tact(beta, b))
                 for b in B.objects])
             tacts[(beta, a)] = factor_through(projs[(c2, a)], pre)
@@ -336,7 +316,7 @@ def compose_prof(h, k):
     for alpha in A.arrows:
         a1, a2 = A.src[alpha], A.dst[alpha]
         for c in C.objects:
-            pre = projs[(c, a2)] @ _diag([
+            pre = projs[(c, a2)] @ block_diag([
                 kron(h.sact(b, alpha), SparseMat.identity(k.dim(c, b)))
                 for b in B.objects])
             sacts[(c, alpha)] = factor_through(projs[(c, a1)], pre)
@@ -374,8 +354,8 @@ def restriction_comparison(fun, h):
         for a in A.objects:
             # the coend block of b is x(b, a) (x) h(d, b), with x(b, a) the
             # free space on hom(b, f a): u (x) v goes to h(d, u) v
-            pre = _hstack(h.dim(d, fo[a]), [h.sact(d, u) for b in B.objects
-                                            for u in B.hom(b, fo[a])])
+            pre = hstack(h.dim(d, fo[a]), [h.sact(d, u) for b in B.objects
+                                           for u in B.hom(b, fo[a])])
             m = factor_through(comp.sparse_projs[(d, a)], pre)
             if m.rows != m.cols or rank(m) != m.rows:
                 raise AssertionError("comparison is not invertible at (%r, %r)"
@@ -406,8 +386,8 @@ class DualityWitness:
     blockwise sum over target objects b of x(b, a) (x) y(a, b); the other
     coevaluation components follow by naturality.  ``eps[(a, bp, b)]`` is
     the evaluation component y(a, b) (x) x(bp, a) -> hom(bp, b), given
-    before coend projection.  Both are kept as SparseMats, converted once
-    when given as Mats.  Triangle identities are matrix identities
+    before coend projection.  Both are kept as SparseMats; a Mat given is
+    converted once, here.  Triangle identities are matrix identities
     computed through these components and their reshapes ``eta_blocks``.
     """
 
@@ -712,7 +692,7 @@ def dual_via_retract(w, r, s):
         _i2, p2 = splits[a2]
         zdsacts[("*", alpha)] = p2 @ y.sact("*", alpha) @ i1
     zd = Profunctor(A, x.src, zddims, zdtacts, zdsacts, check=False)
-    rp = _diag([kron(r[a], splits[a][1]) for a in A.objects])
+    rp = block_diag([kron(r[a], splits[a][1]) for a in A.objects])
     eta = {ast: rp @ w.eta[ast] for ast in x.src.objects}
     eps = {}
     for ap in A.objects:
@@ -843,10 +823,10 @@ def bicat_trace(w, f):
     pre = p1 @ SparseMat(cols, len(cols), p1.cols).transpose()
     h1 = factor_through(su.sparse_proj, pre)
 
-    h2 = factor_through(p1, p1 @ _diag([kron(sf[a], SparseMat.identity(dy[a]))
-                                        for a in A.objects]))
+    h2 = factor_through(p1, p1 @ block_diag(
+        [kron(sf[a], SparseMat.identity(dy[a])) for a in A.objects]))
 
-    ev = _hstack(1, [w.eps[(a, "*", "*")] for a in A.objects])
+    ev = hstack(1, [w.eps[(a, "*", "*")] for a in A.objects])
     h4 = factor_through(p2, ev)
 
     row = (h4 @ h3 @ h2 @ h1 @ su.class_matrix).terms[0]
@@ -891,13 +871,12 @@ def coeff_vector_direct(w, endo=None):
                                      dy, lambda g: y.sact("*", g),
                                      False)
 
-    u1 = factor_through(p1, p1 @ _diag([kron(endo[a],
-                                             SparseMat.identity(dy[a]))
-                                        for a in A.objects]))
+    u1 = factor_through(p1, p1 @ block_diag(
+        [kron(endo[a], SparseMat.identity(dy[a])) for a in A.objects]))
     u1 = u1 @ (p1 @ w.eta["*"])
     # the evaluation at each (a, a) lands in the unit shadow's block of
     # hom(a, a)
-    u3 = factor_through(p2, su.sparse_proj @ _diag(
+    u3 = factor_through(p2, su.sparse_proj @ block_diag(
         [w.eps[("*", a, a)] for a in A.objects]))
     vec_ = su.to_class @ (u3 @ u2 @ u1)
     return {rep: F(terms.get(0, 0))

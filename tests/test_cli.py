@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -603,3 +604,34 @@ def test_cli_dimension_that_is_not_a_nonnegative_int_is_input_error(
     assert (code, out) == (2, "")
     assert err.strip() == ("error: object 'a' has dimension %s in degree 0, "
                            "expected a nonnegative integer" % shown)
+
+
+def _readme_commands():
+    """The argument lists of the README's ``$ tracelin`` examples."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    return [line[len("$ tracelin "):].split("#")[0].split()
+            for line in readme.read_text().splitlines()
+            if line.startswith("$ tracelin ")]
+
+
+def test_library_runs_no_mat_arithmetic(tmp_path, capsys, monkeypatch):
+    """With Mat's arithmetic made to raise, the verify suites and the
+    README's examples print the bytes they print without it: inside the
+    library every matrix is a SparseMat.  The patched runs go first, so
+    nothing they compute is left over from an unpatched run."""
+    runs = [["--format", "json", "verify", "--suite", "all", "--seed",
+             str(seed), "--artifacts", str(tmp_path)] for seed in (0, 1)]
+    # the README's verify prints wall times; the runs above cover it
+    runs += [argv for argv in _readme_commands() if argv[0] != "verify"]
+    assert len(runs) > 10
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Mat arithmetic inside the library")
+
+    with monkeypatch.context() as patch:
+        for name in ("__matmul__", "__add__", "__sub__", "__neg__", "smul",
+                     "transpose"):
+            patch.setattr(Mat, name, forbidden)
+        guarded = [run_cli(capsys, *argv) for argv in runs]
+    assert guarded == [run_cli(capsys, *argv) for argv in runs]
+    assert all(code == 0 for code, _out, _err in guarded)

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -91,7 +92,7 @@ def test_kernel_and_image():
     rng = random.Random(7)
     for _ in range(25):
         m = rand_mat(rng, rng.randint(1, 4), rng.randint(1, 4))
-        k = kernel_basis(m)
+        k = kernel_basis(m).to_mat()
         assert (m @ k).is_zero()
         assert k.cols == m.cols - rank(m)
         img, cols = image_basis(m)
@@ -110,7 +111,7 @@ def test_cokernel_projection():
 
 def test_solve_reports_unique_and_inconsistent():
     res = solve_linear(Mat([[1, 0], [0, 1]]), Mat([[2], [3]]))
-    assert res.unique and res.solution.data == [[F(2)], [F(3)]]
+    assert res.unique and res.solution.to_mat().data == [[F(2)], [F(3)]]
     assert solve_linear(Mat([[1], [1]]), Mat([[0], [1]])) is None
     res = solve_linear(Mat([[1, 1]]), Mat([[1]]))
     assert res is not None and not res.unique
@@ -137,13 +138,14 @@ def test_factor_through_returns_a_sparse_mat_on_both_paths():
 def test_mixed_products_raise_type_error():
     for a, b in ((Mat.identity(2), SparseMat.identity(2)),
                  (SparseMat.identity(2), Mat.identity(2))):
-        with pytest.raises(TypeError, match="unsupported operand"):
-            a @ b
+        for op in (operator.matmul, operator.add, operator.sub):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(a, b)
 
 
 def test_inverse():
     m = Mat([[1, 2], [3, 5]])
-    assert (inverse(m) @ m).is_identity()
+    assert (inverse(m).to_mat() @ m).is_identity()
     with pytest.raises(ValueError):
         inverse(Mat([[1, 2], [2, 4]]))
 
@@ -164,8 +166,9 @@ def test_idempotent_image_splitting():
         p.data[rng.randrange(d)][rng.randrange(d)] += F(rng.randint(-1, 1))
         if rank(p) < d:
             continue
-        e = (p @ block_diag([Mat.identity(r), Mat.zeros(d - r, d - r)])
-             @ inverse(p))
+        e = (p @ block_diag([Mat.identity(r),
+                             Mat.zeros(d - r, d - r)]).to_mat()
+             @ inverse(p).to_mat())
         i, q = idempotent_image(e)
         assert (q @ i).is_identity()
         assert (i @ q).to_mat() == e
@@ -224,13 +227,15 @@ def dense_cone(f):
     x, y = f.src, f.dst
     degs = set(y.dims) | {n + 1 for n in x.dims}
     dims = {n: y.dim(n) + x.dim(n - 1) for n in degs}
-    d = {n: _vstack([hstack([y.diff(n), f.mat(n - 1)]),
-                     hstack([Mat.zeros(x.dim(n - 2), y.dim(n)),
-                             -x.diff(n - 1)])]) for n in dims}
+    d = {n: _vstack([hstack(y.dim(n - 1), [y.diff(n), f.mat(n - 1)]).to_mat(),
+                     hstack(x.dim(n - 2), [Mat.zeros(x.dim(n - 2), y.dim(n)),
+                                           -x.diff(n - 1)]).to_mat()])
+         for n in dims}
     inc = {n: _vstack([Mat.identity(y.dim(n)),
                        Mat.zeros(x.dim(n - 1), y.dim(n))]) for n in y.dims}
-    proj = {n + 1: hstack([Mat.zeros(x.dim(n), y.dim(n + 1)),
-                           Mat.identity(x.dim(n))]) for n in x.dims}
+    proj = {n + 1: hstack(x.dim(n), [Mat.zeros(x.dim(n), y.dim(n + 1)),
+                                     Mat.identity(x.dim(n))]).to_mat()
+            for n in x.dims}
     return dims, d, inc, proj
 
 
@@ -264,7 +269,7 @@ def test_cone_matches_dense_block_reference():
         c2, ce = cone_endo(f, g_src, g_dst)
         assert c2 == cc
         assert ce.mats == _nonempty({n: block_diag([g_dst.mat(n),
-                                                    g_src.mat(n - 1)])
+                                                    g_src.mat(n - 1)]).to_mat()
                                      for n in cc.dims})
         assert not ce.violations()
         assert lefschetz(ce) == lefschetz(g_dst) - lefschetz(g_src)
@@ -433,7 +438,7 @@ def dense_cokernel(m):
 
 def dense_solve(a, b):
     n = a.cols
-    aug = hstack([a, b])
+    aug = hstack(a.rows, [a, b]).to_mat()
     rows = _int_rows(aug)
     pivots = _echelon_int(rows, aug.cols, pivot_limit=n)
     nz = [r for r in rows if any(r)]
@@ -498,13 +503,18 @@ def _all_fractions(m):
     return all(type(x) is F for row in m.data for x in row)
 
 
+def _stores_no_zero(s):
+    return all(v for terms in s.terms for v in terms.values())
+
+
 def test_sparse_core_matches_dense_reference():
     for m in seeded_matrices(41, 160):
         assert rank(m) == dense_rank(m)
         k = kernel_basis(m)
-        assert k == dense_kernel(m) and _all_fractions(k)
+        assert k.to_mat() == dense_kernel(m) and _stores_no_zero(k)
         assert kernel_basis(SparseMat.from_mat(m)) == k
-        assert image_basis(m) == dense_image(m)
+        img, cols = image_basis(m)
+        assert (img.to_mat(), cols) == dense_image(m)
         # a Mat in gives the SparseMat that a SparseMat in gives
         dim, proj = cokernel(m)
         ref_dim, ref_proj = dense_cokernel(m)
@@ -539,9 +549,9 @@ def test_sparse_solve_matches_dense_reference():
                 if ref is None:
                     assert res is None
                     continue
-                assert (res.solution, res.unique) == ref
-                assert _all_fractions(res.solution)
-                assert a @ res.solution == b
+                assert (res.solution.to_mat(), res.unique) == ref
+                assert _stores_no_zero(res.solution)
+                assert a @ res.solution.to_mat() == b
     assert inconsistent > 20
 
 
@@ -566,7 +576,7 @@ def test_sparse_factor_through_matches_dense(monkeypatch):
                           for _ in range(2)], 2, p.cols)
         if dense_solve(p.transpose(), bad.transpose()) is not None:
             bad = None
-        ref = solve_linear(p.transpose(), good.transpose()).solution
+        ref = solve_linear(p.transpose(), good.transpose()).solution.to_mat()
         for p_, good_ in _operand_forms(p, good):
             del calls[:]
             got = factor_through(p_, good_)
@@ -625,3 +635,95 @@ def test_dd_check_fires_on_a_large_sparse_complex():
         with pytest.raises(ValueError,
                            match=r"^d o d nonzero out of degree %d$" % degree):
             ChainComplex(dims, {k: Mat(m) for k, m in bad.items()})
+
+
+# ---------------------------------------------------------------------------
+# one stored form: every matrix result is a SparseMat, for either input
+
+def dense_kron(a, b):
+    return Mat([[x * y for x in arow for y in brow]
+                for arow in a.data for brow in b.data],
+               a.rows * b.rows, a.cols * b.cols)
+
+
+def dense_block_diag(mats):
+    rows = sum(m.rows for m in mats)
+    cols = sum(m.cols for m in mats)
+    out = [[F(0)] * cols for _ in range(rows)]
+    r0 = c0 = 0
+    for m in mats:
+        for i, row in enumerate(m.data):
+            out[r0 + i][c0:c0 + m.cols] = row
+        r0 += m.rows
+        c0 += m.cols
+    return Mat(out, rows, cols)
+
+
+def dense_hstack(rows, mats):
+    return Mat([[x for m in mats for x in m.data[i]] for i in range(rows)],
+               rows, sum(m.cols for m in mats))
+
+
+def _check_sparse(got, ref):
+    """got is a SparseMat that stores no zero and reads as the Mat ref."""
+    assert type(got) is SparseMat
+    assert _stores_no_zero(got)
+    assert got.to_mat() == ref
+
+
+def _invertible(rng, n):
+    """A seeded invertible n x n matrix: lower times upper triangular,
+    each with a nonzero diagonal."""
+    lower = Mat([[F(rng.randint(1, 3)) if i == j else
+                  (_entry(rng, 0.6) if j < i else 0) for j in range(n)]
+                 for i in range(n)])
+    upper = Mat([[F(rng.choice((-2, -1, 1, 2))) if i == j else
+                  (_entry(rng, 0.6) if j > i else 0) for j in range(n)]
+                 for i in range(n)])
+    return lower @ upper
+
+
+def test_every_matrix_result_is_sparse_for_either_input_kind():
+    rng = random.Random(79)
+    mats = seeded_matrices(83, 40)
+    for m in mats:
+        for x in (m, SparseMat.from_mat(m)):
+            _check_sparse(kernel_basis(x), dense_kernel(m))
+            img, cols = image_basis(x)
+            ref_img, ref_cols = dense_image(m)
+            _check_sparse(img, ref_img)
+            assert cols == ref_cols
+            _check_sparse(cokernel(x)[1], dense_cokernel(m)[1])
+        other = mats[rng.randrange(len(mats))]
+        for x, y in _operand_forms(m, other):
+            _check_sparse(kron(x, y), dense_kron(m, other))
+            _check_sparse(block_diag([x, y]), dense_block_diag([m, other]))
+        b = m @ Mat([[_entry(rng, 0.5) for _ in range(2)]
+                     for _ in range(m.cols)], m.cols, 2)
+        for x, y in _operand_forms(m, b):
+            _check_sparse(solve_linear(x, y).solution, dense_solve(m, b)[0])
+            _check_sparse(hstack(m.rows, [x, y, x]),
+                          dense_hstack(m.rows, [m, b, m]))
+        # through a cokernel projection (unit columns) and through a
+        # matrix of full row rank (solved for)
+        for p in (dense_cokernel(m)[1], m):
+            if dense_rank(p) < p.rows:
+                continue
+            n = Mat([[_entry(rng, 0.5) for _ in range(p.rows)]
+                     for _ in range(2)], 2, p.rows)
+            for x, y in _operand_forms(p, n @ p):
+                _check_sparse(factor_through(x, y), n)
+    for k in range(20):
+        s = _invertible(rng, k % 5 + 1)
+        s_inv = dense_solve(s, Mat.identity(s.rows))[0]
+        r = rng.randint(0, s.rows)
+        e = s @ dense_block_diag([Mat.identity(r),
+                                  Mat.zeros(s.rows - r, s.rows - r)]) @ s_inv
+        ref_i = dense_image(e)[0]
+        ref_p = dense_solve(ref_i, e)[0]
+        for x in (s, SparseMat.from_mat(s)):
+            _check_sparse(inverse(x), s_inv)
+        for x in (e, SparseMat.from_mat(e)):
+            i, q = idempotent_image(x)
+            _check_sparse(i, ref_i)
+            _check_sparse(q, ref_p)

@@ -69,17 +69,20 @@ TO_MAT_ALLOWED = {
     ("exactalg.py", "ChainComplex.d"): "dense API read",
     ("exactalg.py", "ChainMap.mat"): "dense API read",
     ("exactalg.py", "ChainMap.mats"): "dense API read",
-    ("diagrams.py", "induced_endo_colim"): "API return",
-    ("diagrams.py", "weighted_colim_endo"): "API return",
 }
 
 
-# diagrams and profcalc keep every value of a diagram, an endomorphism
-# or a profunctor as a SparseMat; each function allowed to build a Mat
-# there (``Mat(...)``, ``Mat.zeros``, ``Mat.identity``, ``Mat.from_cols``),
-# with its reason:
+# The library builds, returns and multiplies SparseMats only; a Mat is
+# the record that files and dense reads exchange.  Each function allowed
+# to build one (``Mat(...)``, ``Mat.zeros``, ``Mat.identity``,
+# ``Mat.from_cols``), with its reason:
 MAT_BUILD_ALLOWED = {
-    ("diagrams.py", "ColimResult.cocone"): "API return",
+    **{("exactalg.py", "Mat." + name): "Mat's own constructors and "
+       "arithmetic, the tests' dense reference"
+       for name in ("zeros", "identity", "from_cols", "__add__", "__sub__",
+                    "__neg__", "smul", "__matmul__", "transpose")},
+    ("exactalg.py", "SparseMat.to_mat"): "dense read",
+    ("serialize.py", "mat_from_json"): "a matrix read from a file",
     ("diagrams.py", "invariant_dims"):
         "dense reference of the coinvariant tests (ROADMAP item 7)",
 }
@@ -131,9 +134,8 @@ def test_to_mat_is_called_only_at_the_api_edges():
     _check_allowed(TO_MAT_ALLOWED, _is_to_mat, SRC)
 
 
-def test_diagrams_and_profcalc_build_mats_only_at_the_api_edges():
-    _check_allowed(MAT_BUILD_ALLOWED, _builds_mat,
-                   [p for p in SRC if p.name in ("diagrams.py", "profcalc.py")])
+def test_mats_are_built_only_at_the_api_edges():
+    _check_allowed(MAT_BUILD_ALLOWED, _builds_mat, SRC)
 
 
 def test_mat_builds_are_found():

@@ -284,7 +284,7 @@ def test_bicat_trace_non_integral_idempotent():
     # endomorphism: a conjugated idempotent with a rational endomorphism
     cat = idem_cat()
     p = Mat([[1, F(1, 2), 0], [0, 1, F(1, 2)], [F(1, 2), 0, 1]])
-    pinv = inverse(p)
+    pinv = inverse(p).to_mat()
     e = p @ Mat([[1, 0, 0], [0, 1, 0], [0, 0, 0]]) @ pinv
     f = p @ Mat([[F(1, 3), 2, 0], [-1, F(5, 2), 0], [0, 0, F(7, 4)]]) @ pinv
     assert any(v.denominator != 1 for row in e.data for v in row)
@@ -312,7 +312,7 @@ def test_bicat_trace_rationally_conjugated_sweep():
                 conj[a] = Mat([[F(rng.randint(1, 3), rng.randint(2, 4))
                                 if i < j else (F(1) if i == j else F(0))
                                 for j in range(d)] for i in range(d)])
-            inv = {a: inverse(conj[a]) for a in cat.objects}
+            inv = {a: inverse(conj[a]).to_mat() for a in cat.objects}
             mats = {g: conj[cat.dst[g]] @ dia.mat(g).to_mat()
                     @ inv[cat.src[g]] for g in cat.arrows}
             x = VectDiagram(cat, {a: dia.dim(a) for a in cat.objects}, mats)
@@ -497,16 +497,15 @@ def test_projection_times_kron_blocks_matches_dense():
     # p @ diag([I (x) m (x) I, ...]) on random matrices and on sparse
     # cokernel projections, as the induced maps on coends are built
     from tracelin.exactalg import SparseMat, block_diag, cokernel, kron
-    from tracelin.profcalc import _diag
     rng = random.Random(5)
     for _ in range(20):
         routes = [(_rand_mat(rng, rng.randint(0, 3), rng.randint(0, 3)),
                    rng.randint(1, 3), rng.randint(1, 3)) for _ in range(3)]
         dense = block_diag([_dense_kron(_dense_kron(Mat.identity(l), m),
                                         Mat.identity(r))
-                            for m, l, r in routes])
-        diag = _diag([kron(kron(SparseMat.identity(l), m),
-                           SparseMat.identity(r)) for m, l, r in routes])
+                            for m, l, r in routes]).to_mat()
+        diag = block_diag([kron(kron(SparseMat.identity(l), m),
+                                SparseMat.identity(r)) for m, l, r in routes])
         rel = _rand_mat(rng, dense.rows, rng.randint(0, dense.rows))
         for p in (SparseMat.from_mat(_rand_mat(rng, rng.randint(1, 4),
                                                 dense.rows)),

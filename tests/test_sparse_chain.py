@@ -74,10 +74,10 @@ def dense_idempotent_image(e):
         raise ValueError("idempotent must be square")
     if not (e @ e == e):
         raise ValueError("matrix is not idempotent")
-    i, _cols = image_basis(e)
+    i = image_basis(e)[0].to_mat()
     res = solve_linear(i, e)
     assert res is not None and res.unique
-    p = res.solution
+    p = res.solution.to_mat()
     assert (p @ i).is_identity()
     return i, p
 
@@ -410,7 +410,7 @@ def seeded_idempotents(seed, count):
         r = rng.randint(0, n)
         d = Mat([[1 if i == j and i < r else 0 for j in range(n)]
                   for i in range(n)])
-        out.append(s @ d @ inverse(s))
+        out.append(s @ d @ inverse(s).to_mat())
     return out
 
 
