@@ -158,7 +158,7 @@ def _hocolim(cat, dia, endo, method):
         res = diagrams.hocolim_hofin(dia)
         induced = res.induce(endo) if endo is not None else None
         return res.complex, induced, method
-    if method in ("group", "groupoid"):
+    if method == "groupoid":
         total, induced, _parts = diagrams.hocolim_groupoid(
             dia, endo if endo is not None else diagrams.identity_endo(dia))
         return total, (induced if endo is not None else None), method

@@ -311,32 +311,6 @@ def leinster_weighting(cat):
                            for i, o in enumerate(objs)})
 
 
-def weighting_from_coeffs(cat, coeff):
-    """Weighting read off the identity classes of a coefficient vector.
-
-    Requires every endomorphism monoid to act freely on the hom-sets into
-    its object: a nonidentity endomorphism may fix no incoming arrow.
-    Refuses otherwise, since the two formulas genuinely differ there.
-    """
-    for b in cat.objects:
-        for beta in cat.endos(b):
-            if cat.is_id(beta):
-                continue
-            for a in cat.objects:
-                for u in cat.hom(a, b):
-                    if cat.then(u, beta) == u:
-                        raise ValueError(
-                            "endomorphism %r fixes an arrow; hom actions are "
-                            "not free" % (beta,))
-    values = {}
-    for a in cat.objects:
-        rep_class = coeff.classes.class_of.get(cat.idarr(a))
-        if rep_class is None:
-            raise ValueError("no class for the identity of %r" % (a,))
-        values[a] = coeff[coeff.classes.reps[rep_class]]
-    return Weighting(cat, values)
-
-
 # ---------------------------------------------------------------------------
 # fixed small tables over their canonical shapes
 

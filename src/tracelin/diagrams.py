@@ -2,16 +2,20 @@
 
 A diagram is a functor out of a composition-table category; natural
 endomorphisms are per-object maps commuting with every arrow.  This
-module computes strict colimits (as cokernels), homotopy colimits (as
-total complexes of a semisimplicial level construction), coinvariants of
-group actions (as images of averaging idempotents), and the reduction of
-a finite EI shape to a strictly homotopy finite one.
+module computes strict and weighted colimits (as cokernels of one
+relation writer, a strict colimit being the constant weight), homotopy
+colimits (as total complexes of a semisimplicial level construction),
+homotopy colimits over groupoids, a group's coinvariants among them (as
+direct sums of images of averaging idempotents), and the reduction of a
+finite EI shape to a strictly homotopy finite one.  Direct sums of
+complexes and the maps induced on them are laid out by ``direct_sum``
+and ``ChainMap.from_blocks`` of ``exactalg``.
 """
 
 from . import fincat
 from .exactalg import (
-    F, Mat, SparseMat, ChainComplex, ChainMap, cokernel, factor_through,
-    identity_chain_map, idempotent_image, kernel_basis, kron,
+    F, SparseMat, ChainComplex, ChainMap, cokernel, direct_sum,
+    factor_through, identity_chain_map, idempotent_image, kron,
 )
 
 
@@ -247,38 +251,19 @@ class ColimResult:
 
 
 def colim_vect(x):
-    """Colimit of a vector-space diagram as an explicit cokernel.
+    """Colimit of a vector-space diagram as an explicit cokernel: the
+    weighted colimit of the constant weight Q (``_weighted_colim``).
 
-    The relation map sends v at source(arrow) to (image at target) minus
-    (v at source), over all nonidentity arrows: the diagram value in the
-    block of the target minus the identity in the block of the source.
-    The returned projection restricted to each object gives the cocone.
+    The relations identify v at source(arrow) with its image at the
+    target.  The returned projection restricted to each object gives the
+    cocone.
     """
-    cat = x.base
-    offsets = {}
-    total = 0
-    for o in cat.objects:
-        offsets[o] = (total, x.dim(o))
-        total += x.dim(o)
-    at_t, at_s = [], []
-    j = 0
-    for a in cat.nonidentity():
-        s, t = cat.src[a], cat.dst[a]
-        at_t.append((offsets[t][0], j, x.mat(a)))
-        at_s.append((offsets[s][0], j, SparseMat.identity(x.dim(s))))
-        j += x.dim(s)
-    rel = (SparseMat.from_blocks(total, j, at_t)
-           + SparseMat.from_blocks(total, j, at_s).smul(-1))
-    dim, proj = cokernel(rel)
-    return ColimResult(dim, proj, offsets)
+    return _weighted_colim(x, lambda o: 1, lambda a: SparseMat.identity(1))
 
 
 def induced_endo_colim(x, f):
     """Matrix induced by a natural endomorphism on the colimit cokernel."""
-    res = colim_vect(x)
-    big = SparseMat.from_blocks(res.proj.cols, res.proj.cols, [
-        (off, off, f.at(o)) for o, (off, _d) in res.offsets.items()])
-    return res, factor_through(res.proj, res.proj @ big)
+    return _induced_on_colim(colim_vect(x), lambda o: 1, f)
 
 
 def weighted_colim_vect(weight, x):
@@ -288,23 +273,36 @@ def weighted_colim_vect(weight, x):
     cokernel of the two-sided action difference on the direct sum of
     pointwise tensor products.  Constant weight recovers colim_vect.
     """
-    cat = x.base
-    wcat = weight.base
-    if not _same_objects_opposite(wcat, cat):
+    if not _same_objects_opposite(weight.base, x.base):
         raise ValueError("weight base must be the opposite category")
+    return _weighted_colim(x, weight.dim, weight.mat)
+
+
+def weighted_colim_endo(weight, x, f):
+    return _induced_on_colim(weighted_colim_vect(weight, x), weight.dim, f)
+
+
+def _weighted_colim(x, wdim, wmat):
+    """The cokernel of the weighted-colimit relations, for the weight
+    with dimension ``wdim(o)`` at each object and matrix ``wmat(a)`` (from
+    the target to the source of a) at each arrow.
+
+    Object o's block is weight(o) (x) x(o).  Each nonidentity arrow
+    a : s -> t adds the columns of its mixed slot weight(t) (x) x(s):
+    the weight action at s minus the diagram action at t.
+    """
+    cat = x.base
     offsets = {}
     total = 0
     for o in cat.objects:
-        offsets[o] = (total, weight.dim(o) * x.dim(o))
-        total += weight.dim(o) * x.dim(o)
+        offsets[o] = (total, wdim(o) * x.dim(o))
+        total += wdim(o) * x.dim(o)
     rel = [{} for _ in range(total)]
     j = 0
     for a in cat.nonidentity():
         s, t = cat.src[a], cat.dst[a]
-        # mixed slot: weight(t) (x) x(s); relation =
-        #   [weight action at s] - [diagram action at t]
-        m1 = kron(weight.mat(a), SparseMat.identity(x.dim(s)))
-        m2 = kron(SparseMat.identity(weight.dim(t)), x.mat(a))
+        m1 = kron(wmat(a), SparseMat.identity(x.dim(s)))
+        m2 = kron(SparseMat.identity(wdim(t)), x.mat(a))
         for m, off, sign in ((m1, offsets[s][0], 1), (m2, offsets[t][0], -1)):
             for i, terms in enumerate(m.terms, off):
                 row = rel[i]
@@ -316,10 +314,10 @@ def weighted_colim_vect(weight, x):
     return ColimResult(dim, proj, offsets)
 
 
-def weighted_colim_endo(weight, x, f):
-    res = weighted_colim_vect(weight, x)
+def _induced_on_colim(res, wdim, f):
+    """(res, the matrix that id (x) f induces on the weighted colimit res)."""
     big = SparseMat.from_blocks(res.proj.cols, res.proj.cols, [
-        (off, off, kron(SparseMat.identity(weight.dim(o)), f.at(o)))
+        (off, off, kron(SparseMat.identity(wdim(o)), f.at(o)))
         for o, (off, _d) in res.offsets.items()])
     return res, factor_through(res.proj, res.proj @ big)
 
@@ -462,9 +460,7 @@ class HocolimResult:
         blocks = {n: [] for n in cx.dims}
         for (s, m), (n, off) in self.index.items():
             blocks[n].append((off, off, f.at(s[0]).sparse_mat(m)))
-        return ChainMap(cx, cx,
-                        {n: SparseMat.from_blocks(cx.dim(n), cx.dim(n), b)
-                         for n, b in blocks.items()}, check=False)
+        return ChainMap.from_blocks(cx, cx, blocks)
 
 
 def _string_faces(cat):
@@ -570,14 +566,13 @@ def hocolim_hofin(x, check=True):
 # ---------------------------------------------------------------------------
 # coinvariants of group actions
 
-def group_action_idempotent(x, obj, group_arrows):
+def group_action_idempotent(x, group_arrows):
     """Averaging idempotent (1/|G|) sum of the action chain maps."""
     total = None
     for g in group_arrows:
         m = x.map(g)
         total = m if total is None else total + m
-    e = total.smul(F(1, len(group_arrows)))
-    return e
+    return total.smul(F(1, len(group_arrows)))
 
 
 def chain_idempotent_image(e):
@@ -601,91 +596,39 @@ def chain_idempotent_image(e):
     return sub, inc, proj
 
 
-def coinvariants_group(x, f):
-    """Coinvariants of a one-object group-shaped chain diagram, with endo.
-
-    Returns (subcomplex, induced endo, inclusion, projection).  The
-    coinvariants are the image of the averaging idempotent; its rank per
-    degree equals the dimension of the invariant subspace.
-    """
-    cat = x.base
-    if len(cat.objects) != 1 or not fincat.is_groupoid(cat):
-        raise ValueError("coinvariants need a one-object groupoid base")
-    obj = cat.objects[0]
-    e = group_action_idempotent(x, obj, list(cat.arrows))
-    sub, inc, proj = chain_idempotent_image(e)
-    induced = proj.compose(f.at(obj)).compose(inc)
-    return sub, induced, inc, proj
-
-
-def invariant_dims(x):
-    """Dimensions of the joint fixed space of a one-object group action."""
-    cat = x.base
-    obj = cat.objects[0]
-    cxo = x.cx(obj)
-    out = {}
-    for n in cxo.dims:
-        rows = []
-        for g in cat.arrows:
-            m = x.map(g).mat(n) - Mat.identity(cxo.dim(n))
-            rows.extend(m.data)
-        big = Mat(rows, len(rows), cxo.dim(n), coerce=False)
-        out[n] = kernel_basis(big).cols
-    return {n: d for n, d in out.items() if d}
+def _coinvariant_sum(x, f, actions):
+    """The direct sum of the coinvariants of each (object, group arrows)
+    of ``actions``, each the image of its averaging idempotent, and the
+    block-diagonal endo that f induces on it, proj o f(object) o inc per
+    piece.  Returns (sum, endo, per-piece offsets, per-piece (subcomplex,
+    inclusion, projection))."""
+    pieces = [chain_idempotent_image(group_action_idempotent(x, arrows))
+              for _o, arrows in actions]
+    total, offs = direct_sum([p[0] for p in pieces])
+    blocks = {n: [] for n in total.dims}
+    for (o, _arrows), (sub, inc, proj), off in zip(actions, pieces, offs):
+        endo = proj.compose(f.at(o)).compose(inc)
+        for n in sub.dims:
+            blocks[n].append((off[n], off[n], endo.sparse_mat(n)))
+    return total, ChainMap.from_blocks(total, total, blocks), offs, pieces
 
 
 def hocolim_groupoid(x, f):
     """Homotopy colimit over a finite groupoid: skeleton-wise coinvariants.
+
+    Over a one-object groupoid (a group) this is the coinvariants of the
+    action, the image of its averaging idempotent, whose rank per degree
+    equals the dimension of the invariant subspace.
 
     Returns (complex, induced endo, list of (object, subcomplex)).
     """
     cat = x.base
     if not fincat.is_groupoid(cat):
         raise ValueError("base is not a groupoid")
-    skel = fincat.skeletalize(cat)
-    pieces = []
-    endos = []
-    tagged = []
-    for a in skel.cat.objects:
-        auts = fincat.aut_group(cat, a)
-        e = group_action_idempotent(x, a, list(auts.elements))
-        sub, inc, proj = chain_idempotent_image(e)
-        pieces.append(sub)
-        endos.append(proj.compose(f.at(a)).compose(inc))
-        tagged.append((a, sub))
-    total, maps = _direct_sum_complex(pieces)
-    induced = _direct_sum_endo(total, maps, pieces, endos)
-    return total, induced, tagged
-
-
-def _direct_sum_complex(pieces):
-    """The direct sum of complexes, with each piece's offset per degree;
-    the differentials are placed as sparse blocks."""
-    dims = {}
-    offs = []
-    for p in pieces:
-        off = {}
-        for n in p.dims:
-            off[n] = dims.get(n, 0)
-            dims[n] = off[n] + p.dim(n)
-        offs.append(off)
-    d = {n: SparseMat.from_blocks(
-            dims[n - 1], dims[n],
-            [(off[n - 1], off[n], p.sparse_diff(n))
-             for p, off in zip(pieces, offs) if n in off and n - 1 in off])
-         for n in dims if n - 1 in dims}
-    return ChainComplex(dims, d, check=False), offs
-
-
-def _direct_sum_endo(total, offs, pieces, endos):
-    """The block-diagonal endomorphism of a direct sum of pieces."""
-    blocks = {n: [] for n in total.dims}
-    for p, off, e in zip(pieces, offs, endos):
-        for n in p.dims:
-            blocks[n].append((off[n], off[n], e.sparse_mat(n)))
-    return ChainMap(total, total,
-                    {n: SparseMat.from_blocks(total.dim(n), total.dim(n), b)
-                     for n, b in blocks.items()}, check=False)
+    objs = fincat.skeletalize(cat).cat.objects
+    total, induced, _offs, pieces = _coinvariant_sum(
+        x, f, [(a, list(fincat.aut_group(cat, a).elements)) for a in objs])
+    return total, induced, [(a, p[0]) for a, p in zip(objs, pieces)]
 
 
 # ---------------------------------------------------------------------------
@@ -767,24 +710,14 @@ def hocolim_EI(x, f, check=True):
     """
     scat, chains, dcat, cls = _ei_chain_data(x.base)
 
-    # per chain: per iso class of strings, its coinvariant piece
-    piece = {}
+    # per chain: the sum of the coinvariant pieces of its string classes,
+    # each string stabilizer acting through first components, and the
+    # endo induced on it
+    complexes, endos, offsets, piece = {}, {}, {}, {}
     for c in chains:
-        pieces = []
-        for k in cls[c].classes:
-            # the string stabilizer acts through first components
-            e = group_action_idempotent(x, c[0],
-                                        [g[0] for g in k["aut"].elements])
-            pieces.append(chain_idempotent_image(e))
-        piece[c] = pieces
-
-    complexes = {}
-    offsets = {}
-    for c in chains:
-        subs = [p[0] for p in piece[c]]
-        total, offs = _direct_sum_complex(subs)
-        complexes[c] = total
-        offsets[c] = offs
+        complexes[c], endos[c], offsets[c], piece[c] = _coinvariant_sum(
+            x, f, [(c[0], [g[0] for g in k["aut"].elements])
+                   for k in cls[c].classes])
 
     maps = {}
     for arr in dcat.arrows:
@@ -793,14 +726,6 @@ def hocolim_EI(x, f, check=True):
         maps[arr] = _ei_face_map(x, scat, cls, piece, offsets, complexes,
                                  c, posn, sub)
     dia = ChainDiagram(dcat, complexes, maps, check=check)
-
-    endos = {}
-    for c in chains:
-        blocks = []
-        for (subcx, inc, proj) in piece[c]:
-            blocks.append(proj.compose(f.at(c[0])).compose(inc))
-        endos[c] = _direct_sum_endo(complexes[c], offsets[c],
-                                    [p[0] for p in piece[c]], blocks)
     nat = NatEndo(dia, endos, check=check)
 
     res = hocolim_hofin(dia, check=check)
@@ -847,9 +772,7 @@ def _ei_face_map(x, scat, cls, piece, offsets, complexes, c, posn, sub):
         for n in ssub.dims:
             if n in dsub.dims:
                 blocks[n].append((doff[n], soff[n], block.sparse_mat(n)))
-    return ChainMap(src_cx, dst_cx,
-                    {n: SparseMat.from_blocks(dst_cx.dim(n), src_cx.dim(n), b)
-                     for n, b in blocks.items()}, check=False)
+    return ChainMap.from_blocks(src_cx, dst_cx, blocks)
 
 
 def _component_inverse(cat, arrow):

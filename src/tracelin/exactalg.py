@@ -12,8 +12,10 @@ all come from one elimination core on sparse integer rows
 library (id (x) m, m (x) id, their block diagonals) is built with it.
 Chain complexes and chain maps keep each matrix as a SparseMat and
 compose, add, compare and check on it; their dense ``Mat`` reads are
-built on each call.  Matrices act on column vectors, so a map V -> W is
-a (dim W x dim V) matrix.
+built on each call.  ``direct_sum`` and ``ChainMap.from_blocks`` are the
+one block layout of chain-level direct sums and the maps between them.
+Matrices act on column vectors, so a map V -> W is a (dim W x dim V)
+matrix.
 """
 
 from bisect import bisect
@@ -686,6 +688,15 @@ class ChainMap:
             if bad:
                 raise ValueError("; ".join(bad))
 
+    @staticmethod
+    def from_blocks(src, dst, blocks):
+        """The unchecked chain map src -> dst whose component in each
+        degree n holds the (row offset, column offset, SparseMat) blocks
+        of ``blocks[n]``; see ``SparseMat.from_blocks``."""
+        return ChainMap(src, dst, {
+            n: SparseMat.from_blocks(dst.dim(n), src.dim(n), b)
+            for n, b in blocks.items()}, check=False)
+
     def mat(self, n):
         return self.sparse_mat(n).to_mat()
 
@@ -762,9 +773,23 @@ def shift(c, k):
     return ChainComplex(dims, d, check=False)
 
 
-def shift_map(f, k):
-    return ChainMap(shift(f.src, k), shift(f.dst, k),
-                    {n + k: m for n, m in f._mats.items()}, check=False)
+def direct_sum(complexes):
+    """(the direct sum of complexes, each one's {degree: offset} in it);
+    the differentials are placed as sparse blocks."""
+    dims = {}
+    offs = []
+    for c in complexes:
+        off = {}
+        for n in c.dims:
+            off[n] = dims.get(n, 0)
+            dims[n] = off[n] + c.dim(n)
+        offs.append(off)
+    d = {n: SparseMat.from_blocks(
+            dims[n - 1], dims[n],
+            [(off[n - 1], off[n], c.sparse_diff(n))
+             for c, off in zip(complexes, offs) if n in off and n - 1 in off])
+         for n in dims if n - 1 in dims}
+    return ChainComplex(dims, d, check=False), offs
 
 
 def cone(f):
@@ -783,25 +808,21 @@ def cone(f):
              (y.dim(n - 1), y.dim(n), x.sparse_diff(n - 1).smul(-1))])
          for n in dims}
     c = ChainComplex(dims, d)
-    inc = ChainMap(y, c, {n: SparseMat.from_blocks(
-        c.dim(n), y.dim(n), [(0, 0, SparseMat.identity(y.dim(n)))])
-        for n in y.dims}, check=False)
+    inc = ChainMap.from_blocks(y, c, {
+        n: [(0, 0, SparseMat.identity(y.dim(n)))] for n in y.dims})
     sx = shift(x, 1)
-    proj = ChainMap(c, sx, {n: SparseMat.from_blocks(
-        x.dim(n - 1), c.dim(n), [(0, y.dim(n), SparseMat.identity(sx.dim(n)))])
-        for n in sx.dims}, check=False)
+    proj = ChainMap.from_blocks(c, sx, {
+        n: [(0, y.dim(n), SparseMat.identity(sx.dim(n)))] for n in sx.dims})
     return c, inc, proj
 
 
 def cone_endo(f, g_src, g_dst):
     """Endomorphism of cone(f) induced by a commuting square (g_src, g_dst)."""
     c, _, _ = cone(f)
-    mats = {}
-    for n in c.dims:
-        m = g_dst.sparse_mat(n)
-        mats[n] = SparseMat.from_blocks(c.dim(n), c.dim(n), [
-            (0, 0, m), (m.rows, m.cols, g_src.sparse_mat(n - 1))])
-    return c, ChainMap(c, c, mats, check=False)
+    y = f.dst
+    return c, ChainMap.from_blocks(c, c, {
+        n: [(0, 0, g_dst.sparse_mat(n)),
+            (y.dim(n), y.dim(n), g_src.sparse_mat(n - 1))] for n in c.dims})
 
 
 def homology_dims(c):

@@ -12,7 +12,8 @@ import random
 from . import coeffs, diagrams, fincat, profcalc
 from .exactalg import (
     F, ZERO, ChainComplex, ChainMap, SparseMat, block_diag, cone_endo,
-    identity_chain_map, inverse, kron, lefschetz, rank, solve_linear, trace,
+    direct_sum, identity_chain_map, inverse, kron, lefschetz, rank,
+    solve_linear, trace,
 )
 
 
@@ -354,50 +355,27 @@ def group_chain_diagram(seed, gname, max_pieces=2):
     g = GROUPS[gname]
     cat = fincat.bg_category(g, name="B" + gname)
     reps = reps_for(gname)
+    # each piece a sphere, or a disk with the identity differential, of
+    # a drawn representation in a drawn degree
     pieces = []
     for _ in range(rng.randint(1, max_pieces)):
         rep = reps[rng.randrange(len(reps))]
         deg = rng.randint(0, 2)
-        disk = rng.random() < 0.4
-        pieces.append((rep, deg, disk))
-    dims = {}
-    for (rep, deg, disk) in pieces:
         d0 = rep[g.identity].rows
-        dims[deg] = dims.get(deg, 0) + d0
-        if disk:
-            dims[deg - 1] = dims.get(deg - 1, 0) + d0
-    dmats = {}
-    degs = sorted(dims)
-    offsets = []
-    run = {n: 0 for n in dims}
-    for (rep, deg, disk) in pieces:
-        d0 = rep[g.identity].rows
-        off = {deg: run[deg]}
-        run[deg] += d0
-        if disk:
-            off[deg - 1] = run[deg - 1]
-            run[deg - 1] += d0
-        offsets.append(off)
-    # each disk's identity differential, and each piece's representation
-    # in its degree and, for a disk, one below, as blocks at its offsets
-    dd = {}
-    for (rep, deg, disk), off in zip(pieces, offsets):
-        if disk:
-            d0 = rep[g.identity].rows
-            dd.setdefault(deg, []).append(
-                (off[deg - 1], off[deg], SparseMat.identity(d0)))
-    cx = ChainComplex(dims, {
-        deg: SparseMat.from_blocks(dims[deg - 1], dims[deg], blocks)
-        for deg, blocks in dd.items()})
+        if rng.random() < 0.4:
+            piece = ChainComplex({deg: d0, deg - 1: d0},
+                                 {deg: SparseMat.identity(d0)})
+        else:
+            piece = ChainComplex({deg: d0}, {})
+        pieces.append((rep, piece))
+    cx, offsets = direct_sum([p for _rep, p in pieces])
     maps = {}
     for x in g.elements:
-        blocks = {n: [] for n in dims}
-        for (rep, deg, disk), off in zip(pieces, offsets):
-            for n in ((deg, deg - 1) if disk else (deg,)):
+        blocks = {n: [] for n in cx.dims}
+        for (rep, piece), off in zip(pieces, offsets):
+            for n in piece.dims:
                 blocks[n].append((off[n], off[n], rep[x]))
-        maps[("g", x)] = ChainMap(
-            cx, cx, {n: SparseMat.from_blocks(dims[n], dims[n], b)
-                     for n, b in blocks.items()}, check=False)
+        maps[("g", x)] = ChainMap.from_blocks(cx, cx, blocks)
     dia = diagrams.ChainDiagram(cat, {"x": cx}, maps)
     return dia, random_endo(rng, dia)
 
@@ -568,7 +546,7 @@ def verify_linearity_group(seed, case_no, gname):
     cat = dia.base
     g = GROUPS[gname]
     phi = coeffs.coeff_group(g, cat)
-    _sub, induced, _i, _p = diagrams.coinvariants_group(dia, endo)
+    _total, induced, _parts = diagrams.hocolim_groupoid(dia, endo)
     lhs = lefschetz(induced)
     rhs = linearity_rhs(phi, dia, endo)
     return _case("linearity:group:%s:%d:%d" % (gname, seed, case_no), lhs, rhs,

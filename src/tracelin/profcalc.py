@@ -474,11 +474,13 @@ def _triangle_one(w, b, a):
     return total
 
 
-def _triangle_two(w, a, b):
+def _triangle_two(w, a, b, pre=None):
     """y(a,b) -> y(a,b) through coevaluation then evaluation.
 
     With the evaluation row of u reshaped to R (y(a,b) x x(bp,a)), the map
     (ev_u (x) id)(id (x) eta) is the transpose of R E, here a SparseMat.
+    With ``pre``, a matrix per object bp of B, each coevaluation block E
+    is replaced by pre[bp] E.
     """
     y = w.y
     eta, eps = w.eta_blocks, w.eps
@@ -487,6 +489,8 @@ def _triangle_two(w, a, b):
     total = SparseMat.zeros(dy, dy)
     for bp in B.objects:
         e = eta[(a, bp)]
+        if pre is not None:
+            e = pre[bp] @ e
         if not any(e.terms):
             continue
         ev = eps[(a, bp, b)]
@@ -668,7 +672,8 @@ def dual_via_retract(w, r, s):
         if not (r[a] @ s[a]).is_identity():
             raise ValueError("r o s is not the identity at %r" % (a,))
     e = {a: s[a] @ r[a] for a in A.objects}
-    ehat = _mate_of_weight_endo(w, e)
+    # the mate of e on the dual, componentwise
+    ehat = {a: _triangle_two(w, "*", a, pre=e) for a in A.objects}
     for a in A.objects:
         if not (ehat[a] @ ehat[a] == ehat[a]):
             raise AssertionError("mate of the retract idempotent is not idempotent")
@@ -699,26 +704,6 @@ def dual_via_retract(w, r, s):
         for a in A.objects:
             eps[("*", ap, a)] = w.eps[("*", ap, a)] @ kron(splits[a][0], s[ap])
     return DualityWitness(z, zd, eta, eps)
-
-
-def _mate_of_weight_endo(w, e):
-    """Mate of an endomorphism of a weight on its dual, componentwise:
-    ``_triangle_two`` with each coevaluation block E replaced by e E."""
-    x, y = w.x, w.y
-    A = x.tgt
-    eta = w.eta_blocks
-    out = {}
-    for a in A.objects:
-        dy = y.dim("*", a)
-        total = SparseMat.zeros(dy, dy)
-        for ap in A.objects:
-            ee = e[ap] @ eta[("*", ap)]
-            ev = w.eps[("*", ap, a)]
-            for k, u in enumerate(A.hom(ap, a)):
-                mid = (_row_block(ev.terms[k], dy, ee.rows) @ ee).transpose()
-                total = total + y.sact("*", u) @ mid
-        out[a] = total
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 from tracelin import coeffs, diagrams, fincat, harness
 from tracelin.exactalg import (
-    Mat, block_diag, idempotent_image, lefschetz, shift_map, trace,
+    ChainMap, Mat, block_diag, idempotent_image, lefschetz, shift, trace,
 )
 
 SEED = 2026
@@ -66,7 +66,7 @@ def test_acceptance_4_orbit_counting():
             # the same identity summed over group elements instead of
             # conjugacy classes
             dia, endo = harness.group_chain_diagram((SEED, i), gname)
-            _sub, ind, _i, _p = diagrams.coinvariants_group(dia, endo)
+            _total, ind, _parts = diagrams.hocolim_groupoid(dia, endo)
             total = sum((lefschetz(endo.at("x").compose(dia.map(("g", x))))
                          for x in g.elements), F(0))
             out.append(harness._case(
@@ -131,8 +131,9 @@ def test_acceptance_8_small_fixed_facts():
             acc = t if acc is None else acc + t
         if acc is None:
             continue
-        out.append(harness._case("suspension:%d" % i,
-                                 lefschetz(shift_map(acc, 1)),
+        suspended = ChainMap(shift(cx, 1), shift(cx, 1),
+                             {n + 1: acc.sparse_mat(n) for n in cx.dims})
+        out.append(harness._case("suspension:%d" % i, lefschetz(suspended),
                                  -lefschetz(acc)))
     # multiplicativity of traces under tensor product
     for i in range(50):

@@ -8,7 +8,6 @@ from tracelin.coeffs import (
     coeff_cofiber, coeff_coproduct, coeff_group, coeff_groupoid,
     coeff_hofin, coeff_idempotent, coeff_initial, coeff_pushout,
     leinster_weighting, realiz_coeff_check, stabilizer_orbit_identity,
-    weighting_from_coeffs,
 )
 from tracelin.exactalg import ChainComplex, Mat, identity_chain_map, lefschetz
 from tracelin.fincat import (
@@ -185,22 +184,6 @@ def test_leinster_no_weighting_certificate():
                   for i, a in enumerate(stub.objects))
         assert col == 0
     assert sum(res.certificate) != 0
-
-
-def test_weighting_from_coeffs_on_posets_and_groups():
-    cat = harness.span_category()
-    w = weighting_from_coeffs(cat, coeff_hofin(cat))
-    assert w.violations() == []
-    g = cyclic_group(3)
-    bg = bg_category(g)
-    w = weighting_from_coeffs(bg, coeff_group(g, bg))
-    assert w["x"] == F(1, 3)
-
-
-def test_weighting_from_coeffs_refuses_nonfree_action():
-    cat = harness.idempotent_category()
-    with pytest.raises(ValueError):
-        weighting_from_coeffs(cat, coeff_idempotent(cat))
 
 
 def test_fixed_tables():

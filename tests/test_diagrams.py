@@ -7,10 +7,10 @@ import pytest
 
 from tracelin import diagrams, exactalg, fincat, harness
 from tracelin.diagrams import (
-    ChainDiagram, FinSetDiagram, NatEndo, VectDiagram, chain_map_space,
-    coinvariants_group, colim_fin_set, colim_vect, hocolim_EI,
-    hocolim_groupoid, hocolim_hofin, identity_endo, induced_endo_colim,
-    induced_endo_fin_set, invariant_dims, linearize, nat_endo_basis,
+    ChainDiagram, FinSetDiagram, NatEndo, VectDiagram, chain_idempotent_image,
+    chain_map_space, colim_fin_set, colim_vect, group_action_idempotent,
+    hocolim_EI, hocolim_groupoid, hocolim_hofin, identity_endo,
+    induced_endo_colim, induced_endo_fin_set, linearize, nat_endo_basis,
     vect_to_chain, weighted_colim_vect, weighted_colim_endo,
 )
 from tracelin.exactalg import (
@@ -153,6 +153,12 @@ def test_colim_projection_is_sparse_and_matches_dense_relations():
         assert type(res.proj) is SparseMat
         assert res.dim == dim and res.proj == proj
         assert type(induced_endo_colim(x, identity_endo(x))[1]) is SparseMat
+        # the colimit is the weighted colimit of the constant weight
+        const = VectDiagram(opposite(x.base), {o: 1 for o in x.base.objects},
+                            {a: Mat.identity(1) for a in x.base.arrows})
+        wres = weighted_colim_vect(const, x)
+        assert (wres.dim, wres.proj, wres.offsets) \
+            == (res.dim, res.proj, res.offsets)
     w = VectDiagram(opposite(span()), {"a": 1, "b": 1, "c": 1},
                     {a: Mat.identity(1) for a in span().arrows})
     assert type(weighted_colim_vect(w, xs[0]).proj) is SparseMat
@@ -842,6 +848,20 @@ def test_hocolim_over_a_table_that_is_not_a_category(monkeypatch, fg):
 # ---------------------------------------------------------------------------
 # coinvariants and groupoid homotopy colimits
 
+def invariant_dims(x):
+    """Dimensions of the joint fixed space of a one-object group action,
+    from the dense kernel of the stacked (g - 1) over all g."""
+    cat = x.base
+    cxo = x.cx(cat.objects[0])
+    out = {}
+    for n in cxo.dims:
+        rows = []
+        for g in cat.arrows:
+            rows.extend((x.map(g).mat(n) - Mat.identity(cxo.dim(n))).data)
+        out[n] = kernel_basis(Mat(rows, len(rows), cxo.dim(n))).cols
+    return {n: d for n, d in out.items() if d}
+
+
 def test_coinvariants_trivial_action():
     cat = bg_category(cyclic_group(2))
     cx = ChainComplex({0: 2}, {})
@@ -849,8 +869,8 @@ def test_coinvariants_trivial_action():
                        {("g", 0): identity_chain_map(cx),
                         ("g", 1): identity_chain_map(cx)})
     f = NatEndo(dia, {"x": ChainMap(cx, cx, {0: Mat([[1, 2], [0, 3]])})})
-    sub, ind, inc, proj = coinvariants_group(dia, f)
-    assert sub.dims == cx.dims
+    total, ind, _parts = hocolim_groupoid(dia, f)
+    assert total.dims == cx.dims
     assert lefschetz(ind) == lefschetz(f.at("x"))
 
 
@@ -861,8 +881,12 @@ def test_coinvariants_regular_action():
                        {("g", 0): identity_chain_map(cx),
                         ("g", 1): ChainMap(cx, cx, {0: Mat([[0, 1], [1, 0]])})})
     f = NatEndo(dia, {"x": identity_chain_map(cx)})
-    sub, ind, inc, proj = coinvariants_group(dia, f)
-    assert sub.dims == {0: 1}
+    total, ind, parts = hocolim_groupoid(dia, f)
+    assert total.dims == {0: 1} and lefschetz(ind) == 1
+    # the one piece is the split of the averaging idempotent
+    e = group_action_idempotent(dia, list(cat.arrows))
+    sub, inc, proj = chain_idempotent_image(e)
+    assert parts == [("x", sub)] and total == sub
     # split identities and agreement with the invariant subspace
     for n in sub.dims:
         assert (proj.mat(n) @ inc.mat(n)).is_identity()
@@ -873,7 +897,7 @@ def test_coinvariants_averaged_trace_formula():
     for gname in ["C2", "C3", "C4", "S3"]:
         for seed in range(3):
             dia, endo = harness.group_chain_diagram(seed, gname)
-            _sub, ind, _i, _p = coinvariants_group(dia, endo)
+            _total, ind, _parts = hocolim_groupoid(dia, endo)
             g = harness.GROUPS[gname]
             total = F(0)
             for x in g.elements:
@@ -920,7 +944,7 @@ def test_hocolim_ei_agrees_with_hofin_pipeline():
 def test_hocolim_ei_agrees_with_coinvariants():
     for gname in ["C2", "C3", "S3"]:
         dia, endo = harness.group_chain_diagram(7, gname)
-        _sub, ind, _i, _p = coinvariants_group(dia, endo)
+        _total, ind, _parts = hocolim_groupoid(dia, endo)
         _res, ind2 = hocolim_EI(dia, endo)
         assert lefschetz(ind) == lefschetz(ind2)
 

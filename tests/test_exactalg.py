@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from tracelin.exactalg import (
     ChainComplex, ChainMap, Mat, SparseMat, block_diag, cokernel, cone,
-    cone_endo, factor_through, hstack, homology_dims, homology_endo_traces,
-    idempotent_image, identity_chain_map, image_basis, inverse, kernel_basis,
-    kron, lefschetz, lefschetz_via_homology, rank, shift, shift_map,
-    solve_linear, trace,
+    cone_endo, direct_sum, factor_through, hstack, homology_dims,
+    homology_endo_traces, idempotent_image, identity_chain_map, image_basis,
+    inverse, kernel_basis, kron, lefschetz, lefschetz_via_homology, rank,
+    shift, solve_linear, trace,
 )
 
 
@@ -196,7 +196,9 @@ def test_lefschetz_of_identity_is_graded_dimension():
 def test_shift_flips_lefschetz():
     c = sample_complex()
     f = identity_chain_map(c)
-    assert lefschetz(shift_map(f, 1)) == -lefschetz(f)
+    shifted = ChainMap(shift(c, 1), shift(c, 1),
+                       {n + 1: f.sparse_mat(n) for n in c.dims})
+    assert lefschetz(shifted) == -lefschetz(f)
     assert shift(shift(c, 1), -1) == c
 
 
@@ -295,6 +297,55 @@ def test_cone_additivity_of_lefschetz():
     for g in chain_endos(rng, c, 10):
         cc, ce = cone_endo(identity_chain_map(c), g, g)
         assert lefschetz(ce) == 0
+
+
+def dense_from_blocks(src, dst, blocks):
+    """ChainMap.from_blocks's components, written entry by entry."""
+    out = {}
+    for n, bs in blocks.items():
+        rows = [[F(0)] * src.dim(n) for _ in range(dst.dim(n))]
+        for r0, c0, b in bs:
+            m = b.to_mat()
+            for i in range(m.rows):
+                for j in range(m.cols):
+                    rows[r0 + i][c0 + j] = m.data[i][j]
+        out[n] = Mat(rows, dst.dim(n), src.dim(n))
+    return out
+
+
+def test_direct_sum_and_block_chain_maps_match_dense_reference():
+    """Sums of seeded spheres and disks, a block matrix of random chain
+    maps between the pieces on the sum, and the projection onto each
+    piece: the same matrices as the dense references, and chain maps."""
+    from test_sparse_chain import dense_direct_sum_complex
+    from tracelin import harness
+    rng = random.Random(41)
+    for _ in range(25):
+        pieces = [harness.random_complex(rng)
+                  for _ in range(rng.randint(0, 3))]
+        total, offs = direct_sum(pieces)
+        ref, ref_offs = dense_direct_sum_complex(pieces)
+        assert offs == ref_offs
+        assert total.dims == ref.dims and total.d == ref.d
+        assert not total.violations()
+        blocks = {}
+        for p, poff in zip(pieces, offs):
+            for q, qoff in zip(pieces, offs):
+                if rng.random() < 0.5:
+                    continue
+                f = harness.random_chain_map(rng, p, q)
+                for n in set(p.dims) & set(q.dims):
+                    blocks.setdefault(n, []).append(
+                        (qoff[n], poff[n], f.sparse_mat(n)))
+        g = ChainMap.from_blocks(total, total, blocks)
+        assert g.mats == _nonempty(dense_from_blocks(total, total, blocks))
+        assert not g.violations()
+        for p, poff in zip(pieces, offs):
+            proj = {n: [(0, poff[n], SparseMat.identity(p.dim(n)))]
+                    for n in p.dims}
+            g = ChainMap.from_blocks(total, p, proj)
+            assert g.mats == _nonempty(dense_from_blocks(total, p, proj))
+            assert not g.violations()
 
 
 def test_hopf_trace_identity():

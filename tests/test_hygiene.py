@@ -83,8 +83,6 @@ MAT_BUILD_ALLOWED = {
                     "__neg__", "smul", "__matmul__", "transpose")},
     ("exactalg.py", "SparseMat.to_mat"): "dense read",
     ("serialize.py", "mat_from_json"): "a matrix read from a file",
-    ("diagrams.py", "invariant_dims"):
-        "dense reference of the coinvariant tests (ROADMAP item 7)",
 }
 
 

@@ -1,9 +1,10 @@
 """The sparse chain layer against the dense bodies it replaced.
 
 The ``dense_*`` functions below are the earlier implementations of
-``idempotent_image``, ``chain_idempotent_image``, the direct sums, the
-EI face maps, ``HocolimResult.induce`` and the ``ChainMap`` operations,
-on dense Fraction rows.  The sparse pipelines must give the same
+``idempotent_image``, ``chain_idempotent_image``, the direct sums (now
+``exactalg.direct_sum`` and ``ChainMap.from_blocks``), the EI face maps,
+``HocolimResult.induce`` and the ``ChainMap`` operations, on dense
+Fraction rows.  The sparse pipelines must give the same
 complexes, indices, induced maps, Lefschetz numbers and error messages.
 """
 
@@ -15,8 +16,9 @@ import pytest
 from test_diagrams import dense_hocolim_hofin, disk_sphere_diagram, hocolim_case
 from tracelin import diagrams, exactalg, fincat, harness
 from tracelin.diagrams import (
-    ChainDiagram, NatEndo, chain_map_space, coinvariants_group, hocolim_EI,
-    hocolim_groupoid, hocolim_hofin, nat_endo_basis,
+    ChainDiagram, NatEndo, chain_idempotent_image, chain_map_space,
+    group_action_idempotent, hocolim_EI, hocolim_groupoid, hocolim_hofin,
+    nat_endo_basis,
 )
 from tracelin.exactalg import (
     ZERO, ChainComplex, ChainMap, Mat, SparseMat, idempotent_image,
@@ -382,15 +384,18 @@ def test_groupoid_matches_dense_reference(name):
 def test_coinvariants_match_dense_reference(gname):
     for seed in range(3):
         dia, endo = harness.group_chain_diagram(seed, gname)
-        sub, induced, inc, proj = coinvariants_group(dia, endo)
+        total, induced, _parts = hocolim_groupoid(dia, endo)
         e = dense_average([dia.map(g) for g in dia.base.arrows])
         rsub, rinc, rproj = dense_chain_idempotent_image(e)
-        assert_same_complex(sub, rsub)
-        assert all(inc.mat(n) == rinc.mat(n) and proj.mat(n) == rproj.mat(n)
-                   for n in sub.dims)
+        assert_same_complex(total, rsub)
         assert_same_map(induced, dense_compose(dense_compose(rproj,
                                                              endo.at("x")),
                                                rinc))
+        sub, inc, proj = chain_idempotent_image(
+            group_action_idempotent(dia, list(dia.base.arrows)))
+        assert_same_complex(sub, rsub)
+        assert all(inc.mat(n) == rinc.mat(n) and proj.mat(n) == rproj.mat(n)
+                   for n in sub.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +475,6 @@ def test_non_idempotent_average_is_reported_as_before():
     with pytest.raises(ValueError) as ref:
         dense_hocolim_groupoid(dia, endo)
     for run in (lambda: hocolim_groupoid(dia, endo),
-                lambda: coinvariants_group(dia, endo),
                 lambda: hocolim_EI(dia, endo, check=False)):
         with pytest.raises(ValueError) as ours:
             run()
