@@ -156,22 +156,20 @@ def _hocolim(cat, dia, endo, method):
     method = _pick_pipeline(cat, method)
     if method == "hofin":
         res = diagrams.hocolim_hofin(dia)
-        induced = res.induce(endo) if endo is not None else None
-        return res.complex, induced, method
+        return res.complex, res.induce(endo), method
     if method == "groupoid":
-        total, induced, _parts = diagrams.hocolim_groupoid(
-            dia, endo if endo is not None else diagrams.identity_endo(dia))
-        return total, (induced if endo is not None else None), method
+        total, induced, _parts = diagrams.hocolim_groupoid(dia, endo)
+        return total, induced, method
     if method == "ei":
-        res, induced = diagrams.hocolim_EI(
-            dia, endo if endo is not None else diagrams.identity_endo(dia))
-        return res.complex, (induced if endo is not None else None), method
+        total, induced = diagrams.hocolim_EI(dia, endo)
+        return total, induced, method
     raise ValueError("unknown method %r" % (method,))
 
 
 def cmd_hocolim(args):
-    cat, dia, endo = _category_and_diagram(args)
-    total, _induced, method = _hocolim(cat, dia, endo, args.method)
+    cat, dia, _endo = _category_and_diagram(args)
+    total, _induced, method = _hocolim(cat, dia, diagrams.identity_endo(dia),
+                                       args.method)
     payload = {"method": method, "complex": serialize.complex_to_json(total)}
     emit(args, payload,
          ["method: %s" % method,

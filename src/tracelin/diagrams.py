@@ -4,10 +4,12 @@ A diagram is a functor out of a composition-table category; natural
 endomorphisms are per-object maps commuting with every arrow.  This
 module computes strict and weighted colimits (as cokernels of one
 relation writer, a strict colimit being the constant weight), homotopy
-colimits (as total complexes of a semisimplicial level construction),
-homotopy colimits over groupoids, a group's coinvariants among them (as
-direct sums of images of averaging idempotents), and the reduction of a
-finite EI shape to a strictly homotopy finite one.  Direct sums of
+colimits over groupoids, a group's coinvariants among them (as direct
+sums of images of averaging idempotents), and homotopy colimits over
+strictly homotopy finite and finite EI shapes, both as total complexes
+of one semisimplicial level-construction writer: its cells are the
+strings of nonidentity arrows, or the chains of an EI skeleton's poset
+holding their string stabilizers' coinvariants.  Direct sums of
 complexes and the maps induced on them are laid out by ``direct_sum``
 and ``ChainMap.from_blocks`` of ``exactalg``.
 """
@@ -447,20 +449,88 @@ class HocolimResult:
     a string is (start object, tuple of nonidentity arrows).
     """
 
-    def __init__(self, complex_, index, strings, diagram):
+    def __init__(self, complex_, index, strings):
         self.complex = complex_
         self.index = index
         self.strings = strings
-        self.diagram = diagram
 
     def induce(self, f):
         """Block-diagonal chain endomorphism induced by a natural endo,
         one sparse block per (string, internal degree)."""
-        cx = self.complex
-        blocks = {n: [] for n in cx.dims}
-        for (s, m), (n, off) in self.index.items():
-            blocks[n].append((off, off, f.at(s[0]).sparse_mat(m)))
-        return ChainMap.from_blocks(cx, cx, blocks)
+        return _block_diagonal(self.complex, self.index, lambda s: f.at(s[0]))
+
+
+def _block_diagonal(cx, index, at):
+    """The chain endo of cx holding ``at(key)``'s degree-m block at the
+    offset of each (key, m) -> (total degree, offset) of ``index``."""
+    blocks = {n: [] for n in cx.dims}
+    for (key, m), (n, off) in index.items():
+        blocks[n].append((off, off, at(key).sparse_mat(m)))
+    return ChainMap.from_blocks(cx, cx, blocks)
+
+
+def _realize(cells, faces, cx, face_map, check):
+    """Total complex of a semisimplicial level construction.
+
+    A cell is (key, level k): the complex ``cx(key)``, each internal
+    degree m placed in total degree k + m at the next free offset.  Per
+    cell, ``faces`` lists (target cell position, sign, face key or None):
+    the signed block of the chain map ``face_map(face key)``, or for None
+    the signed identity, written as a diagonal.  The total differential
+    adds the internal one with sign (-1)^k; signed blocks are kept per
+    (key, degree, sign), so a block shared by several cells is signed
+    once.  With ``check`` the complex tests d o d = 0.  Returns (complex,
+    per cell {internal degree: (total degree, offset)}).
+    """
+    dims = {}
+    place = []
+    for key, k in cells:
+        at = {}
+        for m, dm in cx(key).dims.items():
+            off = dims.get(k + m, 0)
+            at[m] = (k + m, off)
+            dims[k + m] = off + dm
+        place.append(at)
+    # d[n] as sparse rows; a block lands in d[n] only when its target
+    # sits in degree n - 1, so dims[n - 1] > 0
+    diff = {n: [{} for _ in range(dims[n - 1])] for n in dims if n - 1 in dims}
+    blocks = {}    # (tag, key or face key, degree, sign) -> signed rows
+
+    def add_block(rows, roff, coff, key, read):
+        terms = blocks.get(key)
+        if terms is None:
+            sign = key[3]
+            terms = blocks[key] = [{j: v if sign > 0 else -v
+                                    for j, v in t.items() if v}
+                                   for t in read(key[2]).terms]
+        for row, t in zip(rows[roff:roff + len(terms)], terms):
+            for j, v in t.items():
+                row[j + coff] = v
+
+    for (key, k), at, fs in zip(cells, place, faces):
+        value = cx(key)
+        for m, (n, off) in at.items():
+            rows = diff.get(n)
+            # internal differential with sign (-1)^k
+            if m - 1 in at:
+                add_block(rows, at[m - 1][1], off,
+                          ("d", key, m, -1 if k % 2 else 1), value.sparse_diff)
+            for t, sign, face in fs:
+                tgt = place[t].get(m)
+                if tgt is None:
+                    continue
+                if face is not None:
+                    add_block(rows, tgt[1], off, ("f", face, m, sign),
+                              face_map(face).sparse_mat)
+                    continue
+                for i, row in enumerate(rows[tgt[1]:tgt[1] + value.dims[m]],
+                                        off):
+                    row[i] = sign
+
+    total = ChainComplex(
+        dims, {n: SparseMat(rows, dims[n - 1], dims[n])
+               for n, rows in diff.items()}, check=check)
+    return total, place
 
 
 def _string_faces(cat):
@@ -504,63 +574,14 @@ def hocolim_hofin(x, check=True):
     alternates face maps (apply the first arrow / compose adjacent
     arrows / drop the last), and the total differential adds the internal
     one with sign (-1)^k.  The strings and faces come from the base
-    (``_string_faces``); each summand's rows are written at its offset,
-    the identity faces as diagonals; with ``check`` the complex tests
-    d o d = 0 on those rows.
+    (``_string_faces``) and ``_realize`` writes the total complex; with
+    ``check`` the complex tests d o d = 0.
     """
     strings, faces = _string_faces(x.base)
-    index = {}
-    dims = {}
-    place = []      # per string: {internal degree: (total degree, offset)}
-    for s in strings:
-        at = {}
-        for m, dm in x.cx(s[0]).dims.items():
-            n = len(s[1]) + m
-            off = dims.get(n, 0)
-            at[m] = index[(s, m)] = (n, off)
-            dims[n] = off + dm
-        place.append(at)
-    dims = {n: d for n, d in dims.items() if d}
-    # d[n] as sparse rows; a block lands in d[n] only when its target
-    # summand sits in degree n - 1, so dims[n - 1] > 0
-    diff = {n: [{} for _ in range(dims[n - 1])] for n in dims if n - 1 in dims}
-    blocks = {}    # (tag, object or arrow, degree, sign) -> signed rows
-
-    def add_block(rows, roff, coff, key, read):
-        terms = blocks.get(key)
-        if terms is None:
-            sign = key[3]
-            terms = blocks[key] = [{j: v if sign > 0 else -v
-                                    for j, v in t.items() if v}
-                                   for t in read(key[2]).terms]
-        for row, t in zip(rows[roff:roff + len(terms)], terms):
-            for j, v in t.items():
-                row[j + coff] = v
-
-    for (start, arrs), at, fs in zip(strings, place, faces):
-        cx0 = x.cx(start)
-        for m, (n, off) in at.items():
-            rows, dm = diff.get(n), cx0.dims[m]
-            # internal differential with sign (-1)^k
-            if m - 1 in at:
-                add_block(rows, at[m - 1][1], off,
-                          ("d", start, m, -1 if len(arrs) % 2 else 1),
-                          cx0.sparse_diff)
-            for t, sign, arr in fs:
-                tgt = place[t].get(m)
-                if tgt is None:
-                    continue
-                if arr is not None:
-                    add_block(rows, tgt[1], off, ("f", arr, m, sign),
-                              x.map(arr).sparse_mat)
-                    continue
-                for i, row in enumerate(rows[tgt[1]:tgt[1] + dm], off):
-                    row[i] = sign
-
-    total = ChainComplex(
-        dims, {n: SparseMat(rows, dims[n - 1], dims[n])
-               for n, rows in diff.items()}, check=check)
-    return HocolimResult(total, index, list(strings), x)
+    total, place = _realize([(s[0], len(s[1])) for s in strings], faces,
+                            x.cx, x.map, check)
+    index = {(s, m): v for s, at in zip(strings, place) for m, v in at.items()}
+    return HocolimResult(total, index, list(strings))
 
 
 # ---------------------------------------------------------------------------
@@ -596,21 +617,30 @@ def chain_idempotent_image(e):
     return sub, inc, proj
 
 
-def _coinvariant_sum(x, f, actions):
+def _coinvariant_sum(x, f, actions, split):
     """The direct sum of the coinvariants of each (object, group arrows)
     of ``actions``, each the image of its averaging idempotent, and the
     block-diagonal endo that f induces on it, proj o f(object) o inc per
-    piece.  Returns (sum, endo, per-piece offsets, per-piece (subcomplex,
-    inclusion, projection))."""
-    pieces = [chain_idempotent_image(group_action_idempotent(x, arrows))
-              for _o, arrows in actions]
-    total, offs = direct_sum([p[0] for p in pieces])
+    piece.  ``split`` keeps each (object, set of group arrows) split, with
+    its endo, across calls; the set suffices, since a list of group arrows
+    is a group's image with every arrow listed equally often, so its
+    average depends only on the set.  Returns (sum, endo, per-piece
+    offsets, per-piece (subcomplex, inclusion, projection))."""
+    done = []
+    for o, arrows in actions:
+        key = (o, frozenset(arrows))
+        if key not in split:
+            sub, inc, proj = chain_idempotent_image(
+                group_action_idempotent(x, arrows))
+            split[key] = (sub, inc, proj), proj.compose(f.at(o)).compose(inc)
+        done.append(split[key])
+    total, offs = direct_sum([piece[0] for piece, _endo in done])
     blocks = {n: [] for n in total.dims}
-    for (o, _arrows), (sub, inc, proj), off in zip(actions, pieces, offs):
-        endo = proj.compose(f.at(o)).compose(inc)
+    for ((sub, _inc, _proj), endo), off in zip(done, offs):
         for n in sub.dims:
             blocks[n].append((off[n], off[n], endo.sparse_mat(n)))
-    return total, ChainMap.from_blocks(total, total, blocks), offs, pieces
+    return (total, ChainMap.from_blocks(total, total, blocks), offs,
+            [piece for piece, _endo in done])
 
 
 def hocolim_groupoid(x, f):
@@ -627,7 +657,8 @@ def hocolim_groupoid(x, f):
         raise ValueError("base is not a groupoid")
     objs = fincat.skeletalize(cat).cat.objects
     total, induced, _offs, pieces = _coinvariant_sum(
-        x, f, [(a, list(fincat.aut_group(cat, a).elements)) for a in objs])
+        x, f, [(a, list(fincat.aut_group(cat, a).elements)) for a in objs],
+        {})
     return total, induced, [(a, p[0]) for a, p in zip(objs, pieces)]
 
 
@@ -651,45 +682,21 @@ def _chains_of_poset(pos):
     return chains
 
 
-def _chains_category(chains):
-    """Category of chains and subchain selections (longer -> shorter).
-
-    An arrow c -> c' is a strictly monotone position tuple with
-    c[positions] == c'; composing selects positions of positions.  This
-    category is strictly homotopy finite.
-    """
-    from itertools import combinations
-    objs = list(chains)
-    arrows = []
-    for c in objs:
-        n = len(c)
-        for m in range(1, n + 1):
-            for pos in combinations(range(n), m):
-                sub = tuple(c[i] for i in pos)
-                arrows.append(((c, pos), c, sub))
-    identities = {c: (c, tuple(range(len(c)))) for c in objs}
-    compose = {}
-    by_src = {}
-    for (a, s, t) in arrows:
-        by_src.setdefault(s, []).append((a, t))
-    for (a, s, t) in arrows:
-        (_, pos1) = a
-        for (b, t2) in by_src.get(t, []):
-            (_, pos2) = b
-            compose[(a, b)] = (s, tuple(pos1[i] for i in pos2))
-    return fincat.FinCat(objs, arrows, identities, compose, name="chains")
-
-
 def _ei_chain_data(cat):
-    """(skeleton, its chains, their chain category, each chain's string
-    classes) of a finite EI category, computed once and kept on it; a base
-    that is not EI raises a ValueError and stores nothing."""
+    """(skeleton, the chains of its poset, per chain its codim-1 faces,
+    each chain's string classes) of a finite EI category, computed once
+    and kept on it.  Face i of a chain deletes its position i and has
+    sign (-1)^i; it is listed as (target chain position, sign, (chain,
+    i)).  A base that is not EI raises a ValueError and stores nothing."""
     if cat._ei_chains is None:
         if not fincat.is_EI(cat):
             raise ValueError("base category is not EI")
         scat = fincat.skeletalize(cat).cat
         chains = _chains_of_poset(fincat.poset_reflection(scat)[0])
-        cat._ei_chains = (scat, chains, _chains_category(chains),
+        where = {c: p for p, c in enumerate(chains)}
+        faces = [[(where[c[:i] + c[i + 1:]], (-1) ** i, (c, i))
+                  for i in range(len(c)) if len(c) > 1] for c in chains]
+        cat._ei_chains = (scat, chains, faces,
                           {c: fincat.string_iso_classes(scat, c)
                            for c in chains})
     return cat._ei_chains
@@ -698,88 +705,70 @@ def _ei_chain_data(cat):
 def hocolim_EI(x, f, check=True):
     """Homotopy colimit over a finite EI category, with induced endo.
 
-    Pipeline: restrict to a skeleton; form the poset of objects; for each
-    strictly increasing chain take, per iso class of arrow strings over
-    it, the coinvariants of the first object's value under the string
-    stabilizer acting through first components; transport the subchain
-    face maps along chosen orbit representatives; run the strictly
-    homotopy finite construction over the chain category.  The category
-    data is kept on the base by ``_ei_chain_data``.
+    Restrict to a skeleton and form the poset of its objects.  Each
+    strictly increasing chain c sits at level len(c) - 1 and contributes,
+    per iso class of arrow strings over it, the coinvariants of the first
+    object's value under the string stabilizer acting through first
+    components (each distinct (object, stabilizer) is split once).  The
+    faces delete one position of the chain, with the face maps of
+    ``_ei_face_map``, and ``_realize`` writes the total complex.  The
+    category data is kept on the base by ``_ei_chain_data``.  The induced
+    endo is the block diagonal of the per-chain endos; with ``check`` it
+    is checked to be a chain map, and the complex to have d o d = 0.
 
-    Returns (HocolimResult over the chain category, induced endo).
+    Returns (complex, induced endo).
     """
-    scat, chains, dcat, cls = _ei_chain_data(x.base)
-
-    # per chain: the sum of the coinvariant pieces of its string classes,
-    # each string stabilizer acting through first components, and the
-    # endo induced on it
-    complexes, endos, offsets, piece = {}, {}, {}, {}
-    for c in chains:
-        complexes[c], endos[c], offsets[c], piece[c] = _coinvariant_sum(
-            x, f, [(c[0], [g[0] for g in k["aut"].elements])
-                   for k in cls[c].classes])
-
-    maps = {}
-    for arr in dcat.arrows:
-        (c, posn) = arr
-        sub = tuple(c[i] for i in posn)
-        maps[arr] = _ei_face_map(x, scat, cls, piece, offsets, complexes,
-                                 c, posn, sub)
-    dia = ChainDiagram(dcat, complexes, maps, check=check)
-    nat = NatEndo(dia, endos, check=check)
-
-    res = hocolim_hofin(dia, check=check)
-    return res, res.induce(nat)
+    scat, chains, faces, cls = _ei_chain_data(x.base)
+    split = {}
+    sums = {c: _coinvariant_sum(
+        x, f, [(c[0], [g[0] for g in k["aut"].elements])
+               for k in cls[c].classes], split) for c in chains}
+    maps = {face: _ei_face_map(x, scat, cls, sums, *face)
+            for fs in faces for _t, _sign, face in fs}
+    total, place = _realize([(c, len(c) - 1) for c in chains], faces,
+                            lambda c: sums[c][0], maps.__getitem__, check)
+    induced = _block_diagonal(
+        total, {(c, m): v for c, at in zip(chains, place)
+                for m, v in at.items()}, lambda c: sums[c][1])
+    bad = induced.violations() if check else []
+    if bad:
+        raise ValueError("; ".join(bad))
+    return total, induced
 
 
-def _ei_face_map(x, scat, cls, piece, offsets, complexes, c, posn, sub):
-    """Chain map between coinvariant sums along a subchain selection.
+def _ei_face_map(x, scat, cls, sums, c, i):
+    """Chain map between the coinvariant sums of chain c and of its face
+    deleting position i.
 
-    For each class representative over c, compose its arrows between the
-    selected positions, locate the resulting string's class over the
-    subchain, and conjugate onto that class representative; the block map
-    is projection o (value of the connecting arrow) o inclusion.
+    Each class representative over c gives a string over the face, as in
+    ``_string_faces``: face 0 drops the first arrow, which then connects
+    c[0] to the face's first object; an inner face composes the arrows
+    into and out of c[i]; the last face drops the last arrow.  That
+    string's class over the face is located and conjugated onto its
+    representative; the block map is projection o (value of the
+    connecting arrow) o inclusion.
     """
-    src_cx = complexes[c]
-    dst_cx = complexes[sub]
+    sub = c[:i] + c[i + 1:]
+    src_cx, _e, src_offs, src_pieces = sums[c]
+    dst_cx, _e, dst_offs, dst_pieces = sums[sub]
     blocks = {n: [] for n in set(src_cx.dims) | set(dst_cx.dims)}
-    src_cls = cls[c]
-    dst_cls = cls[sub]
-    for ci, k in enumerate(src_cls.classes):
+    for ci, k in enumerate(cls[c].classes):
         rep = k["rep"]
-        # push the representative string along the selection
-        pushed = []
-        for i in range(1, len(posn)):
-            seg = rep[posn[i - 1]:posn[i]]
-            pushed.append(scat.then_seq(list(seg)))
-        pushed = tuple(pushed)
-        # connecting arrow from c[0] to sub[0]
-        if posn[0] == 0:
-            connect = scat.idarr(c[0])
-        else:
-            connect = scat.then_seq(list(rep[:posn[0]]))
-        di, g = dst_cls.locate(pushed)
-        # g moves the destination representative onto the pushed string;
+        mid = (scat.then(rep[i - 1], rep[i]),) if 0 < i < len(rep) else ()
+        pushed = rep[1:] if i == 0 else rep[:i - 1] + mid + rep[i + 1:]
+        connect = rep[0] if i == 0 else scat.idarr(c[0])
+        di, g = cls[sub].locate(pushed)
+        # g moves the face's representative onto the pushed string;
         # conjugate back with its inverse, acting through first components
-        aut0 = g[0]
-        ginv0 = _component_inverse(scat, aut0)
-        total_arrow = scat.then(connect, ginv0)
-        (dsub, dinc, dproj) = piece[sub][di]
-        (ssub, sinc, sproj) = piece[c][ci]
-        block = dproj.compose(x.map(total_arrow)).compose(sinc)
-        soff = offsets[c][ci]
-        doff = offsets[sub][di]
+        arrow = scat.then(connect, scat.inv(g[0]))
+        dsub, _inc, dproj = dst_pieces[di]
+        ssub, sinc, _proj = src_pieces[ci]
+        block = dproj.compose(x.map(arrow)).compose(sinc)
         for n in ssub.dims:
             if n in dsub.dims:
-                blocks[n].append((doff[n], soff[n], block.sparse_mat(n)))
+                blocks[n].append((dst_offs[di][n], src_offs[ci][n],
+                                  block.sparse_mat(n)))
     return ChainMap.from_blocks(src_cx, dst_cx, blocks)
-
-
-def _component_inverse(cat, arrow):
-    inv = cat.inv(arrow)
-    if inv is None:
-        raise ValueError("arrow %r is not invertible" % (arrow,))
-    return inv
 
 
 # ---------------------------------------------------------------------------

@@ -338,10 +338,8 @@ def gen_chain_diagram(seed, cat, max_dim=3, lo=0, hi=2):
     for arr in cat.arrows:
         if cat.is_id(arr):
             continue
-        (_, start, path) = arr
         acc = None
-        pos = start
-        for e in path:
+        for e in arr[2]:
             step = edge_maps[e]
             acc = step if acc is None else step.compose(acc)
         maps[arr] = acc
@@ -765,7 +763,6 @@ def suite_burnside(seed=0, cases=50):
 def _random_gset(rng, g, subs):
     pieces = rng.randint(1, 3)
     zset = []
-    cosets_of = []
     for p in range(pieces):
         h = subs[rng.randrange(len(subs))]
         helems = set(h.elements)
@@ -776,7 +773,6 @@ def _random_gset(rng, g, subs):
                 seen.append(c)
         for c in seen:
             zset.append((p, c))
-        cosets_of.append(seen)
 
     def action(x, z):
         (p, c) = z
@@ -862,7 +858,6 @@ def suite_realiz(seed=0, cases=20):
         n_comp = len(set(comp.values()))
         n_classes = len(fincat.conjugacy_classes(cat))
         out.append(_case("pi0-pairs:%s" % name, n_comp, n_classes))
-    i = 0
     for gname in ["C2", "C3", "C4", "S3"]:
         g = GROUPS[gname]
         subs = _subgroups(gname)
@@ -876,7 +871,6 @@ def suite_realiz(seed=0, cases=20):
             subset = [x for c in chosen for x in c]
             lhs, rhs = coeffs.stabilizer_orbit_identity(g, zset, action, subset)
             out.append(_case("stab-orbit:%s:%d" % (gname, k), lhs, rhs))
-            i += 1
     return SuiteReport("realiz", seed, out)
 
 

@@ -937,16 +937,41 @@ def test_hocolim_ei_agrees_with_hofin_pipeline():
         dia, endo = harness.gen_chain_diagram(seed, cat)
         res = hocolim_hofin(dia)
         lhs = lefschetz(res.induce(endo))
-        _res2, ind2 = hocolim_EI(dia, endo)
+        _total, ind2 = hocolim_EI(dia, endo)
         assert lhs == lefschetz(ind2)
+
+
+def _hofin_bases():
+    """(name, diagram, endo) over seeded DAGs and the corpus posets."""
+    for seed in range(20):
+        cat = harness.gen_hofin_category(seed)
+        yield ("dag%d" % seed,) + harness.gen_chain_diagram(seed, cat)
+    corp = harness.corpus()
+    for name in ["two", "pushout", "delta2op", "par3"]:
+        rng = harness.seeded_rng("ei-hofin", name)
+        yield (name,) + harness._ei_chain_case(rng, corp[name]["cat"])
+
+
+def test_hocolim_ei_has_the_hofin_dims_on_hofin_bases():
+    """Over a strictly homotopy finite base every string stabilizer is
+    trivial, so the EI complex has one summand per string of nonidentity
+    arrows, as the hofin complex has: equal dims in every degree, equal
+    homology and equal Lefschetz numbers."""
+    for name, dia, endo in _hofin_bases():
+        res = hocolim_hofin(dia)
+        total, induced = hocolim_EI(dia, endo)
+        assert total.dims == res.complex.dims, name
+        assert homology_dims(total) == homology_dims(res.complex), name
+        assert lefschetz(induced) == lefschetz(res.induce(endo)), name
 
 
 def test_hocolim_ei_agrees_with_coinvariants():
     for gname in ["C2", "C3", "S3"]:
         dia, endo = harness.group_chain_diagram(7, gname)
-        _total, ind, _parts = hocolim_groupoid(dia, endo)
-        _res, ind2 = hocolim_EI(dia, endo)
+        total, ind, _parts = hocolim_groupoid(dia, endo)
+        total2, ind2 = hocolim_EI(dia, endo)
         assert lefschetz(ind) == lefschetz(ind2)
+        assert homology_dims(total) == homology_dims(total2)
 
 
 def test_hocolim_ei_on_skeletalizable_groupoid():
@@ -959,7 +984,7 @@ def test_hocolim_ei_on_skeletalizable_groupoid():
         maps[a] = ChainMap(cx, cx, {0: Mat.identity(2) if x == 0 else swap})
     dia = ChainDiagram(cat, {o: cx for o in cat.objects}, maps)
     f = NatEndo(dia, {o: identity_chain_map(cx) for o in cat.objects})
-    _res, ind = hocolim_EI(dia, f)
+    _total, ind = hocolim_EI(dia, f)
     _total, ind2, _parts = hocolim_groupoid(dia, f)
     assert lefschetz(ind) == lefschetz(ind2) == 1
 

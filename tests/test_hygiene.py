@@ -230,3 +230,23 @@ def test_stored_private_attributes_are_found():
            "self._own = 1\nx = cat._read\ncat.public = 2\nd[cat._key] = 3\n")
     assert sorted(_stored_private_attributes(ast.parse(src))) == [
         (1, "_memo"), (2, "_memo"), (3, "_memo"), (4, "_pair"), (5, "_gone")]
+
+
+def _builds_fincat(func):
+    return (isinstance(func, ast.Attribute) and func.attr == "FinCat"
+            or isinstance(func, ast.Name) and func.id == "FinCat")
+
+
+def test_diagrams_builds_no_category():
+    # the pipelines realize over the base's own strings and chains; a
+    # subdivided category built on the way would be a second level
+    # construction
+    path = SRC[0].parent / "diagrams.py"
+    assert list(_calls(ast.parse(path.read_text()), _builds_fincat)) == []
+
+
+def test_fincat_builds_are_found():
+    src = ("def f():\n    return fincat.FinCat([], [], {}, {})\n"
+           "g = FinCat\nx = FinCat([], [], {}, {})\n")
+    assert sorted(_calls(ast.parse(src), _builds_fincat),
+                  key=lambda c: c[0]) == [(2, "f"), (4, None)]
