@@ -164,6 +164,13 @@ def coeff_EI(cat):
     aut_classes = {a: fincat.group_conj_classes(auts[a]) for a in skel.objects}
     above = {a: [b for b in skel.objects if b != a and skel.hom(a, b)]
              for a in skel.objects}
+    # arrows both ways between two objects of an EI category make them
+    # isomorphic; the walk below would then cycle between them forever
+    for a in skel.objects:
+        for b in above[a]:
+            if a in above[b]:
+                raise ValueError("skeleton is not skeletal: %r and %r are "
+                                 "isomorphic" % (a, b))
     terms = {}      # (a_0, stabilizer) -> [(target class, class size)]
     nums = {}       # (target class, stabilizer order) -> signed size sum
 

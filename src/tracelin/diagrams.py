@@ -684,10 +684,11 @@ def _chains_of_poset(pos):
 
 def _ei_chain_data(cat):
     """(skeleton, the chains of its poset, per chain its codim-1 faces,
-    each chain's string classes) of a finite EI category, computed once
-    and kept on it.  Face i of a chain deletes its position i and has
-    sign (-1)^i; it is listed as (target chain position, sign, (chain,
-    i)).  A base that is not EI raises a ValueError and stores nothing."""
+    each chain's string classes, the inverse of every automorphism of a
+    skeleton object) of a finite EI category, computed once and kept on
+    it.  Face i of a chain deletes its position i and has sign (-1)^i; it
+    is listed as (target chain position, sign, (chain, i)).  A base that
+    is not EI raises a ValueError and stores nothing."""
     if cat._ei_chains is None:
         if not fincat.is_EI(cat):
             raise ValueError("base category is not EI")
@@ -696,9 +697,12 @@ def _ei_chain_data(cat):
         where = {c: p for p, c in enumerate(chains)}
         faces = [[(where[c[:i] + c[i + 1:]], (-1) ** i, (c, i))
                   for i in range(len(c)) if len(c) > 1] for c in chains]
+        inv = {}
+        for o in scat.objects:
+            inv.update(fincat.aut_group(scat, o).inv_table)
         cat._ei_chains = (scat, chains, faces,
                           {c: fincat.string_iso_classes(scat, c)
-                           for c in chains})
+                           for c in chains}, inv)
     return cat._ei_chains
 
 
@@ -718,12 +722,12 @@ def hocolim_EI(x, f, check=True):
 
     Returns (complex, induced endo).
     """
-    scat, chains, faces, cls = _ei_chain_data(x.base)
+    scat, chains, faces, cls, inv = _ei_chain_data(x.base)
     split = {}
     sums = {c: _coinvariant_sum(
         x, f, [(c[0], [g[0] for g in k["aut"].elements])
                for k in cls[c].classes], split) for c in chains}
-    maps = {face: _ei_face_map(x, scat, cls, sums, *face)
+    maps = {face: _ei_face_map(x, scat, cls, inv, sums, *face)
             for fs in faces for _t, _sign, face in fs}
     total, place = _realize([(c, len(c) - 1) for c in chains], faces,
                             lambda c: sums[c][0], maps.__getitem__, check)
@@ -736,7 +740,7 @@ def hocolim_EI(x, f, check=True):
     return total, induced
 
 
-def _ei_face_map(x, scat, cls, sums, c, i):
+def _ei_face_map(x, scat, cls, inv, sums, c, i):
     """Chain map between the coinvariant sums of chain c and of its face
     deleting position i.
 
@@ -760,7 +764,7 @@ def _ei_face_map(x, scat, cls, sums, c, i):
         di, g = cls[sub].locate(pushed)
         # g moves the face's representative onto the pushed string;
         # conjugate back with its inverse, acting through first components
-        arrow = scat.then(connect, scat.inv(g[0]))
+        arrow = scat.then(connect, inv[g[0]])
         dsub, _inc, dproj = dst_pieces[di]
         ssub, sinc, _proj = src_pieces[ci]
         block = dproj.compose(x.map(arrow)).compose(sinc)

@@ -6,6 +6,7 @@ randomness flows from an explicit seed through ``random.Random``, so a
 report is reproducible byte for byte from its seed.
 """
 
+import functools
 import hashlib
 import random
 
@@ -95,7 +96,11 @@ def _subgroups(gname):
 
 
 def corpus():
-    """Named categories tagged with the coefficient methods that apply."""
+    """Named categories tagged with the coefficient methods that apply.
+
+    Each call builds fresh categories, so caches kept on one call's
+    categories never reach another's.  A suite calls it once per run and
+    hands its categories to the cases."""
     out = {}
 
     def add(cat, methods):
@@ -347,11 +352,12 @@ def gen_chain_diagram(seed, cat, max_dim=3, lo=0, hi=2):
     return dia, random_endo(rng, dia)
 
 
-def group_chain_diagram(seed, gname, max_pieces=2):
-    """Seeded chain diagram over the one-object groupoid of a named group."""
+def group_chain_diagram(seed, cat, max_pieces=2):
+    """Seeded chain diagram over ``cat``, the one-object groupoid B<name>
+    of a group in GROUPS, named as in the corpus."""
+    gname = cat.name[1:]
     rng = seeded_rng("grp", seed, gname)
     g = GROUPS[gname]
-    cat = fincat.bg_category(g, name="B" + gname)
     reps = reps_for(gname)
     # each piece a sphere, or a disk with the identity differential, of
     # a drawn representation in a drawn degree
@@ -539,23 +545,21 @@ def verify_linearity_hofin(seed, case_no, max_objects=5, max_edges=8):
                  note=cat.name, witness=lambda: _witness_payload(dia, endo))
 
 
-def verify_linearity_group(seed, case_no, gname):
-    dia, endo = group_chain_diagram((seed, case_no), gname)
-    cat = dia.base
-    g = GROUPS[gname]
-    phi = coeffs.coeff_group(g, cat)
+def verify_linearity_group(seed, case_no, cat, phi):
+    """One group case over ``cat`` (as in ``group_chain_diagram``) with
+    its coefficient vector ``phi``."""
+    dia, endo = group_chain_diagram((seed, case_no), cat)
     _total, induced, _parts = diagrams.hocolim_groupoid(dia, endo)
     lhs = lefschetz(induced)
     rhs = linearity_rhs(phi, dia, endo)
-    return _case("linearity:group:%s:%d:%d" % (gname, seed, case_no), lhs, rhs,
-                 witness=lambda: _witness_payload(dia, endo))
+    return _case("linearity:group:%s:%d:%d" % (cat.name[1:], seed, case_no),
+                 lhs, rhs, witness=lambda: _witness_payload(dia, endo))
 
 
-def groupoid_chain_diagram(seed, name):
+def groupoid_chain_diagram(seed, cat):
     """Seeded chain diagram over a corpus groupoid, from representations."""
+    name = cat.name
     rng = seeded_rng("gpd", seed, name)
-    corp = corpus()
-    cat = corp[name]["cat"]
     if name == "gpd_conn_C2":
         g = GROUPS["C2"]
         reps = reps_for("C2")
@@ -591,25 +595,26 @@ def groupoid_chain_diagram(seed, name):
     return dia, random_endo(rng, dia)
 
 
-def verify_linearity_groupoid(seed, case_no, name):
-    dia, endo = groupoid_chain_diagram((seed, case_no), name)
-    phi = coeffs.coeff_groupoid(dia.base)
+def verify_linearity_groupoid(seed, case_no, cat, phi):
+    """One groupoid case over the corpus groupoid ``cat`` with its
+    coefficient vector ``phi``."""
+    dia, endo = groupoid_chain_diagram((seed, case_no), cat)
     _total, induced, _parts = diagrams.hocolim_groupoid(dia, endo)
     lhs = lefschetz(induced)
     rhs = linearity_rhs(phi, dia, endo)
-    return _case("linearity:groupoid:%s:%d:%d" % (name, seed, case_no),
+    return _case("linearity:groupoid:%s:%d:%d" % (cat.name, seed, case_no),
                  lhs, rhs, witness=lambda: _witness_payload(dia, endo))
 
 
-def verify_linearity_ei(seed, case_no, name):
-    corp = corpus()
-    cat = corp[name]["cat"]
-    rng = seeded_rng("ei", seed, name, case_no)
+def verify_linearity_ei(seed, case_no, cat, phi):
+    """One EI case over the corpus category ``cat`` with its coefficient
+    vector ``phi``."""
+    rng = seeded_rng("ei", seed, cat.name, case_no)
     dia, endo = _ei_chain_case(rng, cat)
     _res, induced = diagrams.hocolim_EI(dia, endo)
     lhs = lefschetz(induced)
-    rhs = linearity_rhs(coeffs.coeff_EI(cat), dia, endo)
-    return _case("ei:linearity:%s:%d" % (name, case_no), lhs, rhs,
+    rhs = linearity_rhs(phi, dia, endo)
+    return _case("ei:linearity:%s:%d" % (cat.name, case_no), lhs, rhs,
                  witness=lambda: _witness_payload(dia, endo))
 
 
@@ -670,6 +675,7 @@ def verify_multiplicativity(seed, case_no):
 
 def suite_linearity(seed=0, cases=100):
     """Strictly homotopy finite linearity, cone additivity, fixed values."""
+    corp = corpus()
     out = []
     span = span_category()
     phi = coeffs.coeff_hofin(span)
@@ -685,8 +691,10 @@ def suite_linearity(seed=0, cases=100):
     for i in range(n_hofin):
         out.append(verify_linearity_hofin(seed, i))
     for name in ["gpd_conn_C2", "gpd_C2_C3"]:
+        cat = corp[name]["cat"]
+        phi = coeffs.coeff_groupoid(cat)
         for i in range(max(cases // 16, 2)):
-            out.append(verify_linearity_groupoid(seed, i, name))
+            out.append(verify_linearity_groupoid(seed, i, cat, phi))
     for i in range(max(cases // 4, 2)):
         out.append(verify_pushout_vs_cone(seed, i))
     for i in range(cases):
@@ -741,8 +749,10 @@ def suite_burnside(seed=0, cases=50):
     i = 0
     per = max(cases // 8, 3)
     for gname in ["C2", "C3", "C4", "S3"]:
+        cat = fincat.bg_category(GROUPS[gname], name="B" + gname)
+        phi = coeffs.coeff_group(GROUPS[gname], cat)
         for k in range(per):
-            out.append(verify_linearity_group(seed, i, gname))
+            out.append(verify_linearity_group(seed, i, cat, phi))
             i += 1
     for gname in ["C2", "C3", "C4", "S3"]:
         g = GROUPS[gname]
@@ -792,29 +802,28 @@ def _orbit_count(g, zset, action):
 def suite_ei(seed=0):
     """Coefficient agreement and linearity over the curated EI corpus."""
     corp = corpus()
+    # coeff_EI once per shape, shared by that shape's cases
+    ei = functools.cache(lambda name: coeffs.coeff_EI(corp[name]["cat"]))
     out = []
     ei_names = ["hom_C2_C2_id", "hom_C2_C2_triv", "hom_C3_C3_id",
                 "orbit_C4", "orbit_S3", "gpd_conn_C2", "BC4", "BS3"]
     for name in ei_names:
-        cat = corp[name]["cat"]
-        a = coeffs.coeff_EI(cat)
-        b = coeffs.coeff_EI_desouza(cat)
+        a = ei(name)
+        b = coeffs.coeff_EI_desouza(corp[name]["cat"])
         out.append(_case("ei:desouza:%s" % name,
                          tuple((str(k), str(v)) for k, v in a.items()),
                          tuple((str(k), str(v)) for k, v in b.items())))
     # collapse to the group formula on one-object groupoids
     for gname in ["C2", "C3", "C4", "S3"]:
-        cat = corp["B" + gname]["cat"]
-        a = coeffs.coeff_EI(cat)
-        b = coeffs.coeff_group(GROUPS[gname], cat)
+        a = ei("B" + gname)
+        b = coeffs.coeff_group(GROUPS[gname], corp["B" + gname]["cat"])
         out.append(_case("ei:collapse-group:%s" % gname,
                          tuple((str(k), str(v)) for k, v in a.items()),
                          tuple((str(k), str(v)) for k, v in b.items())))
     # collapse to the string-count formula on posets
     for name in ["two", "pushout", "delta2op"]:
-        cat = corp[name]["cat"]
-        a = coeffs.coeff_EI(cat)
-        b = coeffs.coeff_hofin(cat)
+        a = ei(name)
+        b = coeffs.coeff_hofin(corp[name]["cat"])
         out.append(_case("ei:collapse-hofin:%s" % name,
                          tuple((str(k), str(v)) for k, v in a.items()),
                          tuple((str(k), str(v)) for k, v in b.items())))
@@ -825,7 +834,7 @@ def suite_ei(seed=0):
                             ("BC3", 3), ("BS3", 2), ("pushout", 3)]:
         cat = corp[name]["cat"]
         for k in range(n_cases):
-            out.append(verify_linearity_ei(seed, k, name))
+            out.append(verify_linearity_ei(seed, k, cat, ei(name)))
         # cross-pipeline agreement on groupoids
         if fincat.is_groupoid(cat):
             rng = seeded_rng("eig", seed, name)
@@ -929,14 +938,12 @@ LEINSTER_CORPUS = ["one", "two", "pushout", "discrete2", "discrete3",
                    "delta1op", "delta2op", "BC2", "BC3", "BS3", "idem"]
 
 
-def verify_leinster(seed, case_no, name=None):
-    """One weighting case: the hom-count pairing against the cardinality
-    of the colimit of a seeded coproduct of representables."""
-    corp = corpus()
+def verify_leinster(seed, case_no, cat, weighting):
+    """One weighting case over the corpus category ``cat`` with its
+    ``weighting``: the hom-count pairing against the cardinality of the
+    colimit of a seeded coproduct of representables."""
     rng = seeded_rng("lein", seed, case_no)
-    name = name or LEINSTER_CORPUS[case_no % len(LEINSTER_CORPUS)]
-    cat = corp[name]["cat"]
-    weighting = coeffs.leinster_weighting(cat)
+    name = cat.name
     if isinstance(weighting, coeffs.NoWeighting):
         return _case("leinster:%s:%d" % (name, case_no), "no-weighting",
                      "weighting-expected")
@@ -956,9 +963,14 @@ def suite_leinster(seed=0, cases=20):
     """Weighting formula on coproducts of representables, plus the
     idempotent-shape comparison of the two formulas."""
     corp = corpus()
+    # the weighting once per shape, shared by that shape's cases
+    weighting = functools.cache(
+        lambda name: coeffs.leinster_weighting(corp[name]["cat"]))
     out = []
     for k in range(cases):
-        out.append(verify_leinster(seed, k))
+        name = LEINSTER_CORPUS[k % len(LEINSTER_CORPUS)]
+        out.append(verify_leinster(seed, k, corp[name]["cat"],
+                                   weighting(name)))
     # the idempotent shape: both formulas give the number of summands
     E = corp["idem"]["cat"]
     for n in range(1, 5):
@@ -966,8 +978,7 @@ def suite_leinster(seed=0, cases=20):
         dia = coproduct_set_diagrams(E, parts)
         lin = diagrams.linearize(dia)
         tr_idem = trace(lin.mat("e"))
-        w = coeffs.leinster_weighting(E)
-        weighted = w["x"] * len(dia.sets["x"])
+        weighted = weighting("idem")["x"] * len(dia.sets["x"])
         out.append(_case("leinster:idem-trace:%d" % n, tr_idem, F(n)))
         out.append(_case("leinster:idem-weighting:%d" % n, weighted, F(n)))
     return SuiteReport("leinster", seed, out)

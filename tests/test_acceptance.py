@@ -59,13 +59,16 @@ def test_acceptance_3_cofiber_additivity():
 
 def test_acceptance_4_orbit_counting():
     out = []
+    corp = harness.corpus()
     for gname in ["C2", "C3", "C4", "S3"]:
         g = harness.GROUPS[gname]
+        cat = corp["B" + gname]["cat"]
+        phi = coeffs.coeff_group(g, cat)
         for i in range(5):
-            out.append(harness.verify_linearity_group(SEED, i, gname))
+            out.append(harness.verify_linearity_group(SEED, i, cat, phi))
             # the same identity summed over group elements instead of
             # conjugacy classes
-            dia, endo = harness.group_chain_diagram((SEED, i), gname)
+            dia, endo = harness.group_chain_diagram((SEED, i), cat)
             _total, ind, _parts = diagrams.hocolim_groupoid(dia, endo)
             total = sum((lefschetz(endo.at("x").compose(dia.map(("g", x))))
                          for x in g.elements), F(0))

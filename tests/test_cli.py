@@ -1,5 +1,9 @@
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -636,3 +640,42 @@ def test_library_runs_no_mat_arithmetic(tmp_path, capsys, monkeypatch):
         guarded = [run_cli(capsys, *argv) for argv in runs]
     assert guarded == [run_cli(capsys, *argv) for argv in runs]
     assert all(code == 0 for code, _out, _err in guarded)
+
+
+def test_repeated_calls_reuse_one_parser_and_match_fresh_processes(
+        capsys, monkeypatch):
+    """In-process calls build the argument parser at most once, and a
+    usage error or a help request leaves nothing behind: each call prints
+    the bytes and returns the exit code of its own fresh interpreter."""
+    runs = [["nosuch"], ["--help"],
+            ["--format", "json", "coeffs", "--method", "ei", "orbit_C4"],
+            ["coeffs", "one"], ["verify", "--help"], ["classes", "pushout"]]
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "tracelin":
+            built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    here = []
+    for argv in runs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        here.append((code, out.out, out.err))
+    assert len(built) <= 1
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), COLUMNS="80")
+    fresh = []
+    for argv in runs:
+        proc = subprocess.run([sys.executable, "-m", "tracelin.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert here == fresh
+    assert [code for code, _out, _err in here] == [2, 0, 0, 2, 0, 0]

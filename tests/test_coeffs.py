@@ -1,3 +1,4 @@
+import signal
 from fractions import Fraction as F
 
 import pytest
@@ -96,6 +97,30 @@ def test_coeff_ei_equals_desouza_on_corpus():
         if not fincat.is_EI(cat):
             continue
         assert coeff_EI(cat) == coeff_EI_desouza(cat), name
+
+
+class _TimedOut(Exception):
+    pass
+
+
+def test_coeff_ei_rejects_a_skeleton_that_is_not_skeletal(monkeypatch):
+    # a skeletalize that keeps both isomorphic objects of gpd_conn_C2
+    # used to send coeff_EI's walk up the poset round a cycle forever
+    cat = harness.corpus()["gpd_conn_C2"]["cat"]
+    monkeypatch.setattr(fincat, "skeletalize", lambda c: fincat.SkelResult(
+        c, {o: o for o in c.objects}, {o: c.idarr(o) for o in c.objects}))
+
+    def timed_out(signum, frame):
+        raise _TimedOut("coeff_EI still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with pytest.raises(ValueError, match="not skeletal"):
+            coeff_EI(cat)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_coeff_ei_hom_category_against_hocolim_oracle():

@@ -894,9 +894,11 @@ def test_coinvariants_regular_action():
 
 
 def test_coinvariants_averaged_trace_formula():
+    corp = harness.corpus()
     for gname in ["C2", "C3", "C4", "S3"]:
         for seed in range(3):
-            dia, endo = harness.group_chain_diagram(seed, gname)
+            dia, endo = harness.group_chain_diagram(
+                seed, corp["B" + gname]["cat"])
             _total, ind, _parts = hocolim_groupoid(dia, endo)
             g = harness.GROUPS[gname]
             total = F(0)
@@ -966,8 +968,9 @@ def test_hocolim_ei_has_the_hofin_dims_on_hofin_bases():
 
 
 def test_hocolim_ei_agrees_with_coinvariants():
+    corp = harness.corpus()
     for gname in ["C2", "C3", "S3"]:
-        dia, endo = harness.group_chain_diagram(7, gname)
+        dia, endo = harness.group_chain_diagram(7, corp["B" + gname]["cat"])
         total, ind, _parts = hocolim_groupoid(dia, endo)
         total2, ind2 = hocolim_EI(dia, endo)
         assert lefschetz(ind) == lefschetz(ind2)

@@ -3,7 +3,9 @@ import json
 
 import random
 
-from tracelin import diagrams, fincat, harness
+import pytest
+
+from tracelin import coeffs, diagrams, fincat, harness
 from tracelin.exactalg import (
     ChainComplex, ChainMap, Mat, identity_chain_map, lefschetz,
 )
@@ -66,8 +68,9 @@ def test_gen_chain_identity_endo_gives_euler_characteristic():
 
 
 def test_group_chain_diagram_valid():
+    corp = harness.corpus()
     for gname in ["C2", "C3", "C4", "S3"]:
-        dia, endo = harness.group_chain_diagram(1, gname)
+        dia, endo = harness.group_chain_diagram(1, corp["B" + gname]["cat"])
         assert dia.violations() == []
         assert diagrams.NatEndo(dia, endo.components).violations() == []
 
@@ -205,12 +208,24 @@ def test_case_results_serialize():
                for c in payload["cases"])
 
 
+def _corpus_case_args(name, coeff):
+    """A corpus category and its coefficient vector, as a suite passes
+    them to its cases."""
+    cat = harness.corpus()[name]["cat"]
+    return cat, coeff(cat)
+
+
 def test_verify_linearity_covers_all_pipelines():
     assert harness.verify_linearity_hofin(1, 0).equal
-    assert harness.verify_linearity_group(1, 0, "C3").equal
-    assert harness.verify_linearity_groupoid(1, 0, "gpd_conn_C2").equal
-    assert harness.verify_linearity_groupoid(1, 0, "gpd_C2_C3").equal
-    assert harness.verify_linearity_ei(1, 0, "orbit_C4").equal
+    assert harness.verify_linearity_group(
+        1, 0, *_corpus_case_args(
+            "BC3", lambda c: coeffs.coeff_group(harness.GROUPS["C3"], c))).equal
+    assert harness.verify_linearity_groupoid(
+        1, 0, *_corpus_case_args("gpd_conn_C2", coeffs.coeff_groupoid)).equal
+    assert harness.verify_linearity_groupoid(
+        1, 0, *_corpus_case_args("gpd_C2_C3", coeffs.coeff_groupoid)).equal
+    assert harness.verify_linearity_ei(
+        1, 0, *_corpus_case_args("orbit_C4", coeffs.coeff_EI)).equal
 
 
 def test_named_case_verifiers():
@@ -218,7 +233,8 @@ def test_named_case_verifiers():
     cat = harness.corpus()["BC3"]["cat"]
     assert harness.verify_component_lemma(rng, cat, "c").equal
     assert all(c.equal for c in harness.verify_set_formulas(0, 1))
-    assert harness.verify_leinster(0, 2).equal
+    assert harness.verify_leinster(
+        0, 2, *_corpus_case_args("pushout", coeffs.leinster_weighting)).equal
     assert harness.verify_multiplicativity(0, 3).equal
 
 
@@ -232,10 +248,45 @@ def test_passing_case_builds_no_witness(monkeypatch):
     monkeypatch.setattr(harness, "_witness_payload",
                         lambda *args: calls.append(args))
     assert harness.verify_linearity_hofin(1, 0).equal
-    assert harness.verify_linearity_group(1, 0, "C3").equal
-    assert harness.verify_linearity_groupoid(1, 0, "gpd_conn_C2").equal
-    assert harness.verify_linearity_ei(1, 0, "orbit_C4").equal
+    assert harness.verify_linearity_group(
+        1, 0, *_corpus_case_args(
+            "BC3", lambda c: coeffs.coeff_group(harness.GROUPS["C3"], c))).equal
+    assert harness.verify_linearity_groupoid(
+        1, 0, *_corpus_case_args("gpd_conn_C2", coeffs.coeff_groupoid)).equal
+    assert harness.verify_linearity_ei(
+        1, 0, *_corpus_case_args("orbit_C4", coeffs.coeff_EI)).equal
     assert harness.verify_cofiber(1, 0).equal
     assert calls == []
     case = harness._case("x", 1, 1, witness=lambda: calls.append("built"))
     assert case.witness is None and calls == []
+
+
+# coefficient routes a suite may run, and the argument holding the shape
+COEFF_ROUTES = {"coeff_EI": 0, "coeff_EI_desouza": 0, "coeff_hofin": 0,
+                "coeff_groupoid": 0, "coeff_group": 1,
+                "leinster_weighting": 0}
+
+
+@pytest.mark.parametrize("suite", sorted(harness.SUITES))
+def test_suite_builds_its_shapes_and_coefficients_once(monkeypatch, suite):
+    builds = []
+    real_corpus = harness.corpus
+    monkeypatch.setattr(harness, "corpus",
+                        lambda: builds.append(1) or real_corpus())
+    runs = {}
+
+    def counted(route, fn, at):
+        def run(*args):
+            # a shape rebuilt under its name is still the same shape
+            key = (route, args[at].name)
+            runs[key] = runs.get(key, 0) + 1
+            return fn(*args)
+        return run
+
+    for route, at in COEFF_ROUTES.items():
+        monkeypatch.setattr(coeffs, route,
+                            counted(route, getattr(coeffs, route), at))
+    report = harness.run_suite(suite, seed=0)
+    assert report.all_pass, report.failures()
+    assert len(builds) <= 1
+    assert {key: n for key, n in runs.items() if n > 1} == {}

@@ -250,3 +250,18 @@ def test_fincat_builds_are_found():
            "g = FinCat\nx = FinCat([], [], {}, {})\n")
     assert sorted(_calls(ast.parse(src), _builds_fincat),
                   key=lambda c: c[0]) == [(2, "f"), (4, None)]
+
+
+def _calls_corpus(func):
+    return isinstance(func, ast.Name) and func.id == "corpus"
+
+
+def test_only_suites_build_the_corpus():
+    # a suite builds the corpus once per run and hands its categories to
+    # the cases; a case that calls corpus() rebuilds every shape and loses
+    # the caches kept on them
+    path = SRC[0].parent / "harness.py"
+    calls = list(_calls(ast.parse(path.read_text()), _calls_corpus))
+    assert calls
+    assert [(line, name) for line, name in calls
+            if not (name or "").startswith("suite_")] == []
