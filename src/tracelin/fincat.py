@@ -204,10 +204,14 @@ class UnionFind:
         self.parent = {x: x for x in items}
 
     def find(self, x):
-        y = self.parent[x]
-        if self.parent[y] != y:
-            y = self.parent[x] = self.find(y)
-        return y
+        """The root of x's set; every item on the way is relinked to it."""
+        parent = self.parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
 
     def union(self, x, y):
         x, y = self.find(x), self.find(y)
@@ -285,19 +289,24 @@ def lambda_cat(cat):
     Objects are pairs (f: a->b, g: b->a); a morphism (x, z): (f, g) ->
     (f', g') is a pair x: a->a', z: b'->b with f = x then f' then z and
     g' = z then g then x.  Composition is (x, z) then (x', z') =
-    (x then x', z' then z), but the composition table is not built: the
-    returned category has an empty ``compose``.  Returns the category
-    together with the map from objects to connected-component indices,
-    found by union-find over its morphisms on the objects' positions and
-    numbered in order of first sighting; the number of components equals
-    the number of conjugacy classes.
+    (x then x', z' then z).  Returns the category together with the map
+    from objects to connected-component indices, numbered in order of
+    first sighting; the number of components equals the number of
+    conjugacy classes.
 
-    The morphisms out of (f, g) are found by solving: each x out of a and
-    z into b fix g', and f' ranges over the preimages of f under
-    f' -> x then f' then z.  That map does not depend on (f, g), so its
-    preimage table over hom(a', b') is built once per (x, z), on first
-    use.  The morphisms are listed by target, then x, then z, each in
-    stored order.
+    Only a generating set of morphisms is listed, and the composition
+    table is not built: ``compose`` is empty.  A morphism (x, z) out of
+    (f, g) factors as (x, id_b) then (id_a', z), through (f' then z,
+    g then x); and (x1 then x2, id) is (x1, id) then (x2, id), likewise
+    in z.  So the morphisms (x, id_b) for a generating arrow x out of a,
+    and (id_a, z) for a generating arrow z into b, generate the rest, and
+    union-find over them finds the components.  (x, id_b) leads to
+    (f', g then x) for each f' in hom(a', b) with x then f' = f, and
+    (id_a, z) to (f', z then g) for each f' in hom(a, b') with f' then
+    z = f; each preimage table is built once per (x, b) or (z, a), on
+    first use.  The morphisms are listed by source, each source's
+    identity first, then its (x, id_b) by x, then its (id_a, z) by z, the
+    generating arrows in stored order and the targets by f' in hom order.
     """
     table = cat.compose
     objs = []
@@ -305,39 +314,46 @@ def lambda_cat(cat):
         for g in cat.hom(cat.dst[f], cat.src[f]):
             objs.append((f, g))
     obj_index = {o: i for i, o in enumerate(objs)}
-    out_of = {o: [] for o in cat.objects}
-    into = {o: [] for o in cat.objects}
-    for i, h in enumerate(cat.arrows):
-        out_of[cat.src[h]].append((i, h))
-        into[cat.dst[h]].append((i, h))
+    gens_out = {o: [] for o in cat.objects}
+    gens_in = {o: [] for o in cat.objects}
+    for x in cat.generating_arrows():
+        gens_out[cat.src[x]].append(x)
+        gens_in[cat.dst[x]].append(x)
+    after = {}      # (x, b) -> {x then f': [f', ...]}
+    before = {}     # (z, a) -> {f' then z: [f', ...]}
     arrows = []
+    identities = {}
     uf = UnionFind(range(len(objs)))
-    preimages = {}      # (x, z) -> {x then f' then z: [f', ...]}
     for s, o in enumerate(objs):
         f, g = o
-        zs = [(zi, z, cat.src[z], table[(z, g)]) for zi, z in into[cat.dst[f]]]
-        found = []
-        for xi, x in out_of[cat.src[f]]:
-            a2 = cat.dst[x]
-            for zi, z, b2, zg in zs:
-                pre = preimages.get((xi, zi))
-                if pre is None:
-                    pre = preimages[(xi, zi)] = {}
-                    for f2 in cat.hom(a2, b2):
-                        pre.setdefault(table[(table[(x, f2)], z)],
-                                       []).append(f2)
-                f2s = pre.get(f)
-                if f2s:
-                    g2 = table[(zg, x)]
-                    for f2 in f2s:
-                        found.append((obj_index[(f2, g2)], xi, zi, x, z))
-        found.sort()
-        for t, _xi, _zi, x, z in found:
-            arrows.append(((o, objs[t], x, z), o, objs[t]))
-        for t in {m[0] for m in found}:
-            uf.union(s, t)
-    identities = {(f, g): ((f, g), (f, g), cat.idarr(cat.src[f]),
-                           cat.idarr(cat.dst[f])) for (f, g) in objs}
+        a, b = cat.src[f], cat.dst[f]
+        ida, idb = cat.idarr(a), cat.idarr(b)
+        identities[o] = ident = (o, o, ida, idb)
+        arrows.append((ident, o, o))
+        for x in gens_out[a]:
+            pre = after.get((x, b))
+            if pre is None:
+                pre = after[(x, b)] = {}
+                for f2 in cat.hom(cat.dst[x], b):
+                    pre.setdefault(table[(x, f2)], []).append(f2)
+            g2 = table[(g, x)]
+            for f2 in pre.get(f, ()):
+                ti = obj_index[(f2, g2)]
+                t = objs[ti]
+                arrows.append(((o, t, x, idb), o, t))
+                uf.union(s, ti)
+        for z in gens_in[b]:
+            pre = before.get((z, a))
+            if pre is None:
+                pre = before[(z, a)] = {}
+                for f2 in cat.hom(a, cat.src[z]):
+                    pre.setdefault(table[(f2, z)], []).append(f2)
+            g2 = table[(z, g)]
+            for f2 in pre.get(f, ()):
+                ti = obj_index[(f2, g2)]
+                t = objs[ti]
+                arrows.append(((o, t, ida, z), o, t))
+                uf.union(s, ti)
     lcat = FinCat(objs, arrows, identities, {},
                   name=("lambda(%s)" % cat.name) if cat.name else None)
     comp_index = {}

@@ -434,6 +434,31 @@ def test_nat_endo_with_a_misshaped_component_is_rejected():
                 {"o0": Mat.identity(1), "o1": Mat([[1, 0]])})
 
 
+def test_chain_diagram_messages_with_identity_values_skipped():
+    """X(a) is twice the identity, so every composite through the
+    identity arrow a is checked; X(c) is the identity of an equal copy of
+    the complex at c, so its composites are checked too; the idempotent e
+    goes to a map that is not idempotent."""
+    cx = ChainComplex({0: 1, 1: 2}, {1: Mat([[1, 0]])})
+    cy = ChainComplex({0: 1, 1: 2}, {1: Mat([[1, 0]])})
+    one = identity_chain_map(cx)
+    span = ChainDiagram(
+        harness.span_category(), {"a": cx, "b": cx, "c": cy},
+        {"a": one.smul(2), "b": one, "c": one, "f": one,
+         "g": ChainMap(cx, cy, one.mats)}, check=False)
+    assert span.violations() == [
+        "identity of 'a' is not the identity",
+        "functoriality fails at ('a', 'a')",
+        "functoriality fails at ('a', 'f')",
+        "functoriality fails at ('a', 'g')"]
+    idem = ChainDiagram(harness.idempotent_category(), {"x": cx},
+                        {"x": one, "e": one.smul(2)}, check=False)
+    assert idem.violations() == ["functoriality fails at ('e', 'e')"]
+    with pytest.raises(ValueError, match=r"^functoriality fails at "
+                                         r"\('e', 'e'\)$"):
+        ChainDiagram(idem.base, idem.complexes, idem.maps)
+
+
 def test_identity_endo_of_vect_and_chain_diagrams():
     x = VectDiagram(idem_cat(), {"x": 2},
                     {"x": Mat.identity(2), "e": Mat([[1, 1], [0, 0]])})

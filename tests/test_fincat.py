@@ -211,29 +211,106 @@ def _lambda_reference_cases():
 
 @pytest.mark.parametrize("cat", _lambda_reference_cases())
 def test_lambda_cat_matches_brute_force(cat):
+    """The listed morphisms are morphisms, listed by source with each
+    source's identity first, and the components are the brute force's."""
     lcat, comp = lambda_cat(cat)
     arrows, ref_comp = _lambda_brute_force(cat)
-    assert list(lcat.arrows) == arrows
+    assert set(lcat.arrows) <= set(arrows)
     assert all((lcat.src[m], lcat.dst[m]) == m[:2] for m in lcat.arrows)
+    sources = [lcat.obj_index[m[0]] for m in lcat.arrows]
+    assert sources == sorted(sources)
+    firsts = [m for i, m in enumerate(lcat.arrows)
+              if i == 0 or m[0] != lcat.arrows[i - 1][0]]
+    assert firsts == [lcat.identities[o] for o in lcat.objects]
+    assert all(lcat.identities[(f, g)] == ((f, g), (f, g),
+                                           cat.idarr(cat.src[f]),
+                                           cat.idarr(cat.dst[f]))
+               for (f, g) in lcat.objects)
     assert comp == ref_comp
     assert lcat.compose == {}
 
 
-@pytest.mark.parametrize("cat", [bg_category(symmetric_group(3)),
-                                 delta_prime_op(3), idem_cat()],
-                         ids=["BS3", "delta3op", "idem"])
+@pytest.mark.parametrize("cat", _lambda_reference_cases())
 def test_lambda_cat_morphisms_form_a_category(cat):
-    """Identities are morphisms, and (x, z) then (x', z') =
-    (x;x', z';z) is again one."""
+    """Closing the listed morphisms under (x, z) then (x', z') =
+    (x;x', z';z) gives exactly the brute-force morphisms."""
     lcat, _comp = lambda_cat(cat)
-    morphisms = set(lcat.arrows)
-    assert set(lcat.identities.values()) <= morphisms
+    arrows, _ref_comp = _lambda_brute_force(cat)
     by_src = {}
     for m in lcat.arrows:
         by_src.setdefault(m[0], []).append(m)
-    for (s, t, x1, z1) in lcat.arrows:
+    closure = set(lcat.arrows)
+    todo = list(closure)
+    while todo:
+        (s, t, x1, z1) = todo.pop()
         for (_t, u, x2, z2) in by_src[t]:
-            assert (s, u, cat.then(x1, x2), cat.then(z2, z1)) in morphisms
+            m = (s, u, cat.then(x1, x2), cat.then(z2, z1))
+            if m not in closure:
+                closure.add(m)
+                todo.append(m)
+    assert closure == set(arrows)
+
+
+def _s4_orbit_categories():
+    """Orbit categories of S4 on three lists of subgroups, each given by
+    generators: trivial, order 2 and 3, and larger ones."""
+    s4 = symmetric_group(4)
+    lists = [[(), [(1, 0, 2, 3)], [(1, 2, 0, 3)],
+              [(1, 0, 2, 3), (1, 2, 0, 3)], [(1, 2, 0, 3), (1, 0, 3, 2)]],
+             [(), [(1, 0, 3, 2)], [(1, 2, 3, 0)], [(1, 0, 3, 2), (2, 3, 0, 1)],
+              [(1, 2, 3, 0), (1, 0, 3, 2)]],
+             [(), [(1, 0, 2, 3)], [(1, 0, 3, 2)], [(1, 2, 0, 3)],
+              [(1, 2, 3, 0)]]]
+
+    def generated(gens):
+        els = {s4.identity}
+        todo = [s4.identity]
+        while todo:
+            x = todo.pop()
+            for g in gens:
+                y = s4.mul(x, g)
+                if y not in els:
+                    els.add(y)
+                    todo.append(y)
+        return subgroup(s4, sorted(els))
+
+    return [pytest.param(orbit_category(s4, [generated(g) for g in lst]),
+                         id="orbit_S4_%d" % i)
+            for i, lst in enumerate(lists)]
+
+
+@pytest.mark.parametrize("cat", _s4_orbit_categories())
+def test_lambda_cat_lists_only_generating_morphisms(cat):
+    """Out of each (f: a->b, g) only its identity, one (x, id_b) per
+    generating x out of a and one (id_a, z) per generating z into b are
+    listed: every arrow between the isomorphic a and b is an iso."""
+    lcat, comp = lambda_cat(cat)
+    assert len(set(comp.values())) == len(conjugacy_classes(cat))
+    gens = cat.generating_arrows()
+    listed = {}
+    for m in lcat.arrows:
+        listed[m[0]] = listed.get(m[0], 0) + 1
+    for (f, g) in lcat.objects:
+        a, b = cat.src[f], cat.dst[f]
+        bound = (1 + sum(1 for x in gens if cat.src[x] == a)
+                 + sum(1 for z in gens if cat.dst[z] == b))
+        assert listed[(f, g)] <= bound
+
+
+def test_union_find_follows_long_chains():
+    """find walks a chain of 3,000 links without recursing and relinks
+    every item on it to the root; union keeps its first argument's root."""
+    uf = fincat.UnionFind(range(3000))
+    for i in range(1, 3000):
+        uf.union(i, i - 1)
+    assert uf.find(0) == 2999
+    assert all(uf.parent[i] == 2999 for i in range(3000))
+    assert list(uf.groups()) == [2999]
+    uf = fincat.UnionFind("abcd")
+    uf.union("b", "a")
+    uf.union("c", "d")
+    uf.union("a", "d")
+    assert [uf.find(x) for x in "abcd"] == ["b", "b", "b", "b"]
 
 
 def test_count_strings_empty_string():
