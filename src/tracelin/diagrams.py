@@ -17,7 +17,7 @@ and ``ChainMap.from_blocks`` of ``exactalg``.
 from . import fincat
 from .exactalg import (
     F, SparseMat, ChainComplex, ChainMap, cokernel, direct_sum,
-    factor_through, identity_chain_map, idempotent_image, kron,
+    factor_through, identity_chain_map, idempotent_image, kernel_basis, kron,
 )
 
 
@@ -365,56 +365,54 @@ def _commuting_solutions(blocks, eqs):
 
     ``blocks`` lists the unknowns as (key, rows, cols), each laid out
     row-major in that order; ``eqs`` lists (A, p, q, B) as SparseMats.  A
-    side whose key is not a block drops out.  The system is written once,
-    transposed, from the nonzeros of A and B: one row per unknown, one
-    column per entry (i, j) of each A X_p - X_q B, where X_p[k, j] has
-    A[i, k] and X_q[i, k] has -B[k, j]; when p = q, entries that cancel
-    are deleted.  Returns one {key: SparseMat} per vector of the echelon
-    kernel basis, which depends only on the row space and on the order of
-    the blocks; those vectors are the rows of the cokernel projection of
-    the transposed system.
+    side whose key is not a block drops out.  The system is written from
+    the nonzeros of A and B, one row per entry (i, j) of each
+    A X_p - X_q B that is not zero outright: X_p[k, j] has A[i, k] and
+    X_q[i, k] has -B[k, j]; when p = q, entries that cancel are deleted.
+    Returns one {key: SparseMat} per vector of its echelon kernel basis,
+    which depends only on the row space and on the order of the blocks.
     """
     offsets = {}
     total = 0
     for key, r, c in blocks:
         offsets[key] = total
         total += r * c
-    system = [{} for _ in range(total)]
-    rel = 0
+    system = []
     for a, p, q, b in eqs:
         ar, br, bc = a.rows, b.rows, b.cols
+        rows = [{} for _ in range(ar * bc)]
         if p in offsets:
             off = offsets[p]
             for i, terms in enumerate(a.terms):
                 for k, v in terms.items():
-                    u, c = off + k * bc, rel + i * bc
+                    u, c = off + k * bc, i * bc
                     for j in range(bc):
-                        system[u + j][c + j] = v
+                        rows[c + j][u + j] = v
         if q in offsets:
             off = offsets[q]
             for k, terms in enumerate(b.terms):
                 for j, v in terms.items():
                     for i in range(ar):
-                        row = system[off + i * br + k]
-                        c = rel + i * bc + j
-                        w = row.get(c, 0) - v
+                        row = rows[i * bc + j]
+                        u = off + i * br + k
+                        w = row.get(u, 0) - v
                         if w:
-                            row[c] = w
+                            row[u] = w
                         else:
-                            del row[c]
-        rel += ar * bc
-    _dim, basis = cokernel(SparseMat(system, total, rel))
+                            del row[u]
+        system += [row for row in rows if row]
+    basis = kernel_basis(SparseMat(system, len(system), total))
     where = [(k, i, j) for k, (_key, r, c) in enumerate(blocks)
              for i in range(r) for j in range(c)]
-    out = []
-    for vec in basis.terms:
-        sol = [[{} for _ in range(r)] for _key, r, _c in blocks]
-        for g, v in vec.items():
+    sols = [[[{} for _ in range(r)] for _key, r, _c in blocks]
+            for _ in range(basis.cols)]
+    for g, vec in enumerate(basis.terms):
+        if vec:
             k, i, j = where[g]
-            sol[k][i][j] = v
-        out.append({key: SparseMat(terms, r, c)
-                    for (key, r, c), terms in zip(blocks, sol)})
-    return out
+            for s, v in vec.items():
+                sols[s][k][i][j] = v
+    return [{key: SparseMat(terms, r, c)
+             for (key, r, c), terms in zip(blocks, sol)} for sol in sols]
 
 
 def nat_endo_basis(x):
@@ -486,11 +484,14 @@ class HocolimResult:
 
 def _block_diagonal(cx, index, at):
     """The chain endo of cx holding ``at(key)``'s degree-m block at the
-    offset of each (key, m) -> (total degree, offset) of ``index``."""
-    blocks = {n: [] for n in cx.dims}
+    offset of each (key, m) -> (total degree, offset) of ``index``, which
+    covers every row; each row is written once, at its offset."""
+    rows = {n: [None] * dim for n, dim in cx.dims.items()}
     for (key, m), (n, off) in index.items():
-        blocks[n].append((off, off, at(key).sparse_mat(m)))
-    return ChainMap.from_blocks(cx, cx, blocks)
+        for i, t in enumerate(at(key).sparse_mat(m).terms, off):
+            rows[n][i] = {j + off: v for j, v in t.items()}
+    return ChainMap(cx, cx, {n: SparseMat(r, len(r), len(r))
+                             for n, r in rows.items()}, check=False)
 
 
 def _realize(cells, faces, cx, face_map, check):
@@ -501,16 +502,17 @@ def _realize(cells, faces, cx, face_map, check):
     cell, ``faces`` lists (target cell position, sign, face key or None):
     the signed block of the chain map ``face_map(face key)``, or for None
     the signed identity, written as a diagonal.  The total differential
-    adds the internal one with sign (-1)^k; signed blocks are kept per
-    (key, degree, sign), so a block shared by several cells is signed
-    once.  With ``check`` the complex tests d o d = 0.  Returns (complex,
-    per cell {internal degree: (total degree, offset)}).
+    adds the internal one with sign (-1)^k; each signed block is kept
+    once, as its nonzero rows [(row, [(col, entry)])].  With ``check``
+    the complex tests d o d = 0.  Returns (complex, per cell {internal
+    degree: (total degree, offset)}).
     """
     dims = {}
     place = []
+    kdims = {key: cx(key).dims for key in {key for key, _k in cells}}
     for key, k in cells:
         at = {}
-        for m, dm in cx(key).dims.items():
+        for m, dm in kdims[key].items():
             off = dims.get(k + m, 0)
             at[m] = (k + m, off)
             dims[k + m] = off + dm
@@ -518,38 +520,39 @@ def _realize(cells, faces, cx, face_map, check):
     # d[n] as sparse rows; a block lands in d[n] only when its target
     # sits in degree n - 1, so dims[n - 1] > 0
     diff = {n: [{} for _ in range(dims[n - 1])] for n in dims if n - 1 in dims}
-    blocks = {}    # (tag, key or face key, degree, sign) -> signed rows
+    blocks = {}    # (face key or None, key, degree, sign) -> signed rows
 
-    def add_block(rows, roff, coff, key, read):
-        terms = blocks.get(key)
+    def add_block(rows, roff, coff, bkey):
+        terms = blocks.get(bkey)
         if terms is None:
-            sign = key[3]
-            terms = blocks[key] = [{j: v if sign > 0 else -v
-                                    for j, v in t.items() if v}
-                                   for t in read(key[2]).terms]
-        for row, t in zip(rows[roff:roff + len(terms)], terms):
-            for j, v in t.items():
+            face, key, m, sign = bkey
+            mat = (cx(key).sparse_diff(m) if face is None
+                   else face_map(face).sparse_mat(m))
+            terms = blocks[bkey] = [
+                (i, [(j, v if sign > 0 else -v) for j, v in t.items() if v])
+                for i, t in enumerate(mat.terms) if t]
+        for i, t in terms:
+            row = rows[roff + i]
+            for j, v in t:
                 row[j + coff] = v
 
     for (key, k), at, fs in zip(cells, place, faces):
-        value = cx(key)
         for m, (n, off) in at.items():
             rows = diff.get(n)
             # internal differential with sign (-1)^k
             if m - 1 in at:
                 add_block(rows, at[m - 1][1], off,
-                          ("d", key, m, -1 if k % 2 else 1), value.sparse_diff)
+                          (None, key, m, -1 if k % 2 else 1))
             for t, sign, face in fs:
                 tgt = place[t].get(m)
                 if tgt is None:
                     continue
                 if face is not None:
-                    add_block(rows, tgt[1], off, ("f", face, m, sign),
-                              face_map(face).sparse_mat)
+                    add_block(rows, tgt[1], off, (face, None, m, sign))
                     continue
-                for i, row in enumerate(rows[tgt[1]:tgt[1] + value.dims[m]],
-                                        off):
-                    row[i] = sign
+                shift = tgt[1] - off
+                for i in range(off, off + kdims[key][m]):
+                    rows[shift + i][i] = sign
 
     total = ChainComplex(
         dims, {n: SparseMat(rows, dims[n - 1], dims[n])

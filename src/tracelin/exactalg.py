@@ -299,6 +299,8 @@ class SparseMat:
 
 def _integral(terms):
     """A sparse row rescaled by the lcm of its denominators: {column: int}."""
+    if all(type(v) is int for v in terms.values()):
+        return dict(terms)
     l = 1
     for v in terms.values():
         d = v.denominator
@@ -315,12 +317,13 @@ def _int_rows(m):
 
 
 def _eliminate(rows, limit):
-    """Forward elimination on sparse integer rows.
+    """Forward elimination on sparse integer rows, which it consumes.
 
     Columns < ``limit`` are taken left to right.  The live rows whose
     leading column is c are the rows with a nonzero there; the sparsest
-    of them becomes the pivot row of c and is subtracted from the others,
-    as in structured Gaussian elimination (LaMacchia-Odlyzko 1990).  The
+    of them is the pivot row of c, taken with a positive pivot p, and is
+    subtracted from the others in place (copied only to scale by p), as
+    in structured Gaussian elimination (LaMacchia-Odlyzko 1990).  The
     pivot columns depend only on the row space and the column order, not
     on which row is chosen.  Returns (echelon rows as (pivot column, row)
     in column order, the nonzero rows left with no pivot below ``limit``).
@@ -337,29 +340,31 @@ def _eliminate(rows, limit):
         bucket = buckets.pop(c)
         prow = min(bucket, key=len)
         p = prow[c]
+        tail = [(j, v if p > 0 else -v) for j, v in prow.items() if j != c]
+        p = abs(p)
         for row in bucket:
             if row is prow:
                 continue
-            q = row[c]
+            q = row.pop(c)
             g = gcd(p, q)
             sp, sq = p // g, q // g
-            new = {j: v * sp for j, v in row.items() if j != c}
-            for j, v in prow.items():
-                if j != c:
-                    w = new.get(j, 0) - v * sq
-                    if w:
-                        new[j] = w
-                    else:
-                        del new[j]
-            if new:
-                g = gcd(*new.values())
-                if g > 1:
-                    new = {j: v // g for j, v in new.items()}
-                lead = min(new)
-                if lead in buckets:
-                    buckets[lead].append(new)
+            if sp != 1:
+                row = {j: v * sp for j, v in row.items()}
+            for j, v in tail:
+                w = row.get(j, 0) - v * sq
+                if w:
+                    row[j] = w
                 else:
-                    buckets[lead] = [new]
+                    del row[j]
+            if row:
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {j: v // g for j, v in row.items()}
+                lead = min(row)
+                if lead in buckets:
+                    buckets[lead].append(row)
+                else:
+                    buckets[lead] = [row]
                     heappush(leads, lead)
         echelon.append((c, prow))
     return echelon, [row for b in buckets.values() for row in b]

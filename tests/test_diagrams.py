@@ -303,9 +303,13 @@ def _chain_solution_inputs():
     """(blocks, eqs, solutions) for nat_endo_basis of seeded chain
     diagrams and chain_map_space of seeded pairs of complexes, with the
     unknowns in the order those functions lay them out."""
-    for seed in range(3):
-        cat = harness.gen_hofin_category(seed)
-        dia = harness.gen_chain_diagram(seed, cat)[0]
+    dias = [harness.gen_chain_diagram(seed, harness.gen_hofin_category(seed))[0]
+            for seed in range(3)]
+    # negative entries in three degrees, and the same made non-integral
+    dias += [hocolim_case(name) for name in ("tower", "conjugated",
+                                             "conjugated_dag3")]
+    for dia in dias:
+        cat = dia.base
         cx = {o: dia.cx(o) for o in cat.objects}
         blocks = [((o, n), cx[o].dim(n), cx[o].dim(n))
                   for o in cat.objects for n in cx[o].dims]
@@ -318,8 +322,13 @@ def _chain_solution_inputs():
                              for (o, n), _r, _c in blocks}
                             for b in nat_endo_basis(dia)]
     rng = random.Random(43)
-    for _ in range(6):
-        src, dst = harness.random_complex(rng), harness.random_complex(rng)
+    pairs = [(harness.random_complex(rng), harness.random_complex(rng))
+             for _ in range(6)]
+    for dia in dias[3:]:
+        objs = dia.base.objects
+        pairs += [(dia.cx(objs[0]), dia.cx(objs[-1])),
+                  (dia.cx(objs[-1]), dia.cx(objs[0]))]
+    for src, dst in pairs:
         blocks = [(n, dst.dim(n), src.dim(n))
                   for n in sorted(set(src.dims) & set(dst.dims))]
         eqs = [(dst.diff(n), n, n - 1, src.diff(n)) for n in src.dims]
@@ -542,14 +551,14 @@ def _solution_builder_cases():
     for seed in range(4):
         yield harness.gen_chain_diagram(
             seed, harness.gen_hofin_category(seed))[0]
-    yield hocolim_case("delta3")
-    yield hocolim_case("rational")
+    for name in ("delta3", "rational", "tower", "conjugated"):
+        yield hocolim_case(name)
 
 
 def test_solution_builder_matches_kron_reference(monkeypatch):
     """nat_endo_basis and chain_map_space give the same bases, vector for
-    vector, whether the relations are written transposed from the
-    nonzeros or read from the rows of the Kronecker products."""
+    vector, whether the relations are written from the nonzeros or read
+    from the rows of the Kronecker products."""
     cases = list(_solution_builder_cases())
     got = [nat_endo_basis(x) for x in cases]
     maps = [chain_map_space(x.cx(s), x.cx(t)) for x in cases
@@ -762,6 +771,57 @@ def disk_sphere_diagram(cat, a0, a1, s=1, scale=None):
     return ChainDiagram(cat, complexes, maps)
 
 
+def tower_diagram(cat, a0, a1, s=-2):
+    """Over each object o, the representables R = Q[hom(a0, o)] and
+    S = Q[hom(a1, o)] in three degrees: R in degree 2, R (+) S in degree
+    1, S in degree 0, d_2 = (s, 0)^t and d_1 = (0, -1), so d_1 d_2 = 0
+    and every differential has negative entries."""
+    r = linearize(harness.rep_set_diagram(cat, a0))
+    t = linearize(harness.rep_set_diagram(cat, a1))
+    complexes = {}
+    for o in cat.objects:
+        nr, nt = r.dim(o), t.dim(o)
+        d2 = SparseMat([{i: s} if i < nr else {} for i in range(nr + nt)],
+                       nr + nt, nr)
+        d1 = SparseMat([{nr + i: -1} for i in range(nt)], nt, nr + nt)
+        complexes[o] = ChainComplex({2: nr, 1: nr + nt, 0: nt},
+                                    {2: d2, 1: d1})
+    return ChainDiagram(cat, complexes, {
+        a: ChainMap(complexes[cat.src[a]], complexes[cat.dst[a]],
+                    {2: r.mat(a), 1: block_diag([r.mat(a), t.mat(a)]),
+                     0: t.mat(a)}) for a in cat.arrows})
+
+
+def conjugated_diagram(dia, seed):
+    """dia with the space of every (object, degree) moved by a seeded
+    unit upper triangular change of basis P with Fraction entries:
+    d -> P d P^-1 and f -> P f P^-1.  It is a chain diagram as dia is,
+    with non-integral entries."""
+    rng = random.Random(seed)
+    cat = dia.base
+    change = {}
+    for o in cat.objects:
+        for n, k in dia.cx(o).dims.items():
+            p = SparseMat([{j: 1 if i == j else F(rng.randint(-3, 3),
+                                                  rng.randint(2, 5))
+                            for j in range(i, k)} for i in range(k)], k, k)
+            change[(o, n)] = (p, inverse(p))
+
+    def conj(dst, m, src):
+        # P_dst m P_src^-1; a space of dimension 0 has no P
+        p = change.get(dst, (SparseMat.identity(m.rows),))[0]
+        return p @ m @ change.get(src, (0, SparseMat.identity(m.cols)))[1]
+
+    complexes = {o: ChainComplex(dia.cx(o).dims, {
+        n: conj((o, n - 1), dia.cx(o).sparse_diff(n), (o, n))
+        for n in dia.cx(o).dims}) for o in cat.objects}
+    return ChainDiagram(cat, complexes, {
+        a: ChainMap(complexes[cat.src[a]], complexes[cat.dst[a]], {
+            n: conj((cat.dst[a], n), dia.map(a).sparse_mat(n),
+                    (cat.src[a], n)) for n in dia.cx(cat.src[a]).dims})
+        for a in cat.arrows})
+
+
 def hocolim_case(name):
     d3 = fincat.delta_prime_op(3)
     if name == "delta3":
@@ -770,11 +830,23 @@ def hocolim_case(name):
         return harness.gen_chain_diagram(5, harness.gen_hofin_category(5))[0]
     if name == "pushout_span":
         return _span_chain_case(5)[0]
+    if name == "tower":
+        return tower_diagram(d3, "[3]", "[1]")
+    if name == "dag3":
+        return harness.gen_chain_diagram(6, harness.gen_hofin_category(6))[0]
+    if name == "conjugated":
+        return conjugated_diagram(tower_diagram(d3, "[2]", "[3]", 3), 7)
+    if name == "conjugated_dag3":
+        return conjugated_diagram(hocolim_case("dag3"), 11)
     scale = {o: F(1, i + 2) for i, o in enumerate(d3.objects)}
     return disk_sphere_diagram(d3, "[3]", "[1]", F(3, 2), scale)
 
 
-@pytest.mark.parametrize("name", ["delta3", "dag", "pushout_span", "rational"])
+HOCOLIM_CASES = ["delta3", "dag", "pushout_span", "rational", "tower", "dag3",
+                 "conjugated", "conjugated_dag3"]
+
+
+@pytest.mark.parametrize("name", HOCOLIM_CASES)
 def test_hocolim_matches_dense_reference(name):
     dia = hocolim_case(name)
     res = hocolim_hofin(dia)
@@ -784,8 +856,12 @@ def test_hocolim_matches_dense_reference(name):
     assert res.complex.dims == ref.dims and set(res.complex.d) == set(ref.d)
     assert all(type(v) is F for m in res.complex.d.values()
                for row in m.data for v in row)
-    if name == "rational":
+    if name in ("rational", "conjugated", "conjugated_dag3"):
         assert any(v.denominator != 1 for m in res.complex.d.values()
+                   for row in m.data for v in row)
+    if name in ("tower", "dag3", "conjugated", "conjugated_dag3"):
+        assert len(ref.dims) >= 4
+        assert any(v < 0 for m in res.complex.d.values()
                    for row in m.data for v in row)
 
 

@@ -778,3 +778,57 @@ def test_every_matrix_result_is_sparse_for_either_input_kind():
             i, q = idempotent_image(x)
             _check_sparse(i, ref_i)
             _check_sparse(q, ref_p)
+
+
+def _negative_leads(m):
+    """m as a SparseMat with every row that starts positive negated, so
+    each nonzero row starts with a negative entry."""
+    s = SparseMat.from_mat(m)
+    return SparseMat([{j: -v for j, v in t.items()} if t and t[min(t)] > 0
+                      else t for t in s.terms], s.rows, s.cols)
+
+
+def _half_dense(rng, rows, cols):
+    return SparseMat.from_mat(Mat([[_entry(rng, 0.5) for _ in range(cols)]
+                                   for _ in range(rows)], rows, cols))
+
+
+def _terms_of(s):
+    """Everything ``s.terms`` holds, in order: (column, type, entry)."""
+    return [[(j, type(v), v) for j, v in t.items()] for t in s.terms]
+
+
+def test_elimination_leaves_its_arguments_unchanged():
+    """Elimination rewrites its rows in place, so every public function
+    that eliminates must hand it copies: after each call, every argument
+    holds the same entries, of the same types, in the same order.  The
+    inputs are seeded int and Fraction matrices whose rows all start
+    negative, so that pivots are negated."""
+    rng = random.Random(89)
+    mats = [_negative_leads(m) for m in seeded_matrices(97, 60)]
+    assert any(type(v) is F for s in mats for t in s.terms
+               for v in t.values())
+    assert sum(t[min(t)] < 0 for s in mats for t in s.terms if t) > 200
+    calls = []
+    for s in mats:
+        b = s @ _negative_leads(_half_dense(rng, s.cols, 2))
+        proj = cokernel(s)[1]
+        n = _half_dense(rng, 2, proj.rows)
+        calls += [(kernel_basis, s), (cokernel, s), (rank, s),
+                  (image_basis, s), (solve_linear, s, b),
+                  (factor_through, proj, n @ proj)]
+    for k in range(20):
+        sq = _negative_leads(_invertible(rng, k % 5 + 1))
+        r = rng.randint(0, sq.rows)
+        e = sq @ SparseMat([{i: 1} if i < r else {} for i in range(sq.rows)],
+                           sq.rows, sq.rows) @ inverse(sq)
+        n = _half_dense(rng, 2, sq.rows)
+        calls += [(inverse, sq), (idempotent_image, e),
+                  (factor_through, sq, n @ sq)]
+    for fn, *args in calls:
+        before = [_terms_of(a) for a in args]
+        fn(*args)
+        assert [_terms_of(a) for a in args] == before, fn.__name__
+    assert {fn for fn, *_ in calls} == {
+        kernel_basis, cokernel, rank, image_basis, solve_linear, inverse,
+        factor_through, idempotent_image}

@@ -14,7 +14,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from test_diagrams import dense_hocolim_hofin, disk_sphere_diagram, hocolim_case
+from test_diagrams import (
+    HOCOLIM_CASES, dense_hocolim_hofin, disk_sphere_diagram, hocolim_case,
+)
 from tracelin import diagrams, exactalg, fincat, harness
 from tracelin.diagrams import (
     ChainDiagram, NatEndo, chain_idempotent_image, chain_map_space,
@@ -302,7 +304,7 @@ def ei_case(name, seed=0):
 # ---------------------------------------------------------------------------
 # hofin: complexes, index and induced maps
 
-@pytest.mark.parametrize("name", ["delta3", "dag", "pushout_span", "rational"])
+@pytest.mark.parametrize("name", HOCOLIM_CASES)
 def test_hofin_induce_matches_dense_reference(name):
     dia = hocolim_case(name)
     res = hocolim_hofin(dia)
